@@ -3,9 +3,22 @@ windowed coincidence counting over sorted timestamp arrays.
 
 Both kernels exist twice: a sequential version compiled with numba when it
 is importable, and a vectorized numpy version. Setting FLQKD_DISABLE_NUMBA=1
-(any value other than 0/false) forces the numpy path. The two paths perform
-identical float comparisons in identical order, so their outputs are
-bit-identical; all random number generation happens outside the kernels.
+(any value other than 0/false) forces the numpy path. The two paths give
+bit-identical results (tested against the sequential versions); all random
+number generation happens outside the kernels.
+
+The numpy dead-time filter is exact because of one property of the greedy
+non-paralyzable rule: call event i a cluster head when
+times[i] >= times[i-1] + dead_time, with the same float addition the
+sequential kernel makes. A head is always kept. The last kept event before
+it lies at or before times[i-1], and float addition is monotone, so the
+detector is free again by times[i-1] + dead_time <= times[i]. The first
+event at or after free_from is a head as well. Between two heads the events
+form a cluster of short gaps, and the kept ones are found by chasing the
+successor rule from the cluster's head: the next kept event is the first one
+at or after the last kept time plus dead_time. That chase cannot pass the
+next head, so the clusters are independent and all of them are chased at
+once, one array step per kept event of the longest chain in any cluster.
 """
 
 from __future__ import annotations
@@ -51,24 +64,25 @@ def _dead_time_sequential(times, dead_time, free_from):
 
 
 def _dead_time_numpy(times, dead_time, free_from):
-    if times.size == 0:
-        return times.copy(), free_from
     start = int(np.searchsorted(times, free_from, "left"))
     if start >= times.size:
         return times[:0].copy(), free_from
-    if dead_time <= 0.0:
-        kept = times[start:].copy()
-        return kept, kept[-1] + dead_time
-    # successor table: first index at or after t_i + dead_time; chasing it
-    # from the first live event reproduces the sequential greedy filter
-    nxt = np.searchsorted(times, times + dead_time, "left")
-    idx = []
-    i = start
-    n = times.size
-    while i < n:
-        idx.append(i)
-        i = int(nxt[i])
-    kept = times[np.array(idx, dtype=np.int64)].copy()
+    live = times[start:]
+    n = live.size
+    reach = live + dead_time
+    # waiting[i]: event i sits in a cluster and is not known to be kept yet;
+    # the False at n ends every chase that runs off the end of the stream
+    waiting = np.zeros(n + 1, bool)
+    np.less(live[1:], reach[:-1], out=waiting[1:n])
+    cur = np.flatnonzero(waiting[1:] & ~waiting[:-1])
+    while cur.size:
+        cur = live.searchsorted(reach[cur])
+        # a chase stops on a kept event: the next head, or an earlier one
+        # when reach[cur] rounds to live[cur]
+        cur = cur[waiting[cur]]
+        waiting[cur] = False
+    del reach  # release it before the output is allocated
+    kept = live[~waiting[:-1]]
     return kept, kept[-1] + dead_time
 
 

@@ -197,6 +197,25 @@ def simulate_monitor(config: MonitorSimConfig) -> MonitorCounts:
 
 
 def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
+    singles_a, c_ia, c_ia_shift, singles_b, c_ib, c_ib_shift = _count_segments(
+        _segments(cfg, rng), cfg.coinc_window, cfg.shift_offset
+    )
+    t = cfg.duration
+    return MonitorCounts(
+        s_a=singles_a / t,
+        c_ia=c_ia / t,
+        c_ia_shift=c_ia_shift / t,
+        s_b=singles_b / t,
+        c_ib=c_ib / t,
+        c_ib_shift=c_ib_shift / t,
+        duration=t,
+        warnings=_saturation_warnings(cfg),
+    )
+
+
+def _segments(cfg: MonitorSimConfig, rng: np.random.Generator):
+    """Yield (end, idler, alice, bob) per segment: the segment's end time (inf
+    for the last one) and each detector's dead-time-filtered timestamps."""
     eff_i = cfg.det_eff_idler
     p_alice = cfg.tap_alice * cfg.det_eff_alice
     # an intruder replaces a fraction f_e_true of the flux entering Bob's
@@ -221,13 +240,7 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     n_segments = max(1, int(math.ceil(cfg.duration * gen_rate / _SEGMENT_EVENT_BUDGET)))
     edges = np.linspace(0.0, cfg.duration, n_segments + 1)
 
-    half_window = 0.5 * cfg.coinc_window
-    lookback = cfg.shift_offset + cfg.coinc_window
     free_i = free_a = free_b = 0.0
-    idler_tail = np.empty(0, np.float64)
-    singles_a = singles_b = 0
-    c_ia = c_ia_shift = c_ib = c_ib_shift = 0
-
     for seg in range(n_segments):
         t0, t1 = edges[seg], edges[seg + 1]
         # fixed draw order keeps runs reproducible for a given seed
@@ -247,30 +260,36 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
         idler_live, free_i = dead_time_filter(idler_stream, cfg.dead_time, free_i)
         alice_live, free_a = dead_time_filter(alice_stream, cfg.dead_time, free_a)
         bob_live, free_b = dead_time_filter(bob_stream, cfg.dead_time, free_b)
+        end = t1 if seg + 1 < n_segments else math.inf
+        yield end, idler_live, alice_live, bob_live
 
-        singles_a += alice_live.size
-        singles_b += bob_live.size
 
-        idler_ctx = np.concatenate((idler_tail, idler_live))
-        c_ia += count_coincidences(alice_live, idler_ctx, half_window, 0.0)
-        c_ia_shift += count_coincidences(alice_live, idler_ctx, half_window, cfg.shift_offset)
-        c_ib += count_coincidences(bob_live, idler_ctx, half_window, 0.0)
-        c_ib_shift += count_coincidences(bob_live, idler_ctx, half_window, cfg.shift_offset)
+def _count_segments(segments, coinc_window: float, shift_offset: float) -> tuple[int, ...]:
+    """Singles and coincidence counts over consecutive stream segments.
 
-        keep_from = np.searchsorted(idler_ctx, t1 - lookback, "left")
-        idler_tail = idler_ctx[keep_from:]
-
-    t = cfg.duration
-    return MonitorCounts(
-        s_a=singles_a / t,
-        c_ia=c_ia / t,
-        c_ia_shift=c_ia_shift / t,
-        s_b=singles_b / t,
-        c_ib=c_ib / t,
-        c_ib_shift=c_ib_shift / t,
-        duration=t,
-        warnings=_saturation_warnings(cfg),
-    )
+    segments yields (end, idler, alice, bob): the segment's end time (inf for
+    the last one) and its dead-time-filtered, sorted timestamps. Returns
+    (singles_a, c_ia, c_ia_shift, singles_b, c_ib, c_ib_shift) as integers.
+    """
+    half_window = 0.5 * coinc_window
+    # a trigger within one window of a segment end may pair with idler events
+    # of the next segment, so it is counted there; the idler context keeps
+    # enough of the past for the shifted windows of such late triggers too
+    lookback = shift_offset + 2.0 * coinc_window
+    idler_ctx = np.empty(0, np.float64)
+    held = [np.empty(0, np.float64), np.empty(0, np.float64)]
+    singles, aligned, shifted = [0, 0], [0, 0], [0, 0]
+    for end, idler_live, *taps in segments:
+        idler_ctx = np.concatenate((idler_ctx, idler_live))
+        for arm, live in enumerate(taps):
+            triggers = np.concatenate((held[arm], live))
+            cut = np.searchsorted(triggers, end - coinc_window, "left")
+            triggers, held[arm] = triggers[:cut], triggers[cut:]
+            singles[arm] += live.size
+            aligned[arm] += count_coincidences(triggers, idler_ctx, half_window, 0.0)
+            shifted[arm] += count_coincidences(triggers, idler_ctx, half_window, shift_offset)
+        idler_ctx = idler_ctx[np.searchsorted(idler_ctx, end - lookback, "left"):]
+    return singles[0], aligned[0], shifted[0], singles[1], aligned[1], shifted[1]
 
 
 def sweep_injection(
