@@ -1,11 +1,9 @@
 """Hot kernels for the coincidence simulator: dead-time filtering and
 windowed coincidence counting over sorted timestamp arrays.
 
-Both kernels exist twice: a sequential version compiled with numba when it
-is importable, and a vectorized numpy version. Setting FLQKD_DISABLE_NUMBA=1
-(any value other than 0/false) forces the numpy path. The two paths give
-bit-identical results (tested against the sequential versions); all random
-number generation happens outside the kernels.
+Both kernels are vectorized numpy. Their sequential loop versions stay
+here as the reference the tests require bit-identical results against; all
+random number generation happens outside the kernels.
 
 The numpy dead-time filter is exact because of one property of the greedy
 non-paralyzable rule: call event i a cluster head when
@@ -23,29 +21,7 @@ once, one array step per kept event of the longest chain in any cluster.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("FLQKD_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false")
-
-
-if not _numba_disabled():
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        numba = None
-else:
-    numba = None
-
-USING_NUMBA = numba is not None
-
-
-def backend() -> str:
-    return "numba" if USING_NUMBA else "numpy"
 
 
 def _dead_time_sequential(times, dead_time, free_from):
@@ -112,36 +88,16 @@ def _count_coincidences_numpy(triggers, partners, half_window, offset):
     return int(np.count_nonzero(last > first))
 
 
-if USING_NUMBA:
-    _dead_time_jit = numba.njit(cache=True)(_dead_time_sequential)
-    _count_jit = numba.njit(cache=True)(_count_coincidences_sequential)
+def dead_time_filter(times, dead_time, free_from):
+    return _dead_time_numpy(
+        np.ascontiguousarray(times, np.float64), float(dead_time), float(free_from)
+    )
 
-    def dead_time_filter(times, dead_time, free_from):
-        return _dead_time_jit(
-            np.ascontiguousarray(times, np.float64), float(dead_time), float(free_from)
-        )
 
-    def count_coincidences(triggers, partners, half_window, offset):
-        return int(
-            _count_jit(
-                np.ascontiguousarray(triggers, np.float64),
-                np.ascontiguousarray(partners, np.float64),
-                float(half_window),
-                float(offset),
-            )
-        )
-
-else:
-
-    def dead_time_filter(times, dead_time, free_from):
-        return _dead_time_numpy(
-            np.ascontiguousarray(times, np.float64), float(dead_time), float(free_from)
-        )
-
-    def count_coincidences(triggers, partners, half_window, offset):
-        return _count_coincidences_numpy(
-            np.ascontiguousarray(triggers, np.float64),
-            np.ascontiguousarray(partners, np.float64),
-            float(half_window),
-            float(offset),
-        )
+def count_coincidences(triggers, partners, half_window, offset):
+    return _count_coincidences_numpy(
+        np.ascontiguousarray(triggers, np.float64),
+        np.ascontiguousarray(partners, np.float64),
+        float(half_window),
+        float(offset),
+    )

@@ -26,7 +26,8 @@ from .errors import (
     UnphysicalStateError,
     ValidationError,
 )
-from .eve import chernoff_ber_passive, holevo_bound
+# holevo_bound is not called here; perfbench/tracing.py patches this name
+from .eve import chernoff_ber_passive, holevo_bound  # noqa: F401
 from .monitor import sweep_injection
 from .rates import (
     ConfidenceSpec,
@@ -34,7 +35,6 @@ from .rates import (
     f_e_upper_bound,
     optimize_brightness,
     pirandola_limit,
-    shannon_info,
     skr_lower_bound,
 )
 
@@ -65,18 +65,14 @@ def _cmd_rate_curve(cfg: RunConfig):
     ]
     rows = []
     for n_s in _sweep_grid(cfg):
-        ber = alice_ber(float(n_s), params)
-        i_ab = shannon_info(ber)
-        chi_active = holevo_bound(params, float(n_s), f_e)
-        chi_passive = holevo_bound(params, float(n_s), 0.0)
-        ske_active = params.beta * i_ab - chi_active
-        ske_passive = params.beta * i_ab - chi_passive
+        active = skr_lower_bound(float(n_s), f_e, params)
+        passive = skr_lower_bound(float(n_s), 0.0, params)
         rows.append(
             (
-                params.M * float(n_s), float(n_s), ber, i_ab,
-                chi_active, chi_passive,
-                ske_active, ske_passive,
-                ske_active * params.R, ske_passive * params.R,
+                active.ppb, active.n_s, active.ber, active.i_ab,
+                active.chi_ub, passive.chi_ub,
+                active.ske, passive.ske,
+                active.skr, passive.skr,
             )
         )
     svg = render_svg(

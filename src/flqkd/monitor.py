@@ -14,6 +14,39 @@ detected partner, applies non-paralyzable dead time per detector, and counts
 time-aligned and time-shifted coincidences. An intruder replaces a fraction
 f_e_true of the flux entering Bob's terminal with statistically independent
 light of equal rate.
+
+Nearly all idler events fall where no coincidence window looks, so the
+simulator draws the tap-side categories in full, filters the two tap
+streams, and draws the idler-only category just on stretches of time around
+the aligned and shifted windows of the live triggers. This is exact in
+distribution:
+
+- A Poisson process restricted to disjoint intervals gives independent
+  Poisson processes on them, so drawing each stretch once, and no stretch
+  twice, gives the law of the full stream on their union. Partnered idler
+  events come from the tap draws and join every stretch they fall in.
+- Whether an event is kept depends on the detector's past. Call an event a
+  cluster head when it comes at least one dead time after its predecessor,
+  in the float addition the dead-time kernel makes; a head is kept whatever
+  came before it (see _kernels), and from a head on the greedy filter keeps
+  the same events in any stream that agrees from there. So each stretch
+  reaches back from its window, doubling its reach per round, until its
+  events show a head at or before the first event the window needs. Its
+  first event counts as a head when it lies a dead time after the stretch's
+  start, since its true predecessor lies before that start. A stretch that
+  would reach the previous one (or the start of the run, or the part of the
+  stream already drawn) stops there and continues it.
+- In the drawn sample a stretch's head is a head too: its predecessor there
+  is the same event, or an earlier one from a previous stretch. One
+  dead_time_filter call over all stretches therefore keeps, from every head
+  on, exactly the events the full stream keeps, and every window lies after
+  its stretch's head.
+
+Long runs are cut into time segments sized by the expected number of drawn
+events. A trigger's shifted window lies shift_offset before it, so the idler
+side trails the tap side: a window hull is drawn once no later trigger can
+add a window before its start and once it ends inside the tap draws, and a
+later window that overlaps the drawn part continues it from its end.
 """
 
 from __future__ import annotations
@@ -26,7 +59,7 @@ import numpy as np
 from ._kernels import count_coincidences, dead_time_filter
 from .errors import EstimatorUndefinedError, ValidationError
 
-# generated events per simulation segment; bounds peak memory
+# expected drawn events per simulation segment; bounds peak memory
 _SEGMENT_EVENT_BUDGET = 4.0e6
 
 
@@ -122,9 +155,13 @@ def estimate_fe(counts: MonitorCounts) -> tuple[float, float]:
     """Injected-fraction estimate and its propagated standard error.
 
     estimate = 1 - [(c_ib - c_ib_shift)/s_b] / [(c_ia - c_ia_shift)/s_a].
-    The error bar propagates Poisson variance rate/duration through each of
-    the six measured rates to first order. Negative estimates are returned
-    as-is; they are expected noise around zero.
+    The error bar takes each arm's singles count as given and each trigger's
+    aligned and shifted hits as Bernoulli trials, so each ratio has binomial
+    variance; it propagates the two ratios to first order. (Coincidences are
+    a subset of the singles: treating the six rates as independent Poisson
+    counts overstates the spread, 1.6x at f_e = 0 at the acceptance
+    operating point.) Negative estimates are returned as-is; they are
+    expected noise around zero.
     """
     excess_a = counts.c_ia - counts.c_ia_shift
     if excess_a <= 0 or counts.s_a <= 0:
@@ -138,13 +175,12 @@ def estimate_fe(counts: MonitorCounts) -> tuple[float, float]:
     ratio_b = excess_b / counts.s_b
     estimate = 1.0 - ratio_b / ratio_a
 
-    t = counts.duration
-    var_excess_a = (counts.c_ia + counts.c_ia_shift) / t
-    var_excess_b = (counts.c_ib + counts.c_ib_shift) / t
-    var_s_a = counts.s_a / t
-    var_s_b = counts.s_b / t
-    var_ratio_a = var_excess_a / counts.s_a**2 + excess_a**2 * var_s_a / counts.s_a**4
-    var_ratio_b = var_excess_b / counts.s_b**2 + excess_b**2 * var_s_b / counts.s_b**4
+    def ratio_variance(coinc: float, shifted: float, singles: float) -> float:
+        p, q = coinc / singles, shifted / singles
+        return (p * (1.0 - p) + q * (1.0 - q)) / (singles * counts.duration)
+
+    var_ratio_a = ratio_variance(counts.c_ia, counts.c_ia_shift, counts.s_a)
+    var_ratio_b = ratio_variance(counts.c_ib, counts.c_ib_shift, counts.s_b)
     var_estimate = var_ratio_b / ratio_a**2 + ratio_b**2 * var_ratio_a / ratio_a**4
     return float(estimate), float(math.sqrt(var_estimate))
 
@@ -171,12 +207,51 @@ def _saturation_warnings(cfg: MonitorSimConfig) -> tuple[str, ...]:
     )
 
 
-def _poisson_times(rng: np.random.Generator, rate: float, t0: float, t1: float) -> np.ndarray:
-    if rate <= 0.0:
+def _category_rates(cfg: MonitorSimConfig) -> dict[str, float]:
+    """Rates of the independent Poisson categories the detector streams are
+    built from (Poisson marking of the pair and noise processes)."""
+    eff_i = cfg.det_eff_idler
+    p_alice = cfg.tap_alice * cfg.det_eff_alice
+    # an intruder replaces a fraction f_e_true of the flux entering Bob's
+    # terminal, so Alice's surviving light carries the complementary factor
+    p_bob = (1.0 - cfg.tap_alice) * cfg.kappa * (1.0 - cfg.f_e_true) * cfg.tap_bob * cfg.det_eff_bob
+    source = cfg.pair_rate + cfg.ase_rate_at_source
+    return {
+        # idler detected, partner not detected at either tap
+        "i_only": cfg.pair_rate * eff_i * (1.0 - p_alice - p_bob),
+        # idler and partner both detected: one timestamp in two streams
+        "i_alice": cfg.pair_rate * eff_i * p_alice,
+        "i_bob": cfg.pair_rate * eff_i * p_bob,
+        # partner detected, idler lost
+        "a_only": cfg.pair_rate * (1.0 - eff_i) * p_alice,
+        "b_only": cfg.pair_rate * (1.0 - eff_i) * p_bob,
+        "ase_a": cfg.ase_rate_at_source * p_alice,
+        "ase_b": cfg.ase_rate_at_source * p_bob,
+        "eve": cfg.f_e_true * (1.0 - cfg.tap_alice) * cfg.kappa * source * cfg.tap_bob * cfg.det_eff_bob,
+    }
+
+
+# the categories drawn in full, in draw order; the rest of the idler stream
+# (i_only) is drawn only around the coincidence windows
+_TAP_CATEGORIES = ("i_alice", "i_bob", "a_only", "b_only", "ase_a", "ase_b", "eve")
+
+
+def _poisson_times(rng: np.random.Generator, rate: float, t0, t1) -> np.ndarray:
+    """Sorted event times of a Poisson process of the given rate on the
+    disjoint intervals [t0[k], t1[k]); scalars give one interval."""
+    t0 = np.atleast_1d(np.asarray(t0, np.float64))
+    t1 = np.atleast_1d(np.asarray(t1, np.float64))
+    if rate <= 0.0 or t0.size == 0:
         return np.empty(0, np.float64)
-    n = rng.poisson(rate * (t1 - t0))
-    times = rng.uniform(t0, t1, n)
-    times.sort()
+    # one draw over the intervals laid end to end, then mapped back
+    ends = np.cumsum(t1 - t0)
+    n = rng.poisson(rate * ends[-1])
+    u = rng.uniform(0.0, ends[-1], n)
+    u.sort()
+    k = np.minimum(np.searchsorted(ends, u, "right"), t0.size - 1)
+    times = t0[k] + (u - np.concatenate(([0.0], ends[:-1]))[k])
+    # in order already, but for rounding where two intervals touch
+    times.sort(kind="stable")
     return times
 
 
@@ -213,55 +288,137 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     )
 
 
+def _segment_count(cfg: MonitorSimConfig, rates: dict[str, float]) -> int:
+    # expected drawn events: the tap categories in full, plus the idler-only
+    # events on the stretches. A stretch covers its window and reaches back
+    # about twice (doubling overshoot) the mean distance to the end of the
+    # last gap of one dead time in the idler stream, expm1(r tau) / r.
+    tap_rate = sum(rates[k] for k in _TAP_CATEGORIES)
+    idler_rate = cfg.pair_rate * cfg.det_eff_idler
+    reach = 2.0 * cfg.dead_time
+    if idler_rate > 0.0:
+        reach = max(reach, 2.0 * math.expm1(min(idler_rate * cfg.dead_time, 50.0)) / idler_rate)
+    covered = min(1.0, 2.0 * tap_rate * (cfg.coinc_window + reach))
+    drawn = cfg.duration * (tap_rate + rates["i_only"] * covered)
+    return max(1, int(math.ceil(drawn / _SEGMENT_EVENT_BUDGET)))
+
+
+def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint hulls of the intervals [lo[k], hi[k]]."""
+    if lo.size == 0:
+        return lo, hi
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
+
+
 def _segments(cfg: MonitorSimConfig, rng: np.random.Generator):
-    """Yield (end, idler, alice, bob) per segment: the segment's end time (inf
-    for the last one) and each detector's dead-time-filtered timestamps."""
-    eff_i = cfg.det_eff_idler
-    p_alice = cfg.tap_alice * cfg.det_eff_alice
-    # an intruder replaces a fraction f_e_true of the flux entering Bob's
-    # terminal, so Alice's surviving light carries the complementary factor
-    p_bob = (1.0 - cfg.tap_alice) * cfg.kappa * (1.0 - cfg.f_e_true) * cfg.tap_bob * cfg.det_eff_bob
-    source = cfg.pair_rate + cfg.ase_rate_at_source
-    eve_rate = cfg.f_e_true * (1.0 - cfg.tap_alice) * cfg.kappa * source * cfg.tap_bob * cfg.det_eff_bob
-
-    # category rates (Poisson marking of the pair and noise processes)
-    r_pair_i_only = cfg.pair_rate * eff_i * (1.0 - p_alice - p_bob)
-    r_pair_i_alice = cfg.pair_rate * eff_i * p_alice
-    r_pair_i_bob = cfg.pair_rate * eff_i * p_bob
-    r_pair_alice = cfg.pair_rate * (1.0 - eff_i) * p_alice
-    r_pair_bob = cfg.pair_rate * (1.0 - eff_i) * p_bob
-    r_ase_alice = cfg.ase_rate_at_source * p_alice
-    r_ase_bob = cfg.ase_rate_at_source * p_bob
-
-    gen_rate = (
-        r_pair_i_only + r_pair_i_alice + r_pair_i_bob + r_pair_alice + r_pair_bob
-        + r_ase_alice + r_ase_bob + eve_rate
-    )
-    n_segments = max(1, int(math.ceil(cfg.duration * gen_rate / _SEGMENT_EVENT_BUDGET)))
+    """Yield (end, idler, alice, bob) per segment: the time up to which the
+    idler stream is complete (inf for the last segment) and each detector's
+    dead-time-filtered timestamps. The idler stream holds only the stretches
+    drawn around the coincidence windows (module docstring)."""
+    rates = _category_rates(cfg)
+    tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
+    n_segments = _segment_count(cfg, rates)
     edges = np.linspace(0.0, cfg.duration, n_segments + 1)
 
     free_i = free_a = free_b = 0.0
+    drawn_to = 0.0  # the idler stream is drawn and filtered up to here
+    paired = np.empty(0, np.float64)  # partnered idler events from drawn_to on
+    pending_lo = pending_hi = np.empty(0, np.float64)  # window hulls not drawn yet
     for seg in range(n_segments):
         t0, t1 = edges[seg], edges[seg + 1]
+        last = seg + 1 == n_segments
         # fixed draw order keeps runs reproducible for a given seed
-        i_only = _poisson_times(rng, r_pair_i_only, t0, t1)
-        i_alice = _poisson_times(rng, r_pair_i_alice, t0, t1)
-        i_bob = _poisson_times(rng, r_pair_i_bob, t0, t1)
-        a_only = _poisson_times(rng, r_pair_alice, t0, t1)
-        b_only = _poisson_times(rng, r_pair_bob, t0, t1)
-        ase_a = _poisson_times(rng, r_ase_alice, t0, t1)
-        ase_b = _poisson_times(rng, r_ase_bob, t0, t1)
-        eve = _poisson_times(rng, eve_rate, t0, t1)
-
-        idler_stream = _merge_sorted(i_only, i_alice, i_bob)
+        i_alice, i_bob, a_only, b_only, ase_a, ase_b, eve = (
+            _poisson_times(rng, rates[k], t0, t1) for k in _TAP_CATEGORIES
+        )
         alice_stream = np.sort(np.concatenate((i_alice, a_only, ase_a)))
         bob_stream = np.sort(np.concatenate((i_bob, b_only, ase_b, eve)))
+        alice_live, free_a = dead_time_filter(alice_stream, tau, free_a)
+        bob_live, free_b = dead_time_filter(bob_stream, tau, free_b)
+        paired = np.concatenate((paired, np.sort(np.concatenate((i_alice, i_bob)))))
 
-        idler_live, free_i = dead_time_filter(idler_stream, cfg.dead_time, free_i)
-        alice_live, free_a = dead_time_filter(alice_stream, cfg.dead_time, free_a)
-        bob_live, free_b = dead_time_filter(bob_stream, cfg.dead_time, free_b)
-        end = t1 if seg + 1 < n_segments else math.inf
-        yield end, idler_live, alice_live, bob_live
+        # aligned and shifted windows, in the float arithmetic of
+        # count_coincidences; a window reaching into the drawn part of the
+        # stream continues it from its end
+        triggers = np.concatenate((alice_live, bob_live))
+        centers = np.concatenate((triggers, triggers - shift))
+        lo = np.maximum(np.concatenate((centers - half_window, pending_lo)), drawn_to)
+        hi = np.minimum(np.concatenate((centers + half_window, pending_hi)), cfg.duration)
+        keep = hi > lo
+        lo, hi = _union(lo[keep], hi[keep])
+        # later triggers add windows from (t1 - shift) - half_window on, and a
+        # hull past t1 would need partnered events not drawn yet: both wait
+        frontier = math.inf if last else (t1 - shift) - half_window
+        ready = int(np.count_nonzero((lo < frontier) & (hi <= t1)))
+        lo, pending_lo = lo[:ready], lo[ready:]
+        hi, pending_hi = hi[:ready], hi[ready:]
+
+        bulk, start = _draw_idler(rng, rates["i_only"], lo, hi, drawn_to, paired, tau)
+        # partnered idler events join the stream where it is drawn
+        inside = np.zeros(paired.size, bool)
+        if ready:
+            k = np.searchsorted(start, paired, "right") - 1
+            inside = (k >= 0) & (paired < hi[k])
+            drawn_to = float(hi[-1])
+        idler_live, free_i = dead_time_filter(_merge_sorted(bulk, paired[inside]), tau, free_i)
+        paired = paired[np.searchsorted(paired, drawn_to, "left"):]
+        yield (math.inf if last else drawn_to), idler_live, alice_live, bob_live
+
+
+def _draw_idler(rng, rate, lo, hi, floor, paired, dead_time):
+    """Idler-only events on stretches [start, hi) around the window hulls
+    [lo, hi]; returns (sorted events, start).
+
+    Each stretch reaches back from its window, twice as far each round,
+    until the stream it holds shows a gap of at least dead_time before its
+    first needed event, or until it meets the previous stretch (or floor,
+    where the stream is drawn up to), which it then continues. paired holds
+    the sorted partnered idler events from floor on, part of the stream.
+    """
+    start = lo.copy()
+    bound = np.concatenate(([floor], hi[:-1]))
+    # where each stretch's gap test ends: its earliest event found so far,
+    # or its window's start
+    after = lo.copy()
+    todo = np.arange(lo.size)
+    top = hi
+    reach = 2.0 * dead_time
+    drawn = []
+    while todo.size:
+        new = np.maximum(bound[todo], lo[todo] - reach)
+        events = _poisson_times(rng, rate, new, top)
+        drawn.append(events)
+        # the stream in [new, old) of each stretch
+        old = start[todo]
+        times = np.concatenate((events, paired))
+        label = np.concatenate(
+            (np.searchsorted(new, events, "right"), np.searchsorted(new, paired, "right"))
+        ) - 1
+        inside = (label >= 0) & (times < old[label])
+        # each stretch's points in time order: its new start (the true
+        # predecessor of its first event lies before it), those events, and
+        # the end of its previous test; stretches do not overlap in time
+        own = np.arange(todo.size)
+        points = np.concatenate((new, times[inside], after[todo]))
+        owner = np.concatenate((own, label[inside], own))
+        order = np.argsort(points, kind="stable")
+        points, owner = points[order], owner[order]
+        # a gap of dead_time makes the next event a cluster head
+        head = (owner[1:] == owner[:-1]) & (points[1:] >= points[:-1] + dead_time)
+        done = new <= bound[todo]
+        done[owner[1:][head]] = True
+        after[todo] = points[np.searchsorted(owner, own) + 1]
+        start[todo] = new
+        top = new[~done]
+        todo = todo[~done]
+        reach *= 2.0
+    bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
+    bulk.sort()
+    return bulk, start
 
 
 def _count_segments(segments, coinc_window: float, shift_offset: float) -> tuple[int, ...]:

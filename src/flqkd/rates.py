@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .eve import SystemParams, chernoff_ber_passive, holevo_bound
+from .eve import SystemParams, holevo_bound
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -247,8 +247,3 @@ def f_e_upper_bound(spec: ConfidenceSpec) -> float:
     """
     raw = spec.f_e_hat + spec.n_sigma * spec.sigma
     return min(max(raw, 0.0), 1.0 - 1e-12)
-
-
-def eve_ber_passive(n_s: float, params: SystemParams) -> float:
-    """Convenience re-export of the passive-attack Chernoff bound."""
-    return chernoff_ber_passive(params, n_s)

@@ -19,6 +19,7 @@ from flqkd import (
     simulate_monitor,
     sweep_injection,
 )
+from flqkd import monitor
 from flqkd.monitor import _count_segments
 
 BASE = MonitorSimConfig(
@@ -164,10 +165,12 @@ def test_estimate_within_error_bars_mid_injection():
     assert se < 0.05
 
 
-def test_long_run_spans_multiple_segments_consistently():
-    # duration * generated rate exceeds the per-segment event budget here,
-    # so this exercises the carry of dead-time state and the idler tail
+def test_long_run_spans_multiple_segments_consistently(monkeypatch):
+    # a smaller event budget cuts this run into segments, so this exercises
+    # the carry of dead-time state and the idler tail
     cfg = replace(BASE, duration=60.0)
+    monkeypatch.setattr(monitor, "_SEGMENT_EVENT_BUDGET", 1e4)
+    assert monitor._segment_count(cfg, monitor._category_rates(cfg)) >= 3
     counts = simulate_monitor(cfg)
     source = cfg.pair_rate + cfg.ase_rate_at_source
     expected_b = (1.0 - cfg.tap_alice) * cfg.kappa * source * cfg.tap_bob * cfg.det_eff_bob

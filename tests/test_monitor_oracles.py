@@ -1,0 +1,292 @@
+"""The monitor simulator against independent oracles: a full-stream
+simulator, closed-form dead-time and accidental rates, and the empirical
+spread of the estimator."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from flqkd import monitor
+from flqkd._kernels import count_coincidences, dead_time_filter
+from flqkd.monitor import MonitorSimConfig, estimate_fe, simulate_monitor
+from monitor_oracle import simulate_full_stream
+
+BASE = MonitorSimConfig(
+    pair_rate=2.0e5,
+    ase_rate_at_source=2.0e5,
+    kappa=0.5,
+    f_e_true=0.0,
+    tap_alice=1e-3,
+    tap_bob=1e-3,
+    det_eff_idler=0.9,
+    det_eff_alice=0.9,
+    det_eff_bob=0.9,
+    dead_time=5e-8,
+    coinc_window=1e-9,
+    shift_offset=2e-7,
+    duration=1.0,
+    rng_seed=0,
+)
+# idler rate x dead time ~1.2, with windows wide enough to see accidentals
+SATURATED = replace(
+    BASE,
+    ase_rate_at_source=2e6,
+    kappa=0.9,
+    dead_time=6.7e-6,
+    coinc_window=5e-7,
+    shift_offset=5e-5,
+    duration=2.0,
+)
+RATE_NAMES = ("s_a", "c_ia", "c_ia_shift", "s_b", "c_ib", "c_ib_shift")
+TRIALS = 40
+
+
+def _rates(counts):
+    return tuple(getattr(counts, name) for name in RATE_NAMES)
+
+
+ORACLE_CASES = {
+    "nominal": BASE,
+    "saturated": replace(SATURATED, f_e_true=0.5),
+    "high-ase": replace(
+        BASE,
+        pair_rate=1e6,
+        ase_rate_at_source=4e6,
+        kappa=0.9,
+        coinc_window=1e-7,
+        shift_offset=2e-5,
+        f_e_true=1.0,
+        duration=0.5,
+    ),
+    "no-dead-time": replace(
+        BASE,
+        ase_rate_at_source=2e6,
+        kappa=0.9,
+        dead_time=0.0,
+        coinc_window=2e-7,
+        shift_offset=2e-5,
+        f_e_true=0.5,
+    ),
+    "segments": replace(SATURATED, f_e_true=0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_windowed_engine_matches_the_full_stream(case, monkeypatch):
+    cfg = ORACLE_CASES[case]
+    if case == "segments":
+        # stretches that reach back across segment boundaries
+        monkeypatch.setattr(monitor, "_SEGMENT_EVENT_BUDGET", 2e4)
+        assert monitor._segment_count(cfg, monitor._category_rates(cfg)) >= 3
+    windowed = np.array(
+        [_rates(simulate_monitor(replace(cfg, rng_seed=100 + k))) for k in range(TRIALS)]
+    )
+    full = np.array([simulate_full_stream(replace(cfg, rng_seed=900 + k)) for k in range(TRIALS)])
+    se = np.sqrt((windowed.var(0, ddof=1) + full.var(0, ddof=1)) / TRIALS)
+    diff = windowed.mean(0) - full.mean(0)
+    for name, d, s in zip(RATE_NAMES, diff, se):
+        assert abs(d) <= 4.0 * s, f"{case} {name}: {d:.4g} vs se {s:.4g}"
+    # the aligned windows see true coincidences on Alice's arm in every case
+    assert windowed[:, 1].mean() > windowed[:, 2].mean()
+
+
+def _counts_on_given_streams(cfg, streams, monkeypatch):
+    """Run the windowed engine with every draw cut from the given whole-run
+    streams (category -> sorted times); return its six counts and those of
+    the same streams filtered and counted in one piece. Also checks that no
+    stretch of the idler-only stream is drawn twice."""
+    taps = []
+    stretches = []
+
+    def cut(rng, rate, t0, t1):
+        if np.ndim(t0) == 0:  # a tap-side category over one segment
+            name = monitor._TAP_CATEGORIES[len(taps) % len(monitor._TAP_CATEGORIES)]
+            taps.append(name)
+        else:
+            name = "i_only"
+            stretches.append((t0, t1))
+        t0, t1 = np.atleast_1d(t0), np.atleast_1d(t1)
+        events = np.asarray(streams.get(name, ()), np.float64)
+        k = np.searchsorted(t0, events, "right") - 1
+        return events[(k >= 0) & (events < t1[np.maximum(k, 0)])]
+
+    monkeypatch.setattr(monitor, "_poisson_times", cut)
+    counts = simulate_monitor(cfg)
+    monkeypatch.undo()
+    lo = np.concatenate([s[0] for s in stretches])
+    hi = np.concatenate([s[1] for s in stretches])
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    assert np.all(hi >= lo) and np.all(lo[1:] >= hi[:-1])
+
+    def stream(*names):
+        return np.sort(np.concatenate([np.asarray(streams.get(n, ()), np.float64) for n in names]))
+
+    idler, alice, bob = (
+        dead_time_filter(s, cfg.dead_time, 0.0)[0]
+        for s in (
+            stream("i_only", "i_alice", "i_bob"),
+            stream("i_alice", "a_only", "ase_a"),
+            stream("i_bob", "b_only", "ase_b", "eve"),
+        )
+    )
+    half = 0.5 * cfg.coinc_window
+    expected = []
+    for live in (alice, bob):
+        expected += [
+            live.size,
+            count_coincidences(live, idler, half, 0.0),
+            count_coincidences(live, idler, half, cfg.shift_offset),
+        ]
+    return [round(r * cfg.duration) for r in _rates(counts)], expected
+
+
+@pytest.mark.parametrize(
+    "cfg,budget,segments",
+    [
+        (BASE, None, 1),
+        (replace(SATURATED, f_e_true=0.5), None, 1),
+        # idler rate x dead time ~5: stretches reach back many rounds
+        (replace(SATURATED, dead_time=2.8e-5, shift_offset=1e-4, duration=0.5), None, 1),
+        (replace(BASE, dead_time=0.0, coinc_window=2e-7, shift_offset=2e-5, f_e_true=1.0), None, 1),
+        (replace(SATURATED, f_e_true=0.5), 5e3, 10),
+        # segments a few shift offsets long: many shifted windows reach back
+        # into the previous segment
+        (
+            replace(BASE, ase_rate_at_source=2e6, kappa=0.9, coinc_window=5e-7, shift_offset=1e-4),
+            30.0,
+            100,
+        ),
+    ],
+    ids=["nominal", "saturated", "load-5", "no-dead-time", "segments", "many-segments"],
+)
+def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(
+    cfg, budget, segments, monkeypatch
+):
+    if budget is not None:
+        monkeypatch.setattr(monitor, "_SEGMENT_EVENT_BUDGET", budget)
+    assert monitor._segment_count(cfg, monitor._category_rates(cfg)) >= segments
+    rng = np.random.default_rng(cfg.rng_seed + 1)
+    streams = {
+        name: np.sort(rng.uniform(0.0, cfg.duration, rng.poisson(rate * cfg.duration)))
+        for name, rate in monitor._category_rates(cfg).items()
+    }
+    windowed, full = _counts_on_given_streams(cfg, streams, monkeypatch)
+    assert windowed == full
+    assert full[1] > 0 and full[4] > 0
+
+
+# two segments split at T1, no dead time, hand-placed events around T1
+W, SHIFT, T1 = 1e-9, 1e-7, 1.0
+TWO_SEGMENTS = replace(BASE, dead_time=0.0, coinc_window=W, shift_offset=SHIFT, duration=2.0)
+HAND_PLACED = {
+    # a trigger late in segment 1 and one early in segment 2 whose shifted
+    # window lies before the first one: the idler side must trail the taps
+    "trailing": {
+        "a_only": [T1 - 0.5 * SHIFT],
+        "b_only": [T1 + 0.2 * W],
+        "i_only": [T1 - SHIFT + 0.3 * W, T1 - 0.5 * SHIFT + 0.3 * W],
+    },
+    # overlapping windows chain from before the frontier to past T1; the
+    # hull needs the partnered event drawn with segment 2
+    "hull-past-the-segment": {
+        "a_only": T1 - SHIFT - 1.7 * W + 0.5 * W * np.arange(2 * SHIFT / W + 4),
+        "i_bob": [T1 + 0.1 * W],
+    },
+    # a later shifted window inside a hull drawn with segment 1
+    "window-inside-the-drawn-part": {
+        "a_only": T1 - SHIFT - 2 * W + 0.5 * W * np.arange(9),
+        "b_only": [T1 + 0.5 * W],
+        "i_only": [T1 - SHIFT + 0.5 * W],
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(HAND_PLACED))
+def test_windowed_engine_counts_hand_placed_events_across_a_segment_end(case, monkeypatch):
+    monkeypatch.setattr(monitor, "_segment_count", lambda cfg, rates: 2)
+    windowed, full = _counts_on_given_streams(TWO_SEGMENTS, HAND_PLACED[case], monkeypatch)
+    assert windowed == full
+    assert full[2] + full[4] + full[5] > 0
+
+
+# Alice's and Bob's taps see ~1.8e4/s and ~1.6e4/s; the idler only 900/s
+BUSY_TAPS = replace(BASE, pair_rate=1e3, ase_rate_at_source=2e7, kappa=0.9, duration=2.0)
+
+
+@pytest.mark.parametrize("dead_time", [0.0, 5e-5, 1.2e-4])
+def test_tap_singles_follow_the_non_paralyzable_rate(dead_time):
+    # load = rate x dead time reaches ~2.2 at the largest dead time
+    cfg = replace(BUSY_TAPS, dead_time=dead_time, rng_seed=31)
+    counts = simulate_monitor(cfg)
+    loads = monitor._detector_loads(cfg)
+    for measured, rate in ((counts.s_a, loads["alice_tap"]), (counts.s_b, loads["bob_tap"])):
+        expected = rate / (1.0 + rate * dead_time)
+        # variance of a non-paralyzable count: r T / (1 + r tau)^3
+        sd = math.sqrt(rate * cfg.duration / (1.0 + rate * dead_time) ** 3) / cfg.duration
+        assert abs(measured - expected) < 4.0 * sd
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # idler rate x dead time 0.09 and 1.2, window shorter than the dead time
+        replace(
+            BASE, pair_rate=2e6, ase_rate_at_source=2e7, kappa=0.9,
+            coinc_window=4e-8, shift_offset=4e-6, duration=0.5, rng_seed=41,
+        ),
+        replace(
+            SATURATED, ase_rate_at_source=2e7, coinc_window=2e-6, shift_offset=2e-4,
+            duration=0.5, rng_seed=42,
+        ),
+    ],
+    ids=["idler-free", "idler-saturated"],
+)
+def test_shifted_accidentals_match_the_live_idler_rate(cfg):
+    # a window shorter than the dead time holds at most one live idler event,
+    # so a trigger scores a shifted hit with probability r_live * window
+    counts = simulate_monitor(cfg)
+    r_idler = cfg.pair_rate * cfg.det_eff_idler
+    r_live = r_idler / (1.0 + r_idler * cfg.dead_time)
+    for singles, shifted in ((counts.s_a, counts.c_ia_shift), (counts.s_b, counts.c_ib_shift)):
+        expected = singles * cfg.duration * r_live * cfg.coinc_window
+        assert expected > 500
+        assert abs(shifted * cfg.duration - expected) < 4.0 * math.sqrt(expected)
+
+
+def _chi2_quantile(df: int, z: float) -> float:
+    # Wilson-Hilferty: accurate to ~0.1% here
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        replace(BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0),
+        replace(
+            BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0,
+            f_e_true=0.5,
+        ),
+        replace(
+            BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0,
+            f_e_true=0.5, dead_time=5e-6, shift_offset=2e-5,
+        ),
+    ],
+    ids=["f0", "f0.5", "f0.5-idler-saturated"],
+)
+def test_error_bar_matches_the_spread_over_trials(cfg):
+    n = 80
+    estimates, sigmas = [], []
+    for k in range(n):
+        estimate, sigma = estimate_fe(simulate_monitor(replace(cfg, rng_seed=500 + k)))
+        estimates.append(estimate)
+        sigmas.append(sigma)
+    # (n - 1) s^2 / sigma^2 is chi-square with n - 1 degrees of freedom when
+    # sigma is the true spread; two-sided 0.1% bounds
+    statistic = (n - 1) * np.var(estimates, ddof=1) / np.mean(np.square(sigmas))
+    assert _chi2_quantile(n - 1, -3.29) < statistic < _chi2_quantile(n - 1, 3.29)

@@ -197,13 +197,3 @@ def test_confidence_spec_validation():
         ConfidenceSpec(0.0007, -0.002, 1)
     with pytest.raises(ValidationError):
         ConfidenceSpec(0.0007, 0.002, 0)
-
-
-def test_eve_passive_ber_matches_chernoff_route():
-    from flqkd import chernoff_ber_passive
-    from flqkd.rates import eve_ber_passive
-
-    for n_s in (1e-3, 1e-2, 0.05):
-        assert math.isclose(
-            eve_ber_passive(n_s, PARAMS), chernoff_ber_passive(PARAMS, n_s), rel_tol=1e-14
-        )
