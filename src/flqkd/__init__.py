@@ -40,7 +40,6 @@ from .rates import (
     RatePoint,
     alice_ber,
     brightness_from_power,
-    erfc,
     f_e_upper_bound,
     optimize_brightness,
     pirandola_limit,
@@ -73,7 +72,6 @@ __all__ = [
     "brightness_from_power",
     "chernoff_ber_passive",
     "conditional_covariance",
-    "erfc",
     "estimate_fe",
     "eve_injection_brightness",
     "f_e_upper_bound",

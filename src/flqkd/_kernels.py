@@ -39,7 +39,10 @@ def _dead_time_sequential(times, dead_time, free_from):
     return out[:m], free
 
 
-def _dead_time_numpy(times, dead_time, free_from):
+def dead_time_filter(times, dead_time, free_from):
+    times = np.ascontiguousarray(times, np.float64)
+    dead_time = float(dead_time)
+    free_from = float(free_from)
     start = int(np.searchsorted(times, free_from, "left"))
     if start >= times.size:
         return times[:0].copy(), free_from
@@ -79,7 +82,11 @@ def _count_coincidences_sequential(triggers, partners, half_window, offset):
     return count
 
 
-def _count_coincidences_numpy(triggers, partners, half_window, offset):
+def count_coincidences(triggers, partners, half_window, offset):
+    triggers = np.ascontiguousarray(triggers, np.float64)
+    partners = np.ascontiguousarray(partners, np.float64)
+    half_window = float(half_window)
+    offset = float(offset)
     if triggers.size == 0 or partners.size == 0:
         return 0
     d = triggers - offset
@@ -87,17 +94,3 @@ def _count_coincidences_numpy(triggers, partners, half_window, offset):
     last = np.searchsorted(partners, d + half_window, "right")
     return int(np.count_nonzero(last > first))
 
-
-def dead_time_filter(times, dead_time, free_from):
-    return _dead_time_numpy(
-        np.ascontiguousarray(times, np.float64), float(dead_time), float(free_from)
-    )
-
-
-def count_coincidences(triggers, partners, half_window, offset):
-    return _count_coincidences_numpy(
-        np.ascontiguousarray(triggers, np.float64),
-        np.ascontiguousarray(partners, np.float64),
-        float(half_window),
-        float(offset),
-    )

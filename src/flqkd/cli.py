@@ -38,9 +38,6 @@ from .rates import (
     skr_lower_bound,
 )
 
-_COMMANDS = ("rate-curve", "optimize", "ber-curve", "monitor-sim", "limit")
-
-
 def _resolve_f_e(cfg: RunConfig) -> float:
     if cfg.f_e_explicit is not None:
         return cfg.f_e_explicit
@@ -195,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Floodlight-QKD key-rate model and intrusion-monitor simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _IMPL:
         sp = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} computation")
         sp.add_argument("--config", metavar="PATH", help="JSON run configuration")
         sp.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")

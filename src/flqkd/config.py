@@ -8,7 +8,7 @@ empty config reproduces the headline numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, FlqkdError
 from .eve import SystemParams
@@ -110,10 +110,6 @@ def _boolean(section: str, key: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{section}.{key} must be true/false, got {value!r}")
     return value
-
-
-def default_system() -> SystemParams:
-    return SystemParams(**DEFAULT_SYSTEM)
 
 
 def load_run_config(
@@ -254,59 +250,21 @@ def _parse_output(section: dict, csv_override: str | None, svg_override: str | N
 
 def effective_dict(cfg: RunConfig) -> dict:
     """Canonical nested-dict form of a parsed config; reparses identically."""
-    sys_p = cfg.system
     if cfg.f_e_explicit is not None:
         attack: dict = {"f_e": cfg.f_e_explicit}
     else:
-        attack = {
-            "f_e_hat": cfg.confidence.f_e_hat,
-            "sigma": cfg.confidence.sigma,
-            "n_sigma": cfg.confidence.n_sigma,
-            "n_sigma_list": list(cfg.n_sigma_list),
-        }
-    mon = cfg.monitor
+        attack = {**asdict(cfg.confidence), "n_sigma_list": list(cfg.n_sigma_list)}
+    monitor = {
+        **asdict(cfg.monitor),
+        "sweep_f_e": list(cfg.monitor_sweep_f_e),
+        "trials": cfg.monitor_trials,
+    }
     return {
-        "system": {
-            "W": sys_p.W,
-            "R": sys_p.R,
-            "kappa": sys_p.kappa,
-            "eta": sys_p.eta,
-            "kappa_B": sys_p.kappa_B,
-            "G_B": sys_p.G_B,
-            "N_B": sys_p.N_B,
-            "beta": sys_p.beta,
-            "hbar_omega0": sys_p.hbar_omega0,
-        },
+        "system": asdict(cfg.system),
         "attack": attack,
-        "sweep": {
-            "n_s_min": cfg.sweep.n_s_min,
-            "n_s_max": cfg.sweep.n_s_max,
-            "points": cfg.sweep.points,
-            "log_scale": cfg.sweep.log_scale,
-        },
-        "monitor": {
-            "pair_rate": mon.pair_rate,
-            "ase_rate_at_source": mon.ase_rate_at_source,
-            "kappa": mon.kappa,
-            "f_e_true": mon.f_e_true,
-            "tap_alice": mon.tap_alice,
-            "tap_bob": mon.tap_bob,
-            "det_eff_idler": mon.det_eff_idler,
-            "det_eff_alice": mon.det_eff_alice,
-            "det_eff_bob": mon.det_eff_bob,
-            "dead_time": mon.dead_time,
-            "coinc_window": mon.coinc_window,
-            "shift_offset": mon.shift_offset,
-            "duration": mon.duration,
-            "rng_seed": mon.rng_seed,
-            "sweep_f_e": list(cfg.monitor_sweep_f_e),
-            "trials": cfg.monitor_trials,
-        },
-        "output": {
-            "csv_path": cfg.output.csv_path,
-            "svg_path": cfg.output.svg_path,
-            "precision": cfg.output.precision,
-        },
+        "sweep": asdict(cfg.sweep),
+        "monitor": monitor,
+        "output": asdict(cfg.output),
     }
 
 

@@ -23,9 +23,10 @@ from .gaussian import Covariance3Mode, von_neumann_entropy
 class SystemParams:
     """Full link budget shared by the rate computations.
 
-    W is the optical bandwidth in Hz, R the modulation rate in bit/s; the
-    number of modes per bit M = W/R is derived when not given and must agree
-    with W/R to 1e-9 relative when it is. gamma = N_B/G_B likewise.
+    W is the optical bandwidth in Hz, R the modulation rate in bit/s. The
+    number of modes per bit M = W/R and the receiver noise per unit gain
+    gamma = N_B/G_B are derived properties, not constructor arguments, so
+    they follow every change to W, R, N_B or G_B.
     """
 
     W: float
@@ -37,24 +38,22 @@ class SystemParams:
     N_B: float
     beta: float
     hbar_omega0: float
-    M: float | None = None
-    gamma: float | None = None
+
+    @property
+    def M(self) -> float:
+        """Modes per bit, W/R."""
+        return self.W / self.R
+
+    @property
+    def gamma(self) -> float:
+        """Receiver noise per unit gain, N_B/G_B."""
+        return self.N_B / self.G_B
 
     def __post_init__(self) -> None:
         if self.W <= 0 or self.R <= 0:
             raise ValidationError("W and R must be positive")
-        m = self.W / self.R
-        if self.M is None:
-            object.__setattr__(self, "M", m)
-        elif not math.isclose(self.M, m, rel_tol=1e-9, abs_tol=0.0):
-            raise ValidationError(f"M={self.M!r} inconsistent with W/R={m!r}")
         if self.M < 1:
             raise ValidationError("M = W/R must be >= 1")
-        g = self.N_B / self.G_B if self.G_B > 0 else float("nan")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", g)
-        elif not math.isclose(self.gamma, g, rel_tol=1e-12, abs_tol=0.0):
-            raise ValidationError(f"gamma={self.gamma!r} inconsistent with N_B/G_B={g!r}")
         if not 0.0 < self.kappa < 1.0:
             raise ValidationError(f"kappa must be in (0,1), got {self.kappa!r}")
         if not 0.0 < self.eta <= 1.0:

@@ -17,76 +17,14 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .eve import SystemParams, holevo_bound
 
-_SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _erf_series(x: float) -> float:
-    # Maclaurin series for erf; alternating terms, used for |x| < 1.5 where
-    # cancellation stays below a few ulps.
-    xx = x * x
-    term = x
-    total = x
-    n = 0
-    while True:
-        n += 1
-        term *= -xx / n
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) <= 1e-17 * abs(total):
-            return 2.0 / _SQRT_PI * total
-
-
-def _erfc_continued_fraction(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) / F with F = x + (1/2)/(x + 1/(x + (3/2)/(x + ...)));
-    # evaluated by the modified Lentz algorithm, valid for x >= 1.5.
-    tiny = 1e-300
-    f = x
-    c = f
-    d = 0.0
-    n = 0
-    while True:
-        n += 1
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16 or n > 300:
-            break
-    return math.exp(-x * x) / (_SQRT_PI * f)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function via series / continued fraction.
-
-    Relative accuracy is better than 1e-12 over the range the Q-function
-    needs (|x| <= 8/sqrt(2) and well beyond). Negative arguments use
-    erfc(-x) = 2 - erfc(x).
-    """
-    x = float(x)
-    if math.isnan(x):
-        return x
-    if math.isinf(x):
-        return 0.0 if x > 0 else 2.0
-    ax = abs(x)
-    if ax < 1.5:
-        r = 1.0 - _erf_series(ax)
-    else:
-        r = _erfc_continued_fraction(ax)
-    return 2.0 - r if x < 0 else r
-
-
 def q_function(x: float) -> float:
     """Upper-tail probability of the standard normal, Q(x) = erfc(x/sqrt(2))/2."""
-    return 0.5 * erfc(float(x) / _SQRT_2)
+    return 0.5 * math.erfc(float(x) / _SQRT_2)
 
 
 def alice_ber(n_s: float, params: SystemParams) -> float:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Q(x) = erfc(x/sqrt(2))/2 on a grid spanning the series and
-# continued-fraction regions of the in-package erfc.
+# Q(x) = erfc(x/sqrt(2))/2 from x = 0 into the far tail, where Q is
+# below 1e-15.
 Q_ORACLE = {
     0.0: 0.5,
     0.05: 0.48006119416162754,

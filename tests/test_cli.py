@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from flqkd.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAST_MONITOR = {
     "monitor": {
@@ -191,3 +194,18 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     assert main(["rate-curve", "--config", str(bad), "--out", str(target)]) == 2
     assert not target.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["monitor-sim", "rate-curve"])
+def test_committed_outputs_regenerate(tmp_path, capsys, command):
+    stem = command.replace("-", "_")
+    argv = [
+        command,
+        "--config", str(ROOT / "configs" / "default.json"),
+        "--out", str(tmp_path / f"{stem}.csv"),
+        "--svg", str(tmp_path / f"{stem}.svg"),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name in (f"{stem}.csv", f"{stem}.svg"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "outputs" / name).read_bytes(), name

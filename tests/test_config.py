@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from flqkd import ConfigError
-from flqkd.config import dump_config, effective_dict, load_run_config
+from flqkd.config import (
+    DEFAULT_ATTACK,
+    DEFAULT_MONITOR,
+    DEFAULT_OUTPUT,
+    DEFAULT_SWEEP,
+    DEFAULT_SYSTEM,
+    dump_config,
+    effective_dict,
+    load_run_config,
+)
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def _write(tmp_path, payload):
@@ -116,3 +128,18 @@ def test_dump_is_canonical_fixed_point(tmp_path):
     again = load_run_config(str(p))
     assert dump_config(again) == dumped
     assert again == cfg
+
+
+def test_committed_default_config_equals_builtin_defaults():
+    assert load_run_config(str(DEFAULT_CONFIG)) == load_run_config(None)
+
+
+def test_dumped_sections_carry_exactly_the_accepted_keys(tmp_path):
+    eff = effective_dict(load_run_config(None))
+    assert set(eff["system"]) == set(DEFAULT_SYSTEM)
+    assert set(eff["attack"]) == set(DEFAULT_ATTACK) | {"n_sigma_list"}
+    assert set(eff["sweep"]) == set(DEFAULT_SWEEP)
+    assert set(eff["monitor"]) == set(DEFAULT_MONITOR)
+    assert set(eff["output"]) == set(DEFAULT_OUTPUT)
+    explicit = effective_dict(load_run_config(_write(tmp_path, {"attack": {"f_e": 0.002}})))
+    assert set(explicit["attack"]) == {"f_e"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,17 +164,16 @@ def test_chernoff_monotone_decreasing_in_brightness():
     assert all(0.0 <= v <= 0.5 for v in vals)
 
 
-def test_mode_pairs_consistency_enforced():
-    with pytest.raises(ValidationError):
-        SystemParams(
-            W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
-            G_B=3.8e3, N_B=9.7e3, beta=0.94, hbar_omega0=1.28e-19, M=12345.0,
-        )
-    p = SystemParams(
-        W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
-        G_B=3.8e3, N_B=9.7e3, beta=0.94, hbar_omega0=1.28e-19, M=2.0e4,
-    )
-    assert p.M == 2.0e4
+def test_modes_and_gain_noise_are_derived():
+    for field, value in (("W", 2.2e12), ("R", 1.1e8), ("N_B", 5e3), ("G_B", 2e3)):
+        p = replace(PARAMS, **{field: value})
+        assert getattr(p, field) == value
+        assert p.M == p.W / p.R
+        assert p.gamma == p.N_B / p.G_B
+    with pytest.raises(TypeError):
+        replace(PARAMS, M=2.0e4)
+    with pytest.raises(TypeError):
+        replace(PARAMS, gamma=2.5)
 
 
 def test_parameter_range_checks():

@@ -9,9 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flqkd._kernels import (
-    _count_coincidences_numpy,
     _count_coincidences_sequential,
-    _dead_time_numpy,
     _dead_time_sequential,
     count_coincidences,
     dead_time_filter,
@@ -20,7 +18,7 @@ from flqkd._kernels import (
 
 def _assert_matches_oracle(times, dead_time, free_from):
     ks, fs = _dead_time_sequential(times, dead_time, free_from)
-    kv, fv = _dead_time_numpy(times, dead_time, free_from)
+    kv, fv = dead_time_filter(times, dead_time, free_from)
     assert np.array_equal(ks, kv) and fs == fv
     return kv, fv
 
@@ -127,10 +125,10 @@ def test_dead_time_split_stream_equals_whole_stream():
     rng = np.random.default_rng(2024)
     dead_time = 5e-8
     times = np.sort(rng.uniform(0.0, 10_000 * dead_time, 10_000))
-    whole, whole_free = _dead_time_numpy(times, dead_time, 0.0)
+    whole, whole_free = dead_time_filter(times, dead_time, 0.0)
     for cut in (0, 1, 137, 5_000, 9_999, 10_000):
-        head, free = _dead_time_numpy(times[:cut], dead_time, 0.0)
-        tail, free = _dead_time_numpy(times[cut:], dead_time, free)
+        head, free = dead_time_filter(times[:cut], dead_time, 0.0)
+        tail, free = dead_time_filter(times[cut:], dead_time, free)
         assert np.array_equal(np.concatenate((head, tail)), whole) and free == whole_free
 
 
@@ -169,13 +167,9 @@ def test_paths_agree_on_random_streams():
         off = float(rng.uniform(0.0, 0.1)) * scale
 
         ks, fs = _dead_time_sequential(trig, dead, free0)
-        kv, fv = _dead_time_numpy(trig, dead, free0)
+        kv, fv = dead_time_filter(trig, dead, free0)
         assert np.array_equal(ks, kv) and fs == fv
 
         cs = _count_coincidences_sequential(trig, part, hw, off)
-        cv = _count_coincidences_numpy(trig, part, hw, off)
+        cv = count_coincidences(trig, part, hw, off)
         assert cs == cv
-
-        kd, fd = dead_time_filter(trig, dead, free0)
-        assert np.array_equal(kd, ks) and fd == fs
-        assert count_coincidences(trig, part, hw, off) == cs
