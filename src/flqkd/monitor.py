@@ -34,19 +34,18 @@ distribution:
   events show a head at or before the first event the window needs. Its
   first event counts as a head when it lies a dead time after the stretch's
   start, since its true predecessor lies before that start. A stretch that
-  would reach the previous one (or the start of the run, or the part of the
-  stream already drawn) stops there and continues it.
+  would reach the previous one (or the start of the run) stops there and
+  continues it.
 - In the drawn sample a stretch's head is a head too: its predecessor there
   is the same event, or an earlier one from a previous stretch. One
   dead_time_filter call over all stretches therefore keeps, from every head
   on, exactly the events the full stream keeps, and every window lies after
   its stretch's head.
 
-Long runs are cut into time segments sized by the expected number of drawn
-events. A trigger's shifted window lies shift_offset before it, so the idler
-side trails the tap side: a window hull is drawn once no later trigger can
-add a window before its start and once it ends inside the tap draws, and a
-later window that overlaps the drawn part continues it from its end.
+A run is one pass over [0, duration], so its peak memory grows with the
+duration: about 0.33 MB per simulated second at the acceptance tests'
+operating point, and 0.6 MB/s with the idler near saturation. Statistics
+come from more trials (sweep_injection), not from longer ones.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ import numpy as np
 
 from ._kernels import count_coincidences, dead_time_filter
 from .errors import EstimatorUndefinedError, ValidationError
-
-# expected drawn events per simulation segment; bounds peak memory
-_SEGMENT_EVENT_BUDGET = 4.0e6
 
 
 @dataclass(frozen=True)
@@ -255,13 +251,7 @@ def _poisson_times(rng: np.random.Generator, rate: float, t0, t1) -> np.ndarray:
     return times
 
 
-def _merge_sorted(bulk: np.ndarray, *small: np.ndarray) -> np.ndarray:
-    extra = [s for s in small if s.size]
-    if not extra:
-        return bulk
-    add = np.sort(np.concatenate(extra)) if len(extra) > 1 else extra[0]
-    if bulk.size == 0:
-        return add
+def _merge_sorted(bulk: np.ndarray, add: np.ndarray) -> np.ndarray:
     return np.insert(bulk, np.searchsorted(bulk, add), add)
 
 
@@ -272,35 +262,48 @@ def simulate_monitor(config: MonitorSimConfig) -> MonitorCounts:
 
 
 def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
-    singles_a, c_ia, c_ia_shift, singles_b, c_ib, c_ib_shift = _count_segments(
-        _segments(cfg, rng), cfg.coinc_window, cfg.shift_offset
+    """One pass over [0, duration]: the tap streams in full, the idler stream
+    on the stretches drawn around the coincidence windows (module
+    docstring)."""
+    rates = _category_rates(cfg)
+    tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
+    # fixed draw order keeps runs reproducible for a given seed
+    i_alice, i_bob, a_only, b_only, ase_a, ase_b, eve = (
+        _poisson_times(rng, rates[k], 0.0, cfg.duration) for k in _TAP_CATEGORIES
     )
+    alice_live, _ = dead_time_filter(np.sort(np.concatenate((i_alice, a_only, ase_a))), tau, 0.0)
+    bob_live, _ = dead_time_filter(np.sort(np.concatenate((i_bob, b_only, ase_b, eve))), tau, 0.0)
+    paired = np.sort(np.concatenate((i_alice, i_bob)))
+
+    # aligned and shifted windows, in the float arithmetic of
+    # count_coincidences
+    triggers = np.concatenate((alice_live, bob_live))
+    centers = np.concatenate((triggers, triggers - shift))
+    lo = np.maximum(centers - half_window, 0.0)
+    hi = np.minimum(centers + half_window, cfg.duration)
+    keep = hi > lo
+    lo, hi = _union(lo[keep], hi[keep])
+
+    bulk, start = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
+    # partnered idler events join the stream where it is drawn: in a stretch
+    # [start[k], hi[k])
+    inside = np.zeros(paired.size, bool)
+    if hi.size:
+        k = np.searchsorted(start, paired, "right") - 1
+        inside = (k >= 0) & (paired < hi[k])
+    idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired[inside]), tau, 0.0)
+
     t = cfg.duration
     return MonitorCounts(
-        s_a=singles_a / t,
-        c_ia=c_ia / t,
-        c_ia_shift=c_ia_shift / t,
-        s_b=singles_b / t,
-        c_ib=c_ib / t,
-        c_ib_shift=c_ib_shift / t,
+        s_a=alice_live.size / t,
+        c_ia=count_coincidences(alice_live, idler_live, half_window, 0.0) / t,
+        c_ia_shift=count_coincidences(alice_live, idler_live, half_window, shift) / t,
+        s_b=bob_live.size / t,
+        c_ib=count_coincidences(bob_live, idler_live, half_window, 0.0) / t,
+        c_ib_shift=count_coincidences(bob_live, idler_live, half_window, shift) / t,
         duration=t,
         warnings=_saturation_warnings(cfg),
     )
-
-
-def _segment_count(cfg: MonitorSimConfig, rates: dict[str, float]) -> int:
-    # expected drawn events: the tap categories in full, plus the idler-only
-    # events on the stretches. A stretch covers its window and reaches back
-    # about twice (doubling overshoot) the mean distance to the end of the
-    # last gap of one dead time in the idler stream, expm1(r tau) / r.
-    tap_rate = sum(rates[k] for k in _TAP_CATEGORIES)
-    idler_rate = cfg.pair_rate * cfg.det_eff_idler
-    reach = 2.0 * cfg.dead_time
-    if idler_rate > 0.0:
-        reach = max(reach, 2.0 * math.expm1(min(idler_rate * cfg.dead_time, 50.0)) / idler_rate)
-    covered = min(1.0, 2.0 * tap_rate * (cfg.coinc_window + reach))
-    drawn = cfg.duration * (tap_rate + rates["i_only"] * covered)
-    return max(1, int(math.ceil(drawn / _SEGMENT_EVENT_BUDGET)))
 
 
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,73 +317,18 @@ def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
 
 
-def _segments(cfg: MonitorSimConfig, rng: np.random.Generator):
-    """Yield (end, idler, alice, bob) per segment: the time up to which the
-    idler stream is complete (inf for the last segment) and each detector's
-    dead-time-filtered timestamps. The idler stream holds only the stretches
-    drawn around the coincidence windows (module docstring)."""
-    rates = _category_rates(cfg)
-    tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
-    n_segments = _segment_count(cfg, rates)
-    edges = np.linspace(0.0, cfg.duration, n_segments + 1)
-
-    free_i = free_a = free_b = 0.0
-    drawn_to = 0.0  # the idler stream is drawn and filtered up to here
-    paired = np.empty(0, np.float64)  # partnered idler events from drawn_to on
-    pending_lo = pending_hi = np.empty(0, np.float64)  # window hulls not drawn yet
-    for seg in range(n_segments):
-        t0, t1 = edges[seg], edges[seg + 1]
-        last = seg + 1 == n_segments
-        # fixed draw order keeps runs reproducible for a given seed
-        i_alice, i_bob, a_only, b_only, ase_a, ase_b, eve = (
-            _poisson_times(rng, rates[k], t0, t1) for k in _TAP_CATEGORIES
-        )
-        alice_stream = np.sort(np.concatenate((i_alice, a_only, ase_a)))
-        bob_stream = np.sort(np.concatenate((i_bob, b_only, ase_b, eve)))
-        alice_live, free_a = dead_time_filter(alice_stream, tau, free_a)
-        bob_live, free_b = dead_time_filter(bob_stream, tau, free_b)
-        paired = np.concatenate((paired, np.sort(np.concatenate((i_alice, i_bob)))))
-
-        # aligned and shifted windows, in the float arithmetic of
-        # count_coincidences; a window reaching into the drawn part of the
-        # stream continues it from its end
-        triggers = np.concatenate((alice_live, bob_live))
-        centers = np.concatenate((triggers, triggers - shift))
-        lo = np.maximum(np.concatenate((centers - half_window, pending_lo)), drawn_to)
-        hi = np.minimum(np.concatenate((centers + half_window, pending_hi)), cfg.duration)
-        keep = hi > lo
-        lo, hi = _union(lo[keep], hi[keep])
-        # later triggers add windows from (t1 - shift) - half_window on, and a
-        # hull past t1 would need partnered events not drawn yet: both wait
-        frontier = math.inf if last else (t1 - shift) - half_window
-        ready = int(np.count_nonzero((lo < frontier) & (hi <= t1)))
-        lo, pending_lo = lo[:ready], lo[ready:]
-        hi, pending_hi = hi[:ready], hi[ready:]
-
-        bulk, start = _draw_idler(rng, rates["i_only"], lo, hi, drawn_to, paired, tau)
-        # partnered idler events join the stream where it is drawn
-        inside = np.zeros(paired.size, bool)
-        if ready:
-            k = np.searchsorted(start, paired, "right") - 1
-            inside = (k >= 0) & (paired < hi[k])
-            drawn_to = float(hi[-1])
-        idler_live, free_i = dead_time_filter(_merge_sorted(bulk, paired[inside]), tau, free_i)
-        paired = paired[np.searchsorted(paired, drawn_to, "left"):]
-        yield (math.inf if last else drawn_to), idler_live, alice_live, bob_live
-
-
-def _draw_idler(rng, rate, lo, hi, floor, paired, dead_time):
+def _draw_idler(rng, rate, lo, hi, paired, dead_time):
     """Idler-only events on stretches [start, hi) around the window hulls
     [lo, hi]; returns (sorted events, start).
 
     Each stretch reaches back from its window, twice as far each round,
     until the stream it holds shows a gap of at least dead_time before its
-    first needed event, or until it meets the previous stretch (or floor,
-    where the stream is drawn up to), which it then continues. paired holds
-    the sorted partnered idler events from floor on, part of the stream.
+    first needed event, or until it meets the previous stretch (or the start
+    of the run), which it then continues. paired holds the sorted partnered
+    idler events, part of the stream.
     """
     start = lo.copy()
-    bound = np.concatenate(([floor], hi[:-1]))
+    bound = np.concatenate(([0.0], hi[:-1]))
     # where each stretch's gap test ends: its earliest event found so far,
     # or its window's start
     after = lo.copy()
@@ -419,34 +367,6 @@ def _draw_idler(rng, rate, lo, hi, floor, paired, dead_time):
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()
     return bulk, start
-
-
-def _count_segments(segments, coinc_window: float, shift_offset: float) -> tuple[int, ...]:
-    """Singles and coincidence counts over consecutive stream segments.
-
-    segments yields (end, idler, alice, bob): the segment's end time (inf for
-    the last one) and its dead-time-filtered, sorted timestamps. Returns
-    (singles_a, c_ia, c_ia_shift, singles_b, c_ib, c_ib_shift) as integers.
-    """
-    half_window = 0.5 * coinc_window
-    # a trigger within one window of a segment end may pair with idler events
-    # of the next segment, so it is counted there; the idler context keeps
-    # enough of the past for the shifted windows of such late triggers too
-    lookback = shift_offset + 2.0 * coinc_window
-    idler_ctx = np.empty(0, np.float64)
-    held = [np.empty(0, np.float64), np.empty(0, np.float64)]
-    singles, aligned, shifted = [0, 0], [0, 0], [0, 0]
-    for end, idler_live, *taps in segments:
-        idler_ctx = np.concatenate((idler_ctx, idler_live))
-        for arm, live in enumerate(taps):
-            triggers = np.concatenate((held[arm], live))
-            cut = np.searchsorted(triggers, end - coinc_window, "left")
-            triggers, held[arm] = triggers[:cut], triggers[cut:]
-            singles[arm] += live.size
-            aligned[arm] += count_coincidences(triggers, idler_ctx, half_window, 0.0)
-            shifted[arm] += count_coincidences(triggers, idler_ctx, half_window, shift_offset)
-        idler_ctx = idler_ctx[np.searchsorted(idler_ctx, end - lookback, "left"):]
-    return singles[0], aligned[0], shifted[0], singles[1], aligned[1], shifted[1]
 
 
 def sweep_injection(

@@ -121,7 +121,7 @@ def test_dead_time_free_from_before_inside_and_past_the_stream(free_from):
 
 
 def test_dead_time_split_stream_equals_whole_stream():
-    # the simulator filters segment by segment, carrying the free time across
+    # free_from carries the detector state from one part of a stream to the next
     rng = np.random.default_rng(2024)
     dead_time = 5e-8
     times = np.sort(rng.uniform(0.0, 10_000 * dead_time, 10_000))

@@ -19,8 +19,6 @@ from flqkd import (
     simulate_monitor,
     sweep_injection,
 )
-from flqkd import monitor
-from flqkd.monitor import _count_segments
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -165,33 +163,14 @@ def test_estimate_within_error_bars_mid_injection():
     assert se < 0.05
 
 
-def test_long_run_spans_multiple_segments_consistently(monkeypatch):
-    # a smaller event budget cuts this run into segments, so this exercises
-    # the carry of dead-time state and the idler tail
+def test_long_run_singles_and_estimate_are_consistent():
     cfg = replace(BASE, duration=60.0)
-    monkeypatch.setattr(monitor, "_SEGMENT_EVENT_BUDGET", 1e4)
-    assert monitor._segment_count(cfg, monitor._category_rates(cfg)) >= 3
     counts = simulate_monitor(cfg)
     source = cfg.pair_rate + cfg.ase_rate_at_source
     expected_b = (1.0 - cfg.tap_alice) * cfg.kappa * source * cfg.tap_bob * cfg.det_eff_bob
     assert abs(counts.s_b - expected_b) < 5.0 * math.sqrt(expected_b / cfg.duration) + 0.01 * expected_b
     est, se = estimate_fe(counts)
     assert abs(est) < 4.0 * se
-
-
-def test_trigger_pairs_with_idler_events_across_a_segment_boundary():
-    # Alice's late trigger sits just before the end of segment 1 and its
-    # aligned partner just after it. Her earlier trigger is also held back
-    # to segment 2; its shifted partner lies far enough back in segment 1
-    # that the idler look-back must cover it. Bob's trigger opens segment 2
-    # and pairs with the same idler event as the late trigger.
-    w, shift = 1e-9, 2e-7
-    early, late = 1.0 - 0.9 * w, 1.0 - 0.2 * w
-    segments = [
-        (1.0, np.array([0.5, early - shift - 0.4 * w]), np.array([0.25, early, late]), np.empty(0)),
-        (math.inf, np.array([1.0 + 0.2 * w]), np.empty(0), np.array([1.0 + 0.6 * w])),
-    ]
-    assert _count_segments(segments, w, shift) == (3, 1, 1, 1, 1, 0)
 
 
 def test_shifted_coincidences_match_accidental_scale():

@@ -1,6 +1,6 @@
 """The monitor simulator against independent oracles: a full-stream
-simulator, closed-form dead-time and accidental rates, and the empirical
-spread of the estimator."""
+simulator, closed-form dead-time, accidental and dead-time-free coincidence
+rates, and the empirical spread of the estimator; and its edge runs."""
 
 from __future__ import annotations
 
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from flqkd import monitor
-from flqkd._kernels import count_coincidences, dead_time_filter
+from flqkd.errors import EstimatorUndefinedError
 from flqkd.monitor import MonitorSimConfig, estimate_fe, simulate_monitor
-from monitor_oracle import simulate_full_stream
+from monitor_oracle import full_stream_counts, simulate_full_stream
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -71,17 +71,12 @@ ORACLE_CASES = {
         shift_offset=2e-5,
         f_e_true=0.5,
     ),
-    "segments": replace(SATURATED, f_e_true=0.5),
 }
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
-def test_windowed_engine_matches_the_full_stream(case, monkeypatch):
+def test_windowed_engine_matches_the_full_stream(case):
     cfg = ORACLE_CASES[case]
-    if case == "segments":
-        # stretches that reach back across segment boundaries
-        monkeypatch.setattr(monitor, "_SEGMENT_EVENT_BUDGET", 2e4)
-        assert monitor._segment_count(cfg, monitor._category_rates(cfg)) >= 3
     windowed = np.array(
         [_rates(simulate_monitor(replace(cfg, rng_seed=100 + k))) for k in range(TRIALS)]
     )
@@ -103,8 +98,8 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     stretches = []
 
     def cut(rng, rate, t0, t1):
-        if np.ndim(t0) == 0:  # a tap-side category over one segment
-            name = monitor._TAP_CATEGORIES[len(taps) % len(monitor._TAP_CATEGORIES)]
+        if np.ndim(t0) == 0:  # a tap-side category over the whole run
+            name = monitor._TAP_CATEGORIES[len(taps)]
             taps.append(name)
         else:
             name = "i_only"
@@ -122,54 +117,21 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     assert np.all(hi >= lo) and np.all(lo[1:] >= hi[:-1])
-
-    def stream(*names):
-        return np.sort(np.concatenate([np.asarray(streams.get(n, ()), np.float64) for n in names]))
-
-    idler, alice, bob = (
-        dead_time_filter(s, cfg.dead_time, 0.0)[0]
-        for s in (
-            stream("i_only", "i_alice", "i_bob"),
-            stream("i_alice", "a_only", "ase_a"),
-            stream("i_bob", "b_only", "ase_b", "eve"),
-        )
-    )
-    half = 0.5 * cfg.coinc_window
-    expected = []
-    for live in (alice, bob):
-        expected += [
-            live.size,
-            count_coincidences(live, idler, half, 0.0),
-            count_coincidences(live, idler, half, cfg.shift_offset),
-        ]
-    return [round(r * cfg.duration) for r in _rates(counts)], expected
+    return [round(r * cfg.duration) for r in _rates(counts)], full_stream_counts(cfg, streams)
 
 
 @pytest.mark.parametrize(
-    "cfg,budget,segments",
+    "cfg",
     [
-        (BASE, None, 1),
-        (replace(SATURATED, f_e_true=0.5), None, 1),
+        BASE,
+        replace(SATURATED, f_e_true=0.5),
         # idler rate x dead time ~5: stretches reach back many rounds
-        (replace(SATURATED, dead_time=2.8e-5, shift_offset=1e-4, duration=0.5), None, 1),
-        (replace(BASE, dead_time=0.0, coinc_window=2e-7, shift_offset=2e-5, f_e_true=1.0), None, 1),
-        (replace(SATURATED, f_e_true=0.5), 5e3, 10),
-        # segments a few shift offsets long: many shifted windows reach back
-        # into the previous segment
-        (
-            replace(BASE, ase_rate_at_source=2e6, kappa=0.9, coinc_window=5e-7, shift_offset=1e-4),
-            30.0,
-            100,
-        ),
+        replace(SATURATED, dead_time=2.8e-5, shift_offset=1e-4, duration=0.5),
+        replace(BASE, dead_time=0.0, coinc_window=2e-7, shift_offset=2e-5, f_e_true=1.0),
     ],
-    ids=["nominal", "saturated", "load-5", "no-dead-time", "segments", "many-segments"],
+    ids=["nominal", "saturated", "load-5", "no-dead-time"],
 )
-def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(
-    cfg, budget, segments, monkeypatch
-):
-    if budget is not None:
-        monkeypatch.setattr(monitor, "_SEGMENT_EVENT_BUDGET", budget)
-    assert monitor._segment_count(cfg, monitor._category_rates(cfg)) >= segments
+def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(cfg, monkeypatch):
     rng = np.random.default_rng(cfg.rng_seed + 1)
     streams = {
         name: np.sort(rng.uniform(0.0, cfg.duration, rng.poisson(rate * cfg.duration)))
@@ -180,36 +142,42 @@ def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(
     assert full[1] > 0 and full[4] > 0
 
 
-# two segments split at T1, no dead time, hand-placed events around T1
-W, SHIFT, T1 = 1e-9, 1e-7, 1.0
-TWO_SEGMENTS = replace(BASE, dead_time=0.0, coinc_window=W, shift_offset=SHIFT, duration=2.0)
+# no dead time, hand-placed events around T and the start of the run
+W, SHIFT, T = 1e-9, 1e-7, 1.0
+HAND_PLACED_RUN = replace(BASE, dead_time=0.0, coinc_window=W, shift_offset=SHIFT, duration=2.0)
 HAND_PLACED = {
-    # a trigger late in segment 1 and one early in segment 2 whose shifted
-    # window lies before the first one: the idler side must trail the taps
-    "trailing": {
-        "a_only": [T1 - 0.5 * SHIFT],
-        "b_only": [T1 + 0.2 * W],
-        "i_only": [T1 - SHIFT + 0.3 * W, T1 - 0.5 * SHIFT + 0.3 * W],
+    # a later trigger whose shifted window lies before an earlier trigger's
+    # aligned window: the hulls are sorted across both kinds of window
+    "shifted-window-first": {
+        "a_only": [T - 0.5 * SHIFT],
+        "b_only": [T + 0.2 * W],
+        "i_only": [T - SHIFT + 0.3 * W, T - 0.5 * SHIFT + 0.3 * W],
     },
-    # overlapping windows chain from before the frontier to past T1; the
-    # hull needs the partnered event drawn with segment 2
-    "hull-past-the-segment": {
-        "a_only": T1 - SHIFT - 1.7 * W + 0.5 * W * np.arange(2 * SHIFT / W + 4),
-        "i_bob": [T1 + 0.1 * W],
+    # overlapping windows chain the aligned and the shifted windows into one
+    # hull, which holds a partnered event
+    "chained-hull": {
+        "a_only": T - SHIFT - 1.7 * W + 0.5 * W * np.arange(2 * SHIFT / W + 4),
+        "i_bob": [T + 0.1 * W],
     },
-    # a later shifted window inside a hull drawn with segment 1
-    "window-inside-the-drawn-part": {
-        "a_only": T1 - SHIFT - 2 * W + 0.5 * W * np.arange(9),
-        "b_only": [T1 + 0.5 * W],
-        "i_only": [T1 - SHIFT + 0.5 * W],
+    # a shifted window nested inside a hull of aligned windows
+    "nested-window": {
+        "a_only": T - SHIFT - 2 * W + 0.5 * W * np.arange(9),
+        "b_only": [T + 0.5 * W],
+        "i_only": [T - SHIFT + 0.5 * W],
+    },
+    # shifted windows clipped at the start of the run: the longer one sorts
+    # first, and the hull keeps its end
+    "clipped-at-the-start": {
+        "a_only": [SHIFT + 0.3 * W],
+        "b_only": [SHIFT + 0.1 * W],
+        "i_only": [0.7 * W],
     },
 }
 
 
 @pytest.mark.parametrize("case", list(HAND_PLACED))
-def test_windowed_engine_counts_hand_placed_events_across_a_segment_end(case, monkeypatch):
-    monkeypatch.setattr(monitor, "_segment_count", lambda cfg, rates: 2)
-    windowed, full = _counts_on_given_streams(TWO_SEGMENTS, HAND_PLACED[case], monkeypatch)
+def test_windowed_engine_counts_hand_placed_hulls(case, monkeypatch):
+    windowed, full = _counts_on_given_streams(HAND_PLACED_RUN, HAND_PLACED[case], monkeypatch)
     assert windowed == full
     assert full[2] + full[4] + full[5] > 0
 
@@ -256,6 +224,47 @@ def test_shifted_accidentals_match_the_live_idler_rate(cfg):
         expected = singles * cfg.duration * r_live * cfg.coinc_window
         assert expected > 500
         assert abs(shifted * cfg.duration - expected) < 4.0 * math.sqrt(expected)
+
+
+def test_coincidences_follow_the_category_rates_without_dead_time():
+    # at tau = 0 a trigger with a detected idler partner always scores an
+    # aligned hit; every other aligned window, and every shifted one, holds
+    # a Poisson number of idler events at rate r_i
+    cfg = replace(ORACLE_CASES["no-dead-time"], duration=20.0, rng_seed=61)
+    counts = simulate_monitor(cfg)
+    rates = monitor._category_rates(cfg)
+    p_hit = -math.expm1(-cfg.pair_rate * cfg.det_eff_idler * cfg.coinc_window)
+    arms = (
+        (counts.c_ia, counts.c_ia_shift, "i_alice", ("a_only", "ase_a")),
+        (counts.c_ib, counts.c_ib_shift, "i_bob", ("b_only", "ase_b", "eve")),
+    )
+    for aligned, shifted, partnered, unpartnered in arms:
+        unpaired = sum(rates[k] for k in unpartnered)
+        for measured, expected in (
+            (aligned, rates[partnered] + unpaired * p_hit),
+            (shifted, (rates[partnered] + unpaired) * p_hit),
+        ):
+            assert expected * cfg.duration > 500
+            assert abs(measured - expected) < 4.0 * math.sqrt(expected / cfg.duration)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [replace(BASE, duration=1e-8), replace(BASE, ase_rate_at_source=0.0)],
+    ids=["shorter-than-a-dead-time", "no-ase"],
+)
+def test_edge_runs(cfg):
+    counts = simulate_monitor(cfg)
+    if cfg.duration < cfg.dead_time:
+        # no detector fires, and the estimator says so
+        assert _rates(counts) == (0.0,) * len(RATE_NAMES)
+        with pytest.raises(EstimatorUndefinedError):
+            estimate_fe(counts)
+    else:
+        # the pairs alone carry the estimate
+        estimate, sigma = estimate_fe(counts)
+        assert math.isfinite(estimate) and sigma > 0.0
+        assert abs(estimate - cfg.f_e_true) < 4.0 * sigma
 
 
 def _chi2_quantile(df: int, z: float) -> float:
