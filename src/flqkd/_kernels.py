@@ -90,7 +90,9 @@ def count_coincidences(triggers, partners, half_window, offset):
     if triggers.size == 0 or partners.size == 0:
         return 0
     d = triggers - offset
+    # the first partner at or after the window's start scores iff it lies at
+    # or before the window's end
     first = np.searchsorted(partners, d - half_window, "left")
-    last = np.searchsorted(partners, d + half_window, "right")
-    return int(np.count_nonzero(last > first))
+    hit = partners.take(first, mode="clip") <= d + half_window
+    return int(np.count_nonzero(hit & (first < partners.size)))
 

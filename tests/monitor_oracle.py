@@ -1,9 +1,15 @@
-"""Full-stream reference simulator for the windowed monitor engine.
+"""Reference engines for the windowed monitor simulator.
 
-It draws every idler event of the run, filters each detector's whole
-stream, and counts coincidences with count_coincidences directly. The
-library draws the idler stream only around the coincidence windows; both
-must give the same distribution of the six measured rates.
+The full-stream simulator draws every idler event of the run, filters each
+detector's whole stream, and counts coincidences with count_coincidences
+directly. The library draws the idler stream only around the coincidence
+windows; both must give the same distribution of the six measured rates.
+
+frozen_draw_idler and frozen_count_coincidences are an earlier form of the
+library's idler rounds and coincidence count: each round labels the whole
+partnered pool and argsorts the points of every open stretch, and each
+trigger takes two searches. Run in place of the library's, they must give
+the same counts, field for field, on every seed.
 """
 
 from __future__ import annotations
@@ -42,3 +48,52 @@ def simulate_full_stream(cfg: monitor.MonitorSimConfig) -> tuple[float, ...]:
         for name, rate in monitor._category_rates(cfg).items()
     }
     return tuple(c / cfg.duration for c in full_stream_counts(cfg, draws))
+
+
+def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
+    """The windowed idler rounds, every open stretch in every round."""
+    start = lo.copy()
+    bound = np.concatenate(([0.0], hi[:-1]))
+    after = lo.copy()
+    todo = np.arange(lo.size)
+    top = hi
+    reach = 2.0 * dead_time
+    drawn = []
+    while todo.size:
+        new = np.maximum(bound[todo], lo[todo] - reach)
+        events = monitor._poisson_times(rng, rate, new, top)
+        drawn.append(events)
+        old = start[todo]
+        times = np.concatenate((events, paired))
+        label = np.concatenate(
+            (np.searchsorted(new, events, "right"), np.searchsorted(new, paired, "right"))
+        ) - 1
+        inside = (label >= 0) & (times < old[label])
+        own = np.arange(todo.size)
+        points = np.concatenate((new, times[inside], after[todo]))
+        owner = np.concatenate((own, label[inside], own))
+        order = np.argsort(points, kind="stable")
+        points, owner = points[order], owner[order]
+        head = (owner[1:] == owner[:-1]) & (points[1:] >= points[:-1] + dead_time)
+        done = new <= bound[todo]
+        done[owner[1:][head]] = True
+        after[todo] = points[np.searchsorted(owner, own) + 1]
+        start[todo] = new
+        top = new[~done]
+        todo = todo[~done]
+        reach *= 2.0
+    bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
+    bulk.sort()
+    return bulk, start
+
+
+def frozen_count_coincidences(triggers, partners, half_window, offset):
+    """Triggers with a partner in their window, by two searches each."""
+    triggers = np.ascontiguousarray(triggers, np.float64)
+    partners = np.ascontiguousarray(partners, np.float64)
+    if triggers.size == 0 or partners.size == 0:
+        return 0
+    d = triggers - float(offset)
+    first = np.searchsorted(partners, d - float(half_window), "left")
+    last = np.searchsorted(partners, d + float(half_window), "right")
+    return int(np.count_nonzero(last > first))

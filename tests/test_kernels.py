@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flqkd._kernels import (
@@ -151,6 +151,30 @@ def test_coincidence_shift_moves_the_window():
 def test_coincidence_empty_inputs():
     assert count_coincidences(np.empty(0), np.array([1.0]), 1e-3, 0.0) == 0
     assert count_coincidences(np.array([1.0]), np.empty(0), 1e-3, 0.0) == 0
+
+
+@given(
+    st.lists(st.integers(0, 40), max_size=60),
+    st.lists(st.integers(0, 40), max_size=60),
+    st.integers(0, 6),
+    st.integers(-16, 48),
+)
+# a partner exactly at d - half_window, and one exactly at d + half_window
+@example([10, 20], [8, 22], 2, 0)
+# duplicate partners, one window holding two of them
+@example([5, 5, 9], [5, 5, 5, 9, 9], 1, 0)
+# windows that start past the last partner
+@example([30, 38, 40], [1, 3], 2, -8)
+# shifts that move windows before 0
+@example([0, 4, 12], [0, 1, 2], 3, 16)
+def test_coincidence_count_equals_sequential_on_a_grid(trigger_ticks, partner_ticks, half_ticks, offset_ticks):
+    # dyadic ticks make d - half_window and d + half_window exact, so
+    # partners on a window edge and duplicates are common
+    tick = 0.125
+    triggers = np.sort(np.array(trigger_ticks, np.float64)) * tick
+    partners = np.sort(np.array(partner_ticks, np.float64)) * tick
+    args = (triggers, partners, half_ticks * tick, offset_ticks * tick)
+    assert count_coincidences(*args) == _count_coincidences_sequential(*args)
 
 
 def test_paths_agree_on_random_streams():

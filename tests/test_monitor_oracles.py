@@ -13,7 +13,12 @@ import pytest
 from flqkd import monitor
 from flqkd.errors import EstimatorUndefinedError
 from flqkd.monitor import MonitorSimConfig, estimate_fe, simulate_monitor
-from monitor_oracle import full_stream_counts, simulate_full_stream
+from monitor_oracle import (
+    frozen_count_coincidences,
+    frozen_draw_idler,
+    full_stream_counts,
+    simulate_full_stream,
+)
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -180,6 +185,103 @@ def test_windowed_engine_counts_hand_placed_hulls(case, monkeypatch):
     windowed, full = _counts_on_given_streams(HAND_PLACED_RUN, HAND_PLACED[case], monkeypatch)
     assert windowed == full
     assert full[2] + full[4] + full[5] > 0
+
+
+# dead time, hand-placed events around the window [L, L + W2] of an Alice
+# trigger at L + W2/2; dyadic times make every sum exact, and the shift puts
+# each shifted window far out of reach
+TAU, W2, L = 2.0**-20, 2.0**-30, 1.0
+DEAD_TIME_RUN = replace(BASE, dead_time=TAU, coinc_window=W2, shift_offset=2.0**-12, duration=2.0)
+ONE_ULP = np.spacing(L - TAU)
+# case -> (streams, expected full-stream counts)
+DEAD_TIME_PLACED = {
+    # an empty stretch clipped at the previous window's end, one dead time
+    # before its own window: after - new is exactly TAU
+    "empty-gap-of-a-dead-time": (
+        {"a_only": [L - TAU - 0.5 * W2, L + 0.5 * W2], "i_only": [L - TAU - ONE_ULP, L]},
+        [2, 2, 0, 0, 0, 0],
+    ),
+    # the same with the previous window one ulp longer: after - new is one
+    # ulp short of TAU, and the idler event at L comes exactly TAU after the
+    # one at L - TAU
+    "empty-gap-one-ulp-short": (
+        {"a_only": [L - TAU + ONE_ULP - 0.5 * W2, L + 0.5 * W2], "i_only": [L - TAU, L]},
+        [2, 2, 0, 0, 0, 0],
+    ),
+    # a stretch clipped at the previous window's end (new == bound) holds an
+    # event that the previous window's idler event blocks; kept, it would
+    # block the event in the second window
+    "clipped-at-the-previous-hull": (
+        {
+            "a_only": [L - 1.5 * TAU - 0.5 * W2, L + 0.5 * W2],
+            "i_only": [L - 1.5 * TAU - 0.5 * W2, L - 0.75 * TAU, L + 0.5 * W2],
+        },
+        [2, 2, 0, 0, 0, 0],
+    ),
+    # a partnered event at the stretch's round-0 new, L - 2 TAU, which is
+    # round 1's old; Bob's tap blocks it, so it opens no window of its own.
+    # Round 0 is inconclusive, and round 1 is clipped at Bob's window
+    "partnered-at-new-and-old": (
+        {
+            "a_only": [L + 0.5 * W2],
+            "b_only": [L - 2.5 * TAU],
+            "i_bob": [L - 2 * TAU],
+            "i_only": [L - 1.25 * TAU, L - 0.5 * TAU, L + 0.5 * W2],
+        },
+        [1, 0, 0, 1, 0, 0],
+    ),
+    # a partnered event at the window's start, the stretch's round-0 old
+    "partnered-at-the-window-start": (
+        {"a_only": [L + 0.5 * W2], "b_only": [L - 0.5 * TAU], "i_bob": [L]},
+        [1, 1, 0, 1, 0, 0],
+    ),
+    # a partnered event at the window's end hi, which the closed window holds
+    "partnered-at-hi": (
+        {"a_only": [L + 0.5 * W2], "b_only": [L + W2 - 0.5 * TAU], "i_bob": [L + W2]},
+        [1, 1, 0, 1, 0, 0],
+    ),
+    # round 0 finds gaps of 0.75, 0.75 and 0.5 TAU after new = L - 2 TAU;
+    # round 1 finds the head at L - 2.125 TAU, which blocks L - 1.25 TAU, so
+    # L - 0.5 TAU is kept and blocks the window's event
+    "inconclusive-then-settled": (
+        {"a_only": [L + 0.5 * W2], "i_only": [L - 2.125 * TAU, L - 1.25 * TAU, L - 0.5 * TAU, L + 0.5 * W2]},
+        [1, 0, 0, 0, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DEAD_TIME_PLACED))
+def test_windowed_engine_counts_hand_placed_dead_time_stretches(case, monkeypatch):
+    streams, expected = DEAD_TIME_PLACED[case]
+    windowed, full = _counts_on_given_streams(DEAD_TIME_RUN, streams, monkeypatch)
+    assert full == expected
+    assert windowed == full
+
+
+# the benchmark's operating points: the acceptance bias gate's, and the same
+# source with the idler detector saturated
+NOMINAL_POINT = replace(
+    BASE,
+    pair_rate=2.46e5,
+    ase_rate_at_source=2.46e5,
+    kappa=0.9,
+    det_eff_idler=0.95,
+    det_eff_alice=0.95,
+    det_eff_bob=0.95,
+    duration=4.0,
+)
+SATURATED_POINT = replace(NOMINAL_POINT, dead_time=5e-6, shift_offset=2e-5)
+
+
+@pytest.mark.parametrize("cfg", [NOMINAL_POINT, SATURATED_POINT], ids=["nominal", "saturated"])
+def test_idler_rounds_and_counting_equal_the_frozen_engine(cfg, monkeypatch):
+    seeds = range(20)
+    library = [simulate_monitor(replace(cfg, rng_seed=s)) for s in seeds]
+    monkeypatch.setattr(monitor, "_draw_idler", frozen_draw_idler)
+    monkeypatch.setattr(monitor, "count_coincidences", frozen_count_coincidences)
+    frozen = [simulate_monitor(replace(cfg, rng_seed=s)) for s in seeds]
+    assert library == frozen
+    assert all(c.c_ia > c.c_ia_shift for c in library)
 
 
 # Alice's and Bob's taps see ~1.8e4/s and ~1.6e4/s; the idler only 900/s
