@@ -60,18 +60,16 @@ def _cmd_rate_curve(cfg: RunConfig):
         "ske_active", "ske_passive",
         "skr_active", "skr_passive",
     ]
-    rows = []
-    for n_s in _sweep_grid(cfg):
-        active = skr_lower_bound(float(n_s), f_e, params)
-        passive = skr_lower_bound(float(n_s), 0.0, params)
-        rows.append(
-            (
-                active.ppb, active.n_s, active.ber, active.i_ab,
-                active.chi_ub, passive.chi_ub,
-                active.ske, passive.ske,
-                active.skr, passive.skr,
-            )
-        )
+    grid = _sweep_grid(cfg)
+    active = skr_lower_bound(grid, f_e, params)
+    passive = skr_lower_bound(grid, 0.0, params)
+    columns = (
+        active.ppb, active.n_s, active.ber, active.i_ab,
+        active.chi_ub, passive.chi_ub,
+        active.ske, passive.ske,
+        active.skr, passive.skr,
+    )
+    rows = list(zip(*(column.tolist() for column in columns)))
     svg = render_svg(
         [
             ("skr_active", [r[0] for r in rows], [r[8] for r in rows]),

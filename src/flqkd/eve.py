@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .gaussian import Covariance3Mode, von_neumann_entropy
+from .gaussian import Covariance3Mode, scalar_or_array, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -72,95 +72,138 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class AttackState:
-    """Injection fraction with its derived brightness and covariances."""
+    """Injection fraction with its derived brightness and covariances.
+
+    For an array of brightnesses n_e has its shape and each covariance is
+    a stack over it.
+    """
 
     f_e: float
-    n_s: float
-    n_e: float
+    n_s: float | np.ndarray
+    n_e: float | np.ndarray
     cov_k0: Covariance3Mode
     cov_k1: Covariance3Mode
     cov_uncond: Covariance3Mode
 
 
-def eve_injection_brightness(f_e: float, n_s: float, kappa: float) -> float:
+def check_brightness(n_s) -> None:
+    """Raise DomainError unless every source brightness is >= 0 (NaN is not)."""
+    n_s = np.asarray(n_s)
+    ok = n_s >= 0.0
+    if not ok.all():
+        raise DomainError(f"source brightness must be >= 0, got {float(n_s[~ok][0])!r}")
+
+
+def eve_injection_brightness(f_e: float, n_s, kappa: float):
     """Injected brightness N_E = kappa N_S f_E / [(1-kappa)(1-f_E)].
 
     The injection replaces a fraction f_E of the light reaching Bob while the
-    total flux is unchanged, which fixes N_E as above. f_E = 1 (total
-    replacement) is outside this model's domain.
+    total flux is unchanged, which fixes N_E as above. At f_E = 1 (total
+    replacement) N_E is infinite, outside this model's domain. n_s may be
+    an array.
     """
     if not 0.0 <= f_e < 1.0:
         raise DomainError(f"injection fraction must be in [0,1), got {f_e!r}")
-    if n_s < 0:
-        raise DomainError(f"source brightness must be >= 0, got {n_s!r}")
+    check_brightness(n_s)
     if not 0.0 < kappa < 1.0:
         raise DomainError(f"kappa must be in (0,1), got {kappa!r}")
     return kappa * n_s * f_e / ((1.0 - kappa) * (1.0 - f_e))
 
 
-def _covariance_entries(k: int, params: SystemParams, n_s: float, f_e: float) -> np.ndarray:
+def _parse_layout(rows):
+    # positions, term indices and bit-0 signs of the nonzero entries
+    terms = ("a", "e", "b", "c_ia", "c_ab", "c_ib")
+    nonzero = [(i, j, cell) for i, row in enumerate(rows) for j, cell in enumerate(row) if cell]
+    sign0 = np.array([-1.0 if cell[0] == "-" else 1.0 for _, _, cell in nonzero])
+    which = np.array([terms.index(cell.lstrip("-")) for _, _, cell in nonzero])
+    # bit 1 flips the signal correlations c_ab and c_ib: (-1)^k
+    flip = np.where(np.isin(which, [terms.index("c_ab"), terms.index("c_ib")]), -1.0, 1.0)
+    return (
+        np.array([i for i, _, _ in nonzero]),
+        np.array([j for _, j, _ in nonzero]),
+        which,
+        np.stack([sign0, sign0 * flip]),
+    )
+
+
+# 4 V_0, with quadratures (x1, p1, x2, p2, x3, p3) of (tapped, idler, return)
+_ROWS, _COLS, _TERMS, _SIGNS = _parse_layout(
+    (
+        ("a", "", "-c_ia", "", "c_ab", ""),
+        ("", "a", "", "c_ia", "", "c_ab"),
+        ("-c_ia", "", "e", "", "c_ib", ""),
+        ("", "c_ia", "", "e", "", "-c_ib"),
+        ("c_ab", "", "c_ib", "", "b", ""),
+        ("", "c_ab", "", "-c_ib", "", "b"),
+    )
+)
+
+
+def _attack_entries(params: SystemParams, n_s: np.ndarray, f_e: float):
+    """N_E and the stack (V_0, V_1, (V_0 + V_1)/2) of shape (3, *n_s.shape, 6, 6)."""
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
     kap = params.kappa
     gb_loss = params.G_B * (1.0 - params.kappa_B)
     n_ab = (1.0 - kap) * n_s + kap * n_e
-    c_ia = 2.0 * math.sqrt(kap * n_e * (n_e + 1.0))
+    c_ia = 2.0 * np.sqrt(kap * n_e * (n_e + 1.0))
     # signed: goes negative once the injected brightness exceeds the source's
     c_ab = 2.0 * math.sqrt(gb_loss * kap * (1.0 - kap)) * (n_s - n_e)
-    c_ib = 2.0 * math.sqrt(gb_loss * (1.0 - kap) * n_e * (n_e + 1.0))
+    c_ib = 2.0 * np.sqrt(gb_loss * (1.0 - kap) * n_e * (n_e + 1.0))
     n_ba = gb_loss * (kap * n_s + (1.0 - kap) * n_e) + params.N_B
     a = 2.0 * n_ab + 1.0
     e = 2.0 * n_e + 1.0
     b = 2.0 * n_ba + 1.0
-    s = 1.0 - 2.0 * k  # (-1)^k
-    return np.array(
-        [
-            [a, 0.0, -c_ia, 0.0, s * c_ab, 0.0],
-            [0.0, a, 0.0, c_ia, 0.0, s * c_ab],
-            [-c_ia, 0.0, e, 0.0, s * c_ib, 0.0],
-            [0.0, c_ia, 0.0, e, 0.0, -s * c_ib],
-            [s * c_ab, 0.0, s * c_ib, 0.0, b, 0.0],
-            [0.0, s * c_ab, 0.0, -s * c_ib, 0.0, b],
-        ]
-    ) / 4.0
+    # shape (..., 6): the brightness axes first, as in the entries
+    terms = np.array([a, e, b, c_ia, c_ab, c_ib]).transpose((*range(1, n_s.ndim + 1), 0)) / 4.0
+    entries = np.zeros((3,) + n_s.shape + (6, 6))
+    signs = _SIGNS.reshape((2,) + (1,) * n_s.ndim + (-1,))
+    entries[:2, ..., _ROWS, _COLS] = terms[..., _TERMS] * signs
+    entries[2] = 0.5 * (entries[0] + entries[1])
+    return n_e, entries
 
 
-def conditional_covariance(k: int, params: SystemParams, n_s: float, f_e: float) -> Covariance3Mode:
+def conditional_covariance(k: int, params: SystemParams, n_s, f_e: float) -> Covariance3Mode:
     """Per-mode covariance of the eavesdropper's state given Bob's bit k."""
     if k not in (0, 1):
         raise DomainError(f"bit must be 0 or 1, got {k!r}")
-    if n_s < 0:
-        raise DomainError(f"source brightness must be >= 0, got {n_s!r}")
-    return Covariance3Mode(_covariance_entries(k, params, n_s, f_e))
+    return Covariance3Mode(_attack_entries(params, np.asarray(n_s, dtype=float), f_e)[1][k])
 
 
-def attack_state(params: SystemParams, n_s: float, f_e: float) -> AttackState:
-    """Assemble both conditional covariances and their equal-weight average."""
-    c0 = conditional_covariance(0, params, n_s, f_e)
-    c1 = conditional_covariance(1, params, n_s, f_e)
-    uncond = Covariance3Mode(0.5 * (c0.entries + c1.entries))
-    n_e = eve_injection_brightness(f_e, n_s, params.kappa)
-    return AttackState(f_e=f_e, n_s=n_s, n_e=n_e, cov_k0=c0, cov_k1=c1, cov_uncond=uncond)
+def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
+    """Assemble both conditional covariances and their equal-weight average.
+
+    n_s may be an array; the three covariances are validated as one stack.
+    """
+    n_e, entries = _attack_entries(params, np.asarray(n_s, dtype=float), f_e)
+    c0, c1, uncond = Covariance3Mode(entries).unstack()
+    return AttackState(
+        f_e=f_e, n_s=n_s, n_e=scalar_or_array(n_e), cov_k0=c0, cov_k1=c1, cov_uncond=uncond
+    )
 
 
-def holevo_bound(params: SystemParams, n_s: float, f_e: float) -> float:
+def holevo_bound(params: SystemParams, n_s, f_e: float):
     """Upper bound on the eavesdropper's Holevo information, bits per use.
 
     Per-mode entropies are scaled by M through tensor-product additivity and
     the result is clamped to [0, 1]; one bit per use is all a binary-encoded
-    channel can leak.
+    channel can leak. n_s may be an array: the result then has its shape,
+    each element equal bit for bit to the scalar call. At f_e = 1 the bound
+    is its f_e -> 1 limit, 1 for a lit source and 0 for a dark one.
     """
+    if f_e == 1.0:
+        check_brightness(n_s)
+        return scalar_or_array(np.where(np.asarray(n_s) > 0.0, 1.0, 0.0))
     state = attack_state(params, n_s, f_e)
     s_uncond = von_neumann_entropy(state.cov_uncond)
     s_cond = 0.5 * (von_neumann_entropy(state.cov_k0) + von_neumann_entropy(state.cov_k1))
     chi = params.M * (s_uncond - s_cond)
     # floor absorbs -1e-12-scale noise on the uncond >= cond inequality
-    return min(max(chi, 0.0), 1.0)
+    return scalar_or_array(np.minimum(np.maximum(chi, 0.0), 1.0))
 
 
 def chernoff_ber_passive(params: SystemParams, n_s: float) -> float:
     """Quantum Chernoff bound on a passive eavesdropper's bit-error rate."""
-    if n_s < 0:
-        raise DomainError(f"source brightness must be >= 0, got {n_s!r}")
+    check_brightness(n_s)
     kap = params.kappa
     exponent = 4.0 * params.M * kap * (1.0 - kap) * (1.0 - params.kappa_B) * n_s * n_s
     return 0.5 * math.exp(-exponent)

@@ -33,34 +33,51 @@ OMEGA = _symplectic_form(3)
 OMEGA.setflags(write=False)
 
 
+def scalar_or_array(values):
+    """A 0-d result as a Python float; any other shape as the array itself."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 @dataclass(frozen=True)
 class Covariance3Mode:
-    """Validated 6x6 Wigner covariance matrix.
+    """Validated 6x6 Wigner covariance matrix, or a stack of them.
 
     Parameters
     ----------
     entries : array_like
-        Real 6x6 matrix, symmetric to within 1e-12 relative and positive
-        definite. Stored read-only.
+        Real array of shape (..., 6, 6); each matrix symmetric to within
+        1e-12 relative and positive definite. Stored read-only.
     """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float)
-        if arr.shape != (6, 6):
+        if arr.ndim < 2 or arr.shape[-2:] != (6, 6):
             raise ValidationError(f"covariance must be 6x6, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("covariance has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        if np.max(np.abs(arr - arr.T)) > _SYMMETRY_RTOL * scale:
+        transposed = arr.swapaxes(-1, -2)
+        scale = np.maximum(np.abs(arr).max(axis=(-2, -1)), 1.0)
+        if (np.abs(arr - transposed).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
             raise ValidationError("covariance is not symmetric within 1e-12")
         try:
-            np.linalg.cholesky(0.5 * (arr + arr.T))
+            np.linalg.cholesky(0.5 * (arr + transposed))
         except np.linalg.LinAlgError:
             raise ValidationError("covariance is not positive definite") from None
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    def unstack(self) -> tuple[Covariance3Mode, ...]:
+        """The covariances along the leading axis, validated with the stack."""
+        if self.entries.ndim < 3:
+            raise ValidationError("one 6x6 covariance has no leading axis to split")
+        parts = []
+        for view in self.entries:
+            part = object.__new__(Covariance3Mode)
+            object.__setattr__(part, "entries", view)
+            parts.append(part)
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -88,28 +105,53 @@ def _as_cov(cov) -> np.ndarray:
     return Covariance3Mode(np.asarray(cov)).entries
 
 
-def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
-    """Symplectic spectrum of a validated covariance matrix.
+def _symplectic_moduli(entries: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of validated entries, shape (..., 3), ascending.
 
     The eigenvalues of Omega @ cov come in conjugate pairs +/- i nu_j; the
-    moduli of the three positive-imaginary-part eigenvalues are returned,
-    sorted descending.
+    moduli of the three positive-imaginary-part eigenvalues are the nu_j.
+    """
+    eig = np.linalg.eigvals(OMEGA @ entries)
+    upper = eig.imag > 0
+    # PD symmetric input guarantees pure-imaginary +/- pairs. eigvals returns
+    # the complex eigenvalues of a real matrix as exact conjugate pairs, so no
+    # matrix has more than 3 above the real axis, and the total is 3 per
+    # matrix only if every matrix has 3.
+    if np.count_nonzero(upper) != eig.size // 2:
+        raise ValidationError("eigenvalues of Omega @ cov failed to pair")
+    moduli = np.abs(eig[upper]).reshape(eig.shape[:-1] + (3,))
+    moduli.sort(axis=-1)
+    if moduli.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
+        raise UnphysicalStateError(
+            f"symplectic eigenvalue below vacuum floor: {float(moduli.min())!r}"
+        )
+    return moduli
+
+
+def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
+    """Symplectic spectrum of one validated covariance matrix.
 
     Raises
     ------
     ValidationError
-        If the input is not symmetric positive definite.
+        If the input is not one symmetric positive definite 6x6 matrix.
     UnphysicalStateError
         If any eigenvalue falls below 1/4 - 1e-9.
     """
     entries = _as_cov(cov)
-    eig = np.linalg.eigvals(OMEGA @ entries)
-    pos = eig[eig.imag > 0]
-    if pos.size != 3:
-        # PD symmetric input guarantees pure-imaginary +/- pairs
-        raise ValidationError("eigenvalues of Omega @ cov failed to pair")
-    moduli = np.sort(np.abs(pos))[::-1]
-    return SymplecticSpectrum(tuple(float(v) for v in moduli))
+    if entries.ndim != 2:
+        raise ValidationError(f"need one 6x6 covariance, got a stack of shape {entries.shape}")
+    return SymplecticSpectrum(tuple(_symplectic_moduli(entries)[::-1].tolist()))
+
+
+def _thermal_entropies(n: np.ndarray) -> np.ndarray:
+    # g(N) elementwise; N below 1e-12, negative N included, gives 0
+    tiny = n < 1e-12
+    n = np.maximum(n, 1e-12)
+    n1 = n + 1
+    g = n1 * np.log2(n1) - n * np.log2(n)
+    g[tiny] = 0.0
+    return g
 
 
 def thermal_entropy(n: float) -> float:
@@ -119,16 +161,16 @@ def thermal_entropy(n: float) -> float:
     """
     if n < 0:
         raise DomainError(f"mean photon number must be >= 0, got {n!r}")
-    if n < 1e-12:
-        return 0.0
-    return float((n + 1) * np.log2(n + 1) - n * np.log2(n))
+    return float(_thermal_entropies(np.array([n], dtype=float))[0])
 
 
-def von_neumann_entropy(cov) -> float:
-    """Entropy in bits of the Gaussian state with the given covariance."""
-    spectrum = symplectic_eigenvalues(cov)
-    total = 0.0
-    for nu in spectrum.eigenvalues:
-        # eigenvalues within PHYSICALITY_TOL below 1/4 map to N = 0
-        total += thermal_entropy(max(2.0 * nu - 0.5, 0.0))
-    return total
+def von_neumann_entropy(cov):
+    """Entropy in bits of the Gaussian state with the given covariance.
+
+    One 6x6 matrix gives a float; a stack of shape (..., 6, 6) gives an
+    array of shape (...), each element equal to the single-matrix call.
+    """
+    # eigenvalues within PHYSICALITY_TOL below 1/4 map to N = 0
+    g = _thermal_entropies(2.0 * _symplectic_moduli(_as_cov(cov)) - 0.5)
+    # summed from the largest eigenvalue down
+    return scalar_or_array(g[..., 2] + g[..., 1] + g[..., 0])

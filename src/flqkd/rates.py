@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .eve import SystemParams, holevo_bound
+from .eve import SystemParams, check_brightness, holevo_bound
+from .gaussian import scalar_or_array
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -27,12 +28,22 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(float(x) / _SQRT_2)
 
 
-def alice_ber(n_s: float, params: SystemParams) -> float:
-    """Alice's homodyne bit-error rate Q(sqrt(2 M kappa eta (1-kappa_B) N_S / gamma))."""
-    if n_s < 0:
-        raise DomainError(f"source brightness must be >= 0, got {n_s!r}")
+def _elementwise(fun, values):
+    # a scalar function mapped over an array; a 0-d input gives a float
+    values = np.asarray(values)
+    out = [fun(v) for v in values.ravel().tolist()]
+    return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
+
+
+def alice_ber(n_s, params: SystemParams):
+    """Alice's homodyne bit-error rate Q(sqrt(2 M kappa eta (1-kappa_B) N_S / gamma)).
+
+    n_s may be an array; Q is then evaluated element by element.
+    """
+    check_brightness(n_s)
+    n_s = np.asarray(n_s, dtype=float)
     arg = 2.0 * params.M * params.kappa * params.eta * (1.0 - params.kappa_B) * n_s / params.gamma
-    return q_function(math.sqrt(arg))
+    return _elementwise(q_function, np.sqrt(arg))
 
 
 def shannon_info(ber: float) -> float:
@@ -50,7 +61,8 @@ def shannon_info(ber: float) -> float:
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One operating point of the key-rate model."""
+    """One operating point of the key-rate model, or one per element of an
+    array of brightnesses, every field then an array of that shape."""
 
     n_s: float
     ppb: float
@@ -86,13 +98,16 @@ class OptimizeResult:
     positive_key: bool
 
 
-def skr_lower_bound(n_s: float, f_e: float, params: SystemParams) -> RatePoint:
-    """Assemble the full rate point at one (N_S, f_E).
+def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
+    """Assemble the full rate point at one (N_S, f_E), or at each N_S of an array.
 
-    SKE may be negative (no key possible); it is reported unclamped.
+    A scalar n_s gives float fields; an array gives fields of its shape,
+    each element equal bit for bit to the scalar call at that N_S. SKE may
+    be negative (no key possible); it is reported unclamped.
     """
+    n_s = scalar_or_array(np.asarray(n_s, dtype=float))
     ber = alice_ber(n_s, params)
-    i_ab = shannon_info(ber)
+    i_ab = _elementwise(shannon_info, ber)
     chi = holevo_bound(params, n_s, f_e)
     ske = params.beta * i_ab - chi
     return RatePoint(
@@ -125,6 +140,26 @@ def _golden_max(fun, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def search_grid(n_s_range: tuple[float, float], grid_points: int) -> np.ndarray:
+    """The optimizer's coarse grid: grid_points log-spaced from lo to hi.
+
+    A range starting at 0 starts its log spacing at 1e-12 hi and puts 0 in
+    front. The ends are exactly lo and hi; logspace alone can miss them by
+    an ulp and so step outside the range.
+    """
+    lo, hi = float(n_s_range[0]), float(n_s_range[1])
+    if not 0.0 <= lo < hi:
+        raise DomainError(f"need 0 <= lo < hi, got {n_s_range!r}")
+    if grid_points < 2:
+        raise DomainError(f"need at least 2 grid points, got {grid_points!r}")
+    grid_lo = max(lo, 1e-12 * hi)
+    grid = np.logspace(math.log10(grid_lo), math.log10(hi), grid_points)
+    grid[0], grid[-1] = grid_lo, hi
+    if lo < grid_lo:
+        grid = np.concatenate(([lo], grid))
+    return grid
+
+
 def optimize_brightness(
     f_e: float,
     params: SystemParams,
@@ -139,18 +174,12 @@ def optimize_brightness(
     search then refines the maximizer to rel_tol. An everywhere-negative
     range is not an error; the best point is returned flagged.
     """
-    lo, hi = float(n_s_range[0]), float(n_s_range[1])
-    if not 0.0 <= lo < hi:
-        raise DomainError(f"need 0 <= lo < hi, got {n_s_range!r}")
-    grid_lo = max(lo, 1e-12 * hi)
-    grid = np.logspace(math.log10(grid_lo), math.log10(hi), grid_points)
-    if lo < grid_lo:
-        grid = np.concatenate(([lo], grid))
+    grid = search_grid(n_s_range, grid_points)
 
     def skr_at(x: float) -> float:
         return skr_lower_bound(x, f_e, params).skr
 
-    vals = np.array([skr_at(x) for x in grid])
+    vals = skr_lower_bound(grid, f_e, params).skr
     best = int(np.argmax(vals))
     bracket_lo = grid[max(best - 1, 0)]
     bracket_hi = grid[min(best + 1, grid.size - 1)]

@@ -122,6 +122,43 @@ def test_holevo_clamped_to_unit_interval():
     assert holevo_bound(PARAMS, 0.01, 0.5) == 1.0
 
 
+def test_holevo_at_total_injection_is_its_limit():
+    # N_E is infinite at f_e = 1; the bound is the f_e -> 1 limit
+    assert holevo_bound(PARAMS, 0.0, 1.0) == 0.0
+    for n_s in np.logspace(-12, 0, 25).tolist():
+        assert holevo_bound(PARAMS, n_s, 1.0) == 1.0
+        assert holevo_bound(PARAMS, n_s, 1.0 - 1e-12) == 1.0
+    grid = np.array([0.0, 1e-6, 0.5])
+    assert holevo_bound(PARAMS, grid, 1.0).tolist() == [0.0, 1.0, 1.0]
+    assert type(holevo_bound(PARAMS, 0.01, 1.0)) is float
+    with pytest.raises(DomainError):
+        holevo_bound(PARAMS, -1e-3, 1.0)
+    # the covariances themselves stay undefined there
+    with pytest.raises(DomainError):
+        eve_injection_brightness(1.0, 0.01, 0.1)
+    with pytest.raises(DomainError):
+        conditional_covariance(1, PARAMS, 0.01, 1.0)
+    with pytest.raises(DomainError):
+        holevo_bound(PARAMS, 0.01, 1.5)
+
+
+def test_array_attack_state_stacks_the_scalar_states():
+    grid = np.array([0.0, 1e-4, 0.01, 0.3])
+    batch = attack_state(PARAMS, grid, 0.0027)
+    assert batch.cov_uncond.entries.shape == (4, 6, 6)
+    for k, n_s in enumerate(grid.tolist()):
+        one = attack_state(PARAMS, n_s, 0.0027)
+        assert type(one.n_e) is float
+        assert one.n_e == batch.n_e[k]
+        for name in ("cov_k0", "cov_k1", "cov_uncond"):
+            assert np.array_equal(getattr(one, name).entries, getattr(batch, name).entries[k])
+        assert np.array_equal(
+            conditional_covariance(1, PARAMS, n_s, 0.0027).entries, one.cov_k1.entries
+        )
+    chi = holevo_bound(PARAMS, grid, 0.0027)
+    assert chi.tolist() == [holevo_bound(PARAMS, x, 0.0027) for x in grid.tolist()]
+
+
 def test_holevo_matches_entropy_difference_before_clamp():
     st = attack_state(PARAMS, 0.01, 0.0027)
     per_mode = von_neumann_entropy(st.cov_uncond) - 0.5 * (

@@ -104,6 +104,41 @@ def test_pure_states_have_negligible_entropy():
         assert von_neumann_entropy(Covariance3Mode(v)) < 1e-8
 
 
+def test_stacked_entropies_equal_single_matrix_calls():
+    rng = np.random.default_rng(31)
+    stack = np.array([ou.random_physical_covariance(rng)[0] for _ in range(6)]).reshape(2, 3, 6, 6)
+    entropies = von_neumann_entropy(stack)
+    assert entropies.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = von_neumann_entropy(stack[idx])
+        assert type(single) is float
+        assert single == entropies[idx]
+
+
+def test_stack_is_rejected_when_one_matrix_is_bad():
+    good = np.diag(np.full(6, 0.5))
+    asymmetric = good.copy()
+    asymmetric[0, 1] = 1e-3
+    indefinite = np.diag([0.5, 0.5, 0.5, 0.5, 0.5, -0.1])
+    nonfinite = good.copy()
+    nonfinite[2, 2] = np.inf
+    for bad in (asymmetric, indefinite, nonfinite):
+        with pytest.raises(ValidationError):
+            Covariance3Mode(np.array([good, bad, good]))
+    with pytest.raises(UnphysicalStateError):
+        von_neumann_entropy(np.array([good, np.diag(np.full(6, 0.1))]))
+
+
+def test_unstack_splits_the_leading_axis():
+    stack = Covariance3Mode(np.array([np.diag(np.full(6, 0.5 + k)) for k in range(3)]))
+    parts = stack.unstack()
+    assert [p.entries[0, 0] for p in parts] == [0.5, 1.5, 2.5]
+    with pytest.raises(ValidationError):
+        parts[0].unstack()
+    with pytest.raises(ValidationError):
+        symplectic_eigenvalues(stack)
+
+
 def test_rejects_wrong_shape():
     with pytest.raises(ValidationError):
         Covariance3Mode(np.eye(4))

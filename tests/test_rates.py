@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from flqkd import (
     shannon_info,
     skr_lower_bound,
 )
+from flqkd.rates import search_grid
 
 PARAMS = SystemParams(
     W=2.0e12,
@@ -150,6 +152,74 @@ def test_optimizer_validates_range():
         optimize_brightness(0.0027, PARAMS, n_s_range=(1.0, 0.5))
     with pytest.raises(DomainError):
         optimize_brightness(0.0027, PARAMS, n_s_range=(-1.0, 0.5))
+    for points in (0, 1):
+        with pytest.raises(DomainError):
+            optimize_brightness(0.0027, PARAMS, grid_points=points)
+
+
+_RATE_FIELDS = ("n_s", "ppb", "ber", "i_ab", "chi_ub", "ske", "skr")
+
+
+@pytest.mark.parametrize("f_e", [0.0, 0.0027, 0.3])
+def test_array_rate_points_equal_scalar_calls_bit_for_bit(f_e):
+    # the optimizer's own grid, from n_s = 0 up
+    grid = search_grid((0.0, 1.0), 64)
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    batch = skr_lower_bound(grid, f_e, PARAMS)
+    for name in _RATE_FIELDS:
+        assert getattr(batch, name).shape == grid.shape
+    for k, x in enumerate(grid.tolist()):
+        point = skr_lower_bound(x, f_e, PARAMS)
+        for name in _RATE_FIELDS:
+            value = getattr(point, name)
+            assert type(value) is float, name
+            assert value == getattr(batch, name)[k], (name, x)
+
+
+def test_array_rate_point_keeps_its_shape():
+    grid = np.array([[1e-3, 1e-2], [0.0, 0.1]])
+    batch = skr_lower_bound(grid, 0.0027, PARAMS)
+    assert batch.chi_ub.shape == (2, 2)
+    assert batch.skr[1, 1] == skr_lower_bound(0.1, 0.0027, PARAMS).skr
+
+
+@pytest.mark.parametrize("bad", [-1e-3, math.nan])
+def test_array_with_one_bad_brightness_raises_like_the_scalar_call(bad):
+    with pytest.raises(DomainError) as scalar:
+        skr_lower_bound(bad, 0.0027, PARAMS)
+    grid = np.array([1e-3, 1e-2, bad, 0.1])
+    with pytest.raises(type(scalar.value)):
+        skr_lower_bound(grid, 0.0027, PARAMS)
+
+
+@pytest.mark.parametrize("n_s_range", [(0.013, 1.0), (0.017, 1.0)])
+def test_optimizer_stays_inside_its_range(n_s_range):
+    # the optimum sits below these ranges, so the search ends at lo
+    res = optimize_brightness(0.0027, PARAMS, n_s_range=n_s_range)
+    assert n_s_range[0] <= res.n_s_opt <= n_s_range[1]
+    assert res.n_s_opt == n_s_range[0]
+
+
+def test_optimizer_returns_the_upper_end_exactly():
+    res = optimize_brightness(0.0027, PARAMS, n_s_range=(1e-5, 1e-3))
+    assert res.n_s_opt == 1e-3
+
+
+def test_search_grid_ends_are_exact():
+    assert search_grid((1e-5, 1.0), 64)[0] == 1e-5
+    grid = search_grid((0.013, 1.0), 64)
+    assert (grid[0], grid[-1], grid.size) == (0.013, 1.0, 64)
+    assert np.all(np.diff(grid) > 0)
+    zero = search_grid((0.0, 2.0), 64)
+    assert (zero[0], zero[1], zero[-1], zero.size) == (0.0, 2e-12, 2.0, 65)
+
+
+def test_total_injection_leaves_no_key():
+    for n_s in (0.0, 1e-3, 0.0089, 1.0):
+        assert not skr_lower_bound(n_s, 1.0, PARAMS).ske > 0.0
+    res = optimize_brightness(1.0, PARAMS)
+    assert not res.positive_key
+    assert res.point.chi_ub == 1.0
 
 
 def test_pirandola_examples():
