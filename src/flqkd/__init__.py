@@ -39,7 +39,6 @@ from .rates import (
     OptimizeResult,
     RatePoint,
     alice_ber,
-    brightness_from_power,
     f_e_upper_bound,
     optimize_brightness,
     pirandola_limit,
@@ -69,7 +68,6 @@ __all__ = [
     "ValidationError",
     "alice_ber",
     "attack_state",
-    "brightness_from_power",
     "chernoff_ber_passive",
     "conditional_covariance",
     "estimate_fe",

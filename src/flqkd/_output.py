@@ -27,9 +27,10 @@ def format_value(value, precision: int) -> str:
     return f"{v:.{precision}g}"
 
 
-def render_csv(header: list[str], rows: list[tuple], precision: int) -> str:
-    lines = [",".join(header)]
-    for row in rows:
+def render_csv(table: dict[str, list], precision: int) -> str:
+    """One line per row of a table of equal-length named columns."""
+    lines = [",".join(table)]
+    for row in zip(*table.values()):
         lines.append(",".join(format_value(v, precision) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -76,14 +77,16 @@ def render_svg(
     px0, px1 = left, width - right
     py0, py1 = height - bottom, top
 
-    points = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if (log_x and x <= 0) or (log_y and y <= 0):
-                continue
-            points.append((x, y))
+    # the points a chart can place: finite, and positive on a log axis
+    series = [
+        (label, [
+            (x, y) for x, y in zip(xs, ys)
+            if math.isfinite(x) and math.isfinite(y)
+            and not (log_x and x <= 0) and not (log_y and y <= 0)
+        ])
+        for label, xs, ys in series
+    ]
+    points = [p for _, placed in series for p in placed]
     if not points:
         points = [(0.0, 0.0), (1.0, 1.0)]
     x_lo = min(p[0] for p in points)
@@ -152,14 +155,9 @@ def render_svg(
         f'font-size="12" transform="rotate(-90 18 {(py0 + py1) / 2:.2f})">{y_label}</text>'
     )
 
-    for idx, (label, xs, ys) in enumerate(series):
+    for idx, (label, placed) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = [
-            f"{sx(x):.2f},{sy(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-            and not (log_x and x <= 0) and not (log_y and y <= 0)
-        ]
+        coords = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in placed]
         if coords:
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

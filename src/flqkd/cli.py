@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -28,9 +29,8 @@ from .errors import (
 )
 # holevo_bound is not called here; perfbench/tracing.py patches this name
 from .eve import chernoff_ber_passive, holevo_bound  # noqa: F401
-from .monitor import sweep_injection
+from .monitor import SweepRow, sweep_injection
 from .rates import (
-    ConfidenceSpec,
     alice_ber,
     f_e_upper_bound,
     optimize_brightness,
@@ -51,79 +51,65 @@ def _sweep_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(s.n_s_min, s.n_s_max, s.points)
 
 
+# Each command returns its table, column name -> values in CSV order, and
+# its chart: render_svg's arguments, with each series given as (label, x, y)
+# where x and y name a column or hold the values themselves.
+
+
 def _cmd_rate_curve(cfg: RunConfig):
-    params = cfg.system
-    f_e = _resolve_f_e(cfg)
-    header = [
-        "ppb", "n_s", "ber", "i_ab",
-        "chi_ub_active", "chi_ub_passive",
-        "ske_active", "ske_passive",
-        "skr_active", "skr_passive",
-    ]
     grid = _sweep_grid(cfg)
-    active = skr_lower_bound(grid, f_e, params)
-    passive = skr_lower_bound(grid, 0.0, params)
-    columns = (
-        active.ppb, active.n_s, active.ber, active.i_ab,
-        active.chi_ub, passive.chi_ub,
-        active.ske, passive.ske,
-        active.skr, passive.skr,
-    )
-    rows = list(zip(*(column.tolist() for column in columns)))
-    svg = render_svg(
-        [
-            ("skr_active", [r[0] for r in rows], [r[8] for r in rows]),
-            ("skr_passive", [r[0] for r in rows], [r[9] for r in rows]),
-        ],
+    active = skr_lower_bound(grid, _resolve_f_e(cfg), cfg.system)
+    passive = skr_lower_bound(grid, 0.0, cfg.system)
+    table = {
+        "ppb": active.ppb, "n_s": active.n_s, "ber": active.ber, "i_ab": active.i_ab,
+        "chi_ub_active": active.chi_ub, "chi_ub_passive": passive.chi_ub,
+        "ske_active": active.ske, "ske_passive": passive.ske,
+        "skr_active": active.skr, "skr_passive": passive.skr,
+    }
+    chart = dict(
+        series=[("skr_active", "ppb", "skr_active"), ("skr_passive", "ppb", "skr_passive")],
         x_label="photons per bit",
         y_label="secret key rate (bit/s)",
         log_x=cfg.sweep.log_scale,
         title="key rate vs brightness",
     )
-    return header, rows, svg
+    return table, chart
 
 
 def _cmd_optimize(cfg: RunConfig):
     if cfg.confidence is None:
         raise ConfigError("optimize needs the {f_e_hat, sigma, n_sigma} attack form")
-    params = cfg.system
-    header = ["n_sigma", "f_e_ub", "n_s_opt", "ppb_opt", "ske", "skr", "positive_key"]
-    rows = []
-    for n in cfg.n_sigma_list:
-        spec = ConfidenceSpec(cfg.confidence.f_e_hat, cfg.confidence.sigma, n)
-        f_e = f_e_upper_bound(spec)
-        result = optimize_brightness(f_e, params)
-        rows.append(
-            (
-                n, f_e, result.n_s_opt, params.M * result.n_s_opt,
-                result.point.ske, result.point.skr, result.positive_key,
-            )
-        )
-    svg = render_svg(
-        [("skr", [float(r[0]) for r in rows], [r[5] for r in rows])],
+    f_es = [f_e_upper_bound(replace(cfg.confidence, n_sigma=n)) for n in cfg.n_sigma_list]
+    results = [optimize_brightness(f_e, cfg.system) for f_e in f_es]
+    table = {
+        "n_sigma": cfg.n_sigma_list,
+        "f_e_ub": f_es,
+        "n_s_opt": [r.n_s_opt for r in results],
+        "ppb_opt": [r.point.ppb for r in results],
+        "ske": [r.point.ske for r in results],
+        "skr": [r.point.skr for r in results],
+        "positive_key": [r.positive_key for r in results],
+    }
+    chart = dict(
+        series=[("skr", "n_sigma", "skr")],
         x_label="confidence multiplier n_sigma",
         y_label="secret key rate (bit/s)",
         title="optimized key rate vs confidence level",
     )
-    return header, rows, svg
+    return table, chart
 
 
 def _cmd_ber_curve(cfg: RunConfig):
-    params = cfg.system
-    header = ["ppb", "ber_alice_theory", "ber_eve_qcb"]
-    rows = []
-    for n_s in _sweep_grid(cfg):
-        rows.append(
-            (
-                params.M * float(n_s),
-                alice_ber(float(n_s), params),
-                chernoff_ber_passive(params, float(n_s)),
-            )
-        )
-    svg = render_svg(
-        [
-            ("ber_alice_theory", [r[0] for r in rows], [r[1] for r in rows]),
-            ("ber_eve_qcb", [r[0] for r in rows], [r[2] for r in rows]),
+    grid = _sweep_grid(cfg)
+    table = {
+        "ppb": cfg.system.M * grid,
+        "ber_alice_theory": alice_ber(grid, cfg.system),
+        "ber_eve_qcb": [chernoff_ber_passive(cfg.system, n_s) for n_s in grid.tolist()],
+    }
+    chart = dict(
+        series=[
+            ("ber_alice_theory", "ppb", "ber_alice_theory"),
+            ("ber_eve_qcb", "ppb", "ber_eve_qcb"),
         ],
         x_label="photons per bit",
         y_label="bit-error rate",
@@ -131,40 +117,34 @@ def _cmd_ber_curve(cfg: RunConfig):
         log_y=True,
         title="receiver vs eavesdropper BER",
     )
-    return header, rows, svg
+    return table, chart
 
 
 def _cmd_monitor_sim(cfg: RunConfig):
     values = [0.0] + [v for v in cfg.monitor_sweep_f_e if v != 0.0]
-    rows_raw = sweep_injection(cfg.monitor, values, cfg.monitor_trials)
-    header = ["f_e_true", "mean_estimate", "std_dev", "trials", "warnings"]
-    rows = [
-        (r.f_e_true, r.mean_estimate, r.std_dev, r.trials, ";".join(r.warnings))
-        for r in rows_raw
-    ]
-    svg = render_svg(
-        [
-            ("mean estimate", [r[0] for r in rows], [r[1] for r in rows]),
-            ("truth", [0.0, 1.0], [0.0, 1.0]),
-        ],
+    rows = sweep_injection(cfg.monitor, values, cfg.monitor_trials)
+    table = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
+    table["warnings"] = [";".join(w) for w in table["warnings"]]
+    chart = dict(
+        series=[("mean estimate", "f_e_true", "mean_estimate"), ("truth", [0.0, 1.0], [0.0, 1.0])],
         x_label="injected fraction",
         y_label="estimated fraction",
         title="intrusion estimator sweep",
     )
-    return header, rows, svg
+    return table, chart
 
 
 def _cmd_limit(cfg: RunConfig):
-    params = cfg.system
-    f_e = _resolve_f_e(cfg)
-    limit = pirandola_limit(params.kappa)
-    result = optimize_brightness(f_e, params)
-    ske = result.point.ske
-    advantage_db = 10.0 * math.log10(ske / limit) if ske > 0 else float("nan")
-    header = ["kappa", "limit_bits_per_mode", "ske", "advantage_db"]
-    rows = [(params.kappa, limit, ske, advantage_db)]
-    svg = render_svg(
-        [
+    limit = pirandola_limit(cfg.system.kappa)
+    ske = optimize_brightness(_resolve_f_e(cfg), cfg.system).point.ske
+    table = {
+        "kappa": [cfg.system.kappa],
+        "limit_bits_per_mode": [limit],
+        "ske": [ske],
+        "advantage_db": [10.0 * math.log10(ske / limit) if ske > 0 else float("nan")],
+    }
+    chart = dict(
+        series=[
             ("achieved ske", [0.0, 1.0], [ske, ske]),
             ("one-way limit", [0.0, 1.0], [limit, limit]),
         ],
@@ -172,7 +152,7 @@ def _cmd_limit(cfg: RunConfig):
         y_label="bits per use",
         title="key efficiency vs one-way limit",
     )
-    return header, rows, svg
+    return table, chart
 
 
 _IMPL = {
@@ -218,15 +198,21 @@ def main(argv=None) -> int:
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0
-        header, rows, svg = _IMPL[args.command](cfg)
-        csv_text = render_csv(header, rows, cfg.output.precision)
+        table, chart = _IMPL[args.command](cfg)
+        # plain Python values, so a column formats the same from any source
+        table = {name: np.asarray(column).tolist() for name, column in table.items()}
+        csv_text = render_csv(table, cfg.output.precision)
         if cfg.output.csv_path:
             write_text_atomic(cfg.output.csv_path, csv_text)
             print(f"wrote {cfg.output.csv_path}", file=sys.stderr)
         else:
             sys.stdout.write(csv_text)
         if cfg.output.svg_path:
-            write_text_atomic(cfg.output.svg_path, svg)
+            series = [
+                (label, *(table[v] if isinstance(v, str) else v for v in (x, y)))
+                for label, x, y in chart.pop("series")
+            ]
+            write_text_atomic(cfg.output.svg_path, render_svg(series, **chart))
             print(f"wrote {cfg.output.svg_path}", file=sys.stderr)
         return 0
     except ConfigError as exc:

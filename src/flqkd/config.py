@@ -8,7 +8,9 @@ empty config reproduces the headline numbers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError, FlqkdError
 from .eve import SystemParams
@@ -24,7 +26,6 @@ DEFAULT_SYSTEM = {
     "G_B": 3.8e3,
     "N_B": 9.7e3,
     "beta": 0.94,
-    "hbar_omega0": 1.28e-19,
 }
 DEFAULT_ATTACK = {"f_e_hat": 7e-4, "sigma": 2e-3, "n_sigma": 1}
 DEFAULT_SWEEP = {"n_s_min": 1e-4, "n_s_max": 0.1, "points": 80, "log_scale": True}
@@ -58,12 +59,26 @@ class SweepSpec:
     points: int
     log_scale: bool
 
+    def __post_init__(self) -> None:
+        if self.points < 2:
+            raise ConfigError(f"sweep.points must be >= 2, got {self.points}")
+        if not self.n_s_min < self.n_s_max:
+            raise ConfigError("sweep requires n_s_min < n_s_max")
+        if self.log_scale and self.n_s_min <= 0:
+            raise ConfigError("sweep.n_s_min must be positive on a log grid")
+        if self.n_s_min < 0:
+            raise ConfigError("sweep.n_s_min must be >= 0")
+
 
 @dataclass(frozen=True)
 class OutputSpec:
     csv_path: str | None
     svg_path: str | None
     precision: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.precision <= 17:
+            raise ConfigError(f"output.precision must be in [1,17], got {self.precision}")
 
 
 @dataclass(frozen=True)
@@ -85,31 +100,44 @@ def _require_mapping(obj, where: str) -> dict:
     return obj
 
 
-def _merge(section: str, given: dict, defaults: dict) -> dict:
+def _merge(raw: dict, section: str, defaults: dict) -> dict:
     merged = dict(defaults)
-    for key, value in given.items():
+    for key, value in _require_mapping(raw.get(section, {}), section).items():
         if key not in defaults:
             raise ConfigError(f"unknown key {section}.{key}")
         merged[key] = value
     return merged
 
 
-def _number(section: str, key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(section: str, key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+def _typed(section: str, key: str, value, kind):
+    """value checked against a field type: float (an int widens; NaN and the
+    infinities are refused), int, bool, or str | None."""
+    name = f"{section}.{key}"
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true/false, got {value!r}")
+    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind == str | None and value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string or null")
     return value
 
 
-def _boolean(section: str, key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be true/false, got {value!r}")
-    return value
+def _build(cls, section: str, values: dict, **overrides):
+    """cls from values, each checked against its field's type; overrides
+    that are not None then replace the checked values."""
+    hints = get_type_hints(cls)
+    checked = {key: _typed(section, key, value, hints[key]) for key, value in values.items()}
+    checked.update((key, value) for key, value in overrides.items() if value is not None)
+    return cls(**checked)
 
 
 def load_run_config(
@@ -136,20 +164,19 @@ def load_run_config(
             raise ConfigError(f"unknown config section {key!r}")
 
     try:
-        system = _parse_system(_require_mapping(raw.get("system", {}), "system"))
-        f_e_explicit, confidence, n_sigma_list = _parse_attack(
-            _require_mapping(raw.get("attack", {}), "attack")
+        system = _build(SystemParams, "system", _merge(raw, "system", DEFAULT_SYSTEM))
+        f_e_explicit, confidence, n_sigma_list = _parse_attack(raw)
+        sweep = _build(SweepSpec, "sweep", _merge(raw, "sweep", DEFAULT_SWEEP))
+        monitor, sweep_f_e, trials = _parse_monitor(raw, seed_override)
+        output = _build(
+            OutputSpec,
+            "output",
+            _merge(raw, "output", DEFAULT_OUTPUT),
+            csv_path=csv_override,
+            svg_path=svg_override,
         )
-        sweep = _parse_sweep(_require_mapping(raw.get("sweep", {}), "sweep"))
-        monitor, sweep_f_e, trials = _parse_monitor(
-            _require_mapping(raw.get("monitor", {}), "monitor"), seed_override
-        )
-        output = _parse_output(
-            _require_mapping(raw.get("output", {}), "output"), csv_override, svg_override
-        )
-    except ConfigError:
-        raise
     except FlqkdError as exc:
+        # a library check's message, or a ConfigError's own, as a ConfigError
         raise ConfigError(str(exc)) from None
     return RunConfig(
         system=system,
@@ -164,88 +191,40 @@ def load_run_config(
     )
 
 
-def _parse_system(section: dict) -> SystemParams:
-    merged = _merge("system", section, DEFAULT_SYSTEM)
-    return SystemParams(**{k: _number("system", k, v) for k, v in merged.items()})
-
-
-def _parse_attack(section: dict):
+def _parse_attack(raw: dict):
+    section = _require_mapping(raw.get("attack", {}), "attack")
     if "f_e" in section:
         extra = sorted(set(section) - {"f_e"})
         if extra:
             raise ConfigError(
                 f"attack gives explicit f_e; remove {', '.join(extra)} or drop f_e"
             )
-        f_e = _number("attack", "f_e", section["f_e"])
+        f_e = _typed("attack", "f_e", section["f_e"], float)
         if not 0.0 <= f_e < 1.0:
             raise ConfigError(f"attack.f_e must be in [0,1), got {f_e!r}")
         return f_e, None, tuple(range(1, 6))
-    allowed = dict(DEFAULT_ATTACK)
-    allowed["n_sigma_list"] = list(range(1, 6))
-    merged = _merge("attack", section, allowed)
-    confidence = ConfidenceSpec(
-        f_e_hat=_number("attack", "f_e_hat", merged["f_e_hat"]),
-        sigma=_number("attack", "sigma", merged["sigma"]),
-        n_sigma=_integer("attack", "n_sigma", merged["n_sigma"]),
-    )
-    raw_list = merged["n_sigma_list"]
+    merged = _merge(raw, "attack", {**DEFAULT_ATTACK, "n_sigma_list": list(range(1, 6))})
+    raw_list = merged.pop("n_sigma_list")
+    confidence = _build(ConfidenceSpec, "attack", merged)
     if not isinstance(raw_list, list) or not raw_list:
         raise ConfigError("attack.n_sigma_list must be a non-empty list")
-    n_sigma_list = tuple(_integer("attack", "n_sigma_list", v) for v in raw_list)
+    n_sigma_list = tuple(_typed("attack", "n_sigma_list", v, int) for v in raw_list)
     if any(n < 1 for n in n_sigma_list):
         raise ConfigError("attack.n_sigma_list entries must be >= 1")
     return None, confidence, n_sigma_list
 
 
-def _parse_sweep(section: dict) -> SweepSpec:
-    merged = _merge("sweep", section, DEFAULT_SWEEP)
-    sweep = SweepSpec(
-        n_s_min=_number("sweep", "n_s_min", merged["n_s_min"]),
-        n_s_max=_number("sweep", "n_s_max", merged["n_s_max"]),
-        points=_integer("sweep", "points", merged["points"]),
-        log_scale=_boolean("sweep", "log_scale", merged["log_scale"]),
-    )
-    if sweep.points < 2:
-        raise ConfigError(f"sweep.points must be >= 2, got {sweep.points}")
-    if not sweep.n_s_min < sweep.n_s_max:
-        raise ConfigError("sweep requires n_s_min < n_s_max")
-    if sweep.log_scale and sweep.n_s_min <= 0:
-        raise ConfigError("sweep.n_s_min must be positive on a log grid")
-    if sweep.n_s_min < 0:
-        raise ConfigError("sweep.n_s_min must be >= 0")
-    return sweep
-
-
-def _parse_monitor(section: dict, seed_override: int | None):
-    merged = _merge("monitor", section, DEFAULT_MONITOR)
+def _parse_monitor(raw: dict, seed_override: int | None):
+    merged = _merge(raw, "monitor", DEFAULT_MONITOR)
     raw_sweep = merged.pop("sweep_f_e")
-    trials = _integer("monitor", "trials", merged.pop("trials"))
+    trials = _typed("monitor", "trials", merged.pop("trials"), int)
     if not isinstance(raw_sweep, list):
         raise ConfigError("monitor.sweep_f_e must be a list")
-    sweep_f_e = tuple(_number("monitor", "sweep_f_e", v) for v in raw_sweep)
+    sweep_f_e = tuple(_typed("monitor", "sweep_f_e", v, float) for v in raw_sweep)
     if any(not 0.0 <= v <= 1.0 for v in sweep_f_e):
         raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
-    seed = _integer("monitor", "rng_seed", merged.pop("rng_seed"))
-    if seed_override is not None:
-        seed = seed_override
-    fields = {k: _number("monitor", k, v) for k, v in merged.items()}
-    monitor = MonitorSimConfig(rng_seed=seed, **fields)
+    monitor = _build(MonitorSimConfig, "monitor", merged, rng_seed=seed_override)
     return monitor, sweep_f_e, trials
-
-
-def _parse_output(section: dict, csv_override: str | None, svg_override: str | None) -> OutputSpec:
-    merged = _merge("output", section, DEFAULT_OUTPUT)
-    for key in ("csv_path", "svg_path"):
-        if merged[key] is not None and not isinstance(merged[key], str):
-            raise ConfigError(f"output.{key} must be a string or null")
-    precision = _integer("output", "precision", merged["precision"])
-    if not 1 <= precision <= 17:
-        raise ConfigError(f"output.precision must be in [1,17], got {precision}")
-    return OutputSpec(
-        csv_path=csv_override if csv_override is not None else merged["csv_path"],
-        svg_path=svg_override if svg_override is not None else merged["svg_path"],
-        precision=precision,
-    )
 
 
 def effective_dict(cfg: RunConfig) -> dict:

@@ -37,7 +37,6 @@ class SystemParams:
     G_B: float
     N_B: float
     beta: float
-    hbar_omega0: float
 
     @property
     def M(self) -> float:
@@ -66,8 +65,6 @@ class SystemParams:
             raise ValidationError(f"N_B must be >= 0, got {self.N_B!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValidationError(f"beta must be in (0,1], got {self.beta!r}")
-        if self.hbar_omega0 <= 0.0:
-            raise ValidationError("hbar_omega0 must be positive")
 
 
 @dataclass(frozen=True)

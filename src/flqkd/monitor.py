@@ -191,12 +191,10 @@ def estimate_fe(counts: MonitorCounts) -> tuple[float, float]:
 
 def _detector_loads(cfg: MonitorSimConfig) -> dict[str, float]:
     # post-efficiency incident rate per detector, before dead time
-    source = cfg.pair_rate + cfg.ase_rate_at_source
-    flux_to_bob = (1.0 - cfg.tap_alice) * cfg.kappa * source
+    rates = _category_rates(cfg)
     return {
-        "idler": cfg.pair_rate * cfg.det_eff_idler,
-        "alice_tap": source * cfg.tap_alice * cfg.det_eff_alice,
-        "bob_tap": flux_to_bob * cfg.tap_bob * cfg.det_eff_bob,
+        detector: sum(rates[name] for name in categories)
+        for detector, categories in _DETECTOR_CATEGORIES.items()
     }
 
 
@@ -234,6 +232,13 @@ def _category_rates(cfg: MonitorSimConfig) -> dict[str, float]:
         "eve": cfg.f_e_true * (1.0 - cfg.tap_alice) * cfg.kappa * source * cfg.tap_bob * cfg.det_eff_bob,
     }
 
+
+# the categories each detector's stream is made of
+_DETECTOR_CATEGORIES = {
+    "idler": ("i_only", "i_alice", "i_bob"),
+    "alice_tap": ("i_alice", "a_only", "ase_a"),
+    "bob_tap": ("i_bob", "b_only", "ase_b", "eve"),
+}
 
 # the categories drawn in full, in draw order; the rest of the idler stream
 # (i_only) is drawn only around the coincidence windows
@@ -276,12 +281,15 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     rates = _category_rates(cfg)
     tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
     # fixed draw order keeps runs reproducible for a given seed
-    i_alice, i_bob, a_only, b_only, ase_a, ase_b, eve = (
-        _poisson_times(rng, rates[k], 0.0, cfg.duration) for k in _TAP_CATEGORIES
-    )
-    alice_live, _ = dead_time_filter(np.sort(np.concatenate((i_alice, a_only, ase_a))), tau, 0.0)
-    bob_live, _ = dead_time_filter(np.sort(np.concatenate((i_bob, b_only, ase_b, eve))), tau, 0.0)
-    paired = np.sort(np.concatenate((i_alice, i_bob)))
+    drawn = {k: _poisson_times(rng, rates[k], 0.0, cfg.duration) for k in _TAP_CATEGORIES}
+
+    def stream(detector):
+        return np.sort(np.concatenate([drawn.get(k, ()) for k in _DETECTOR_CATEGORIES[detector]]))
+
+    alice_live, _ = dead_time_filter(stream("alice_tap"), tau, 0.0)
+    bob_live, _ = dead_time_filter(stream("bob_tap"), tau, 0.0)
+    # the idler's events drawn so far: those whose partner was detected too
+    paired = stream("idler")
 
     # aligned and shifted windows, in the float arithmetic of
     # count_coincidences
@@ -408,19 +416,17 @@ def sweep_injection(
     rows = []
     for j, f_e in enumerate(values):
         cfg = replace(base, f_e_true=f_e)
-        estimates = np.empty(trials)
-        warnings: tuple[str, ...] = ()
-        for k in range(trials):
-            counts = _simulate(cfg, np.random.default_rng(children[j * trials + k]))
-            estimates[k], _ = estimate_fe(counts)
-            warnings = warnings or counts.warnings
+        estimates = [
+            estimate_fe(_simulate(cfg, np.random.default_rng(children[j * trials + k])))[0]
+            for k in range(trials)
+        ]
         rows.append(
             SweepRow(
                 f_e_true=f_e,
                 mean_estimate=float(np.mean(estimates)),
                 std_dev=float(np.std(estimates, ddof=1)),
                 trials=trials,
-                warnings=warnings,
+                warnings=_saturation_warnings(cfg),
             )
         )
     return rows

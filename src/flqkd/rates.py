@@ -199,13 +199,6 @@ def pirandola_limit(kappa: float) -> float:
     return -math.log2(1.0 - kappa)
 
 
-def brightness_from_power(p: float, hbar_omega0: float, w: float) -> float:
-    """Photons per mode N_S = P / (hbar omega0 W) from measured power."""
-    if p <= 0 or hbar_omega0 <= 0 or w <= 0:
-        raise DomainError("power, photon energy, and bandwidth must all be positive")
-    return p / (hbar_omega0 * w)
-
-
 def f_e_upper_bound(spec: ConfidenceSpec) -> float:
     """Confidence-level upper bound clamp(f_e_hat + n_sigma * sigma, 0, 1).
 

@@ -33,8 +33,7 @@ from flqkd import (
 )
 from flqkd.cli import main
 
-_COMMON = dict(kappa=0.1, eta=0.9, kappa_B=0.71, G_B=3.8e3, N_B=9.7e3,
-               beta=0.94, hbar_omega0=1.28e-19)
+_COMMON = dict(kappa=0.1, eta=0.9, kappa_B=0.71, G_B=3.8e3, N_B=9.7e3, beta=0.94)
 # W = 2.2 THz reading (M = 22000) and M = 2.0e4 reading (W = 2.0 THz)
 PARAM_SETS = {
     "M=22000": SystemParams(W=2.2e12, R=1e8, **_COMMON),

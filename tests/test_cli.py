@@ -196,7 +196,28 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["monitor-sim", "rate-curve"])
+NON_FINITE = [
+    ("monitor-sim", '{"monitor": {"pair_rate": NaN}}', "monitor.pair_rate"),
+    ("monitor-sim", '{"monitor": {"duration": Infinity}}', "monitor.duration"),
+    ("limit", '{"system": {"W": Infinity}}', "system.W"),
+    ("rate-curve", '{"sweep": {"n_s_max": Infinity}}', "sweep.n_s_max"),
+    # JSON reads a number beyond the float range as infinite, and an integer
+    # that long stays an int that no float can hold
+    ("rate-curve", '{"system": {"N_B": -1e400}}', "system.N_B"),
+    ("rate-curve", '{"system": {"G_B": 1%s}}' % ("0" * 400), "system.G_B"),
+]
+
+
+@pytest.mark.parametrize("command,payload,key", NON_FINITE, ids=[key for *_, key in NON_FINITE])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    assert main([command, "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["monitor-sim", "rate-curve", "optimize", "ber-curve", "limit"])
 def test_committed_outputs_regenerate(tmp_path, capsys, command):
     stem = command.replace("-", "_")
     argv = [

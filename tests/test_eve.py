@@ -31,7 +31,6 @@ PARAMS = SystemParams(
     G_B=3.8e3,
     N_B=9.7e3,
     beta=0.94,
-    hbar_omega0=1.28e-19,
 )
 
 # index pairs carrying the Alice<->Bob and idler<->Bob correlations
@@ -215,7 +214,7 @@ def test_modes_and_gain_noise_are_derived():
 
 def test_parameter_range_checks():
     good = dict(W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
-                G_B=3.8e3, N_B=9.7e3, beta=0.94, hbar_omega0=1.28e-19)
+                G_B=3.8e3, N_B=9.7e3, beta=0.94)
     for key, bad in [("kappa", 0.0), ("kappa", 1.0), ("eta", 1.5), ("kappa_B", -0.1),
                      ("G_B", 0.0), ("N_B", -1.0), ("beta", 1.01), ("W", 0.0), ("R", 0.0)]:
         kw = dict(good)

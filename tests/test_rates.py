@@ -16,7 +16,6 @@ from flqkd import (
     SystemParams,
     ValidationError,
     alice_ber,
-    brightness_from_power,
     f_e_upper_bound,
     optimize_brightness,
     pirandola_limit,
@@ -35,7 +34,6 @@ PARAMS = SystemParams(
     G_B=3.8e3,
     N_B=9.7e3,
     beta=0.94,
-    hbar_omega0=1.28e-19,
 )
 
 
@@ -140,7 +138,7 @@ def test_optimizer_flags_no_positive_key():
     # a channel this noisy keeps beta*I below chi everywhere
     noisy = SystemParams(
         W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
-        G_B=3.8e3, N_B=9.7e5, beta=0.94, hbar_omega0=1.28e-19,
+        G_B=3.8e3, N_B=9.7e5, beta=0.94,
     )
     res = optimize_brightness(0.3, noisy, n_s_range=(1e-5, 1.0))
     assert not res.positive_key
@@ -233,21 +231,6 @@ def test_pirandola_domain():
     for kappa in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             pirandola_limit(kappa)
-
-
-def test_brightness_from_power():
-    # P = N_S * hbar omega0 * W; round trip and the headline example
-    n_s = brightness_from_power(2.816e-9, 1.28e-19, 2.2e12)
-    assert math.isclose(n_s, 0.01, rel_tol=1e-3)
-    p = 0.01 * 1.28e-19 * 2.0e12
-    assert math.isclose(brightness_from_power(p, 1.28e-19, 2.0e12), 0.01, rel_tol=1e-14)
-
-
-def test_brightness_from_power_domain():
-    with pytest.raises(DomainError):
-        brightness_from_power(-1e-9, 1.28e-19, 2.0e12)
-    with pytest.raises(DomainError):
-        brightness_from_power(1e-9, 0.0, 2.0e12)
 
 
 def test_f_e_upper_bound_examples():
