@@ -15,13 +15,11 @@ from .eve import (
     SystemParams,
     attack_state,
     chernoff_ber_passive,
-    conditional_covariance,
     eve_injection_brightness,
     holevo_bound,
 )
 from .gaussian import (
     Covariance3Mode,
-    SymplecticSpectrum,
     symplectic_eigenvalues,
     thermal_entropy,
     von_neumann_entropy,
@@ -62,14 +60,12 @@ __all__ = [
     "OptimizeResult",
     "RatePoint",
     "SweepRow",
-    "SymplecticSpectrum",
     "SystemParams",
     "UnphysicalStateError",
     "ValidationError",
     "alice_ber",
     "attack_state",
     "chernoff_ber_passive",
-    "conditional_covariance",
     "estimate_fe",
     "eve_injection_brightness",
     "f_e_upper_bound",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import get_type_hints
 
 from .errors import ConfigError, FlqkdError
@@ -50,6 +51,8 @@ DEFAULT_MONITOR = {
 DEFAULT_OUTPUT = {"csv_path": None, "svg_path": None, "precision": 9}
 
 _SECTIONS = ("system", "attack", "sweep", "monitor", "output")
+# get_type_hints re-resolves the string annotations on every call
+_field_types = cache(get_type_hints)
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _typed(section: str, key: str, value, kind):
 def _build(cls, section: str, values: dict, **overrides):
     """cls from values, each checked against its field's type; overrides
     that are not None then replace the checked values."""
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     checked = {key: _typed(section, key, value, hints[key]) for key, value in values.items()}
     checked.update((key, value) for key, value in overrides.items() if value is not None)
     return cls(**checked)

@@ -69,15 +69,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class AttackState:
-    """Injection fraction with its derived brightness and covariances.
-
-    For an array of brightnesses n_e has its shape and each covariance is
-    a stack over it.
+    """The eavesdropper's covariances given Bob's bit 0 or 1, and their
+    equal-weight average. For an array of brightnesses each is a stack over
+    it.
     """
 
-    f_e: float
-    n_s: float | np.ndarray
-    n_e: float | np.ndarray
     cov_k0: Covariance3Mode
     cov_k1: Covariance3Mode
     cov_uncond: Covariance3Mode
@@ -136,8 +132,12 @@ _ROWS, _COLS, _TERMS, _SIGNS = _parse_layout(
 )
 
 
-def _attack_entries(params: SystemParams, n_s: np.ndarray, f_e: float):
-    """N_E and the stack (V_0, V_1, (V_0 + V_1)/2) of shape (3, *n_s.shape, 6, 6)."""
+def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
+    """Assemble both conditional covariances and their equal-weight average.
+
+    n_s may be an array; the three covariances are validated as one stack.
+    """
+    n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
     kap = params.kappa
     gb_loss = params.G_B * (1.0 - params.kappa_B)
@@ -152,30 +152,12 @@ def _attack_entries(params: SystemParams, n_s: np.ndarray, f_e: float):
     b = 2.0 * n_ba + 1.0
     # shape (..., 6): the brightness axes first, as in the entries
     terms = np.array([a, e, b, c_ia, c_ab, c_ib]).transpose((*range(1, n_s.ndim + 1), 0)) / 4.0
+    # the stack (V_0, V_1, (V_0 + V_1)/2)
     entries = np.zeros((3,) + n_s.shape + (6, 6))
     signs = _SIGNS.reshape((2,) + (1,) * n_s.ndim + (-1,))
     entries[:2, ..., _ROWS, _COLS] = terms[..., _TERMS] * signs
     entries[2] = 0.5 * (entries[0] + entries[1])
-    return n_e, entries
-
-
-def conditional_covariance(k: int, params: SystemParams, n_s, f_e: float) -> Covariance3Mode:
-    """Per-mode covariance of the eavesdropper's state given Bob's bit k."""
-    if k not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1, got {k!r}")
-    return Covariance3Mode(_attack_entries(params, np.asarray(n_s, dtype=float), f_e)[1][k])
-
-
-def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
-    """Assemble both conditional covariances and their equal-weight average.
-
-    n_s may be an array; the three covariances are validated as one stack.
-    """
-    n_e, entries = _attack_entries(params, np.asarray(n_s, dtype=float), f_e)
-    c0, c1, uncond = Covariance3Mode(entries).unstack()
-    return AttackState(
-        f_e=f_e, n_s=n_s, n_e=scalar_or_array(n_e), cov_k0=c0, cov_k1=c1, cov_uncond=uncond
-    )
+    return AttackState(*Covariance3Mode(entries).unstack())
 
 
 def holevo_bound(params: SystemParams, n_s, f_e: float):

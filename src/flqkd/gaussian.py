@@ -21,15 +21,9 @@ PHYSICALITY_TOL = 1e-9
 _SYMMETRY_RTOL = 1e-12
 
 
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for m in range(n_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    return omega
-
-
-OMEGA = _symplectic_form(3)
+# the symplectic form, one 2x2 block [[0, 1], [-1, 0]] per mode
+OMEGA = np.zeros((6, 6))
+OMEGA[[0, 2, 4], [1, 3, 5]], OMEGA[[1, 3, 5], [0, 2, 4]] = 1.0, -1.0
 OMEGA.setflags(write=False)
 
 
@@ -80,25 +74,6 @@ class Covariance3Mode:
         return tuple(parts)
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Three symplectic eigenvalues, sorted descending, each >= 1/4."""
-
-    eigenvalues: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        ev = tuple(float(v) for v in self.eigenvalues)
-        if len(ev) != 3:
-            raise ValidationError("spectrum must have exactly 3 eigenvalues")
-        if any(ev[i] < ev[i + 1] for i in range(2)):
-            raise ValidationError("eigenvalues must be sorted descending")
-        if any(v < VACUUM_EIGENVALUE - PHYSICALITY_TOL for v in ev):
-            raise UnphysicalStateError(
-                f"symplectic eigenvalue below vacuum floor: {min(ev)!r}"
-            )
-        object.__setattr__(self, "eigenvalues", ev)
-
-
 def _as_cov(cov) -> np.ndarray:
     if isinstance(cov, Covariance3Mode):
         return cov.entries
@@ -128,8 +103,8 @@ def _symplectic_moduli(entries: np.ndarray) -> np.ndarray:
     return moduli
 
 
-def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
-    """Symplectic spectrum of one validated covariance matrix.
+def symplectic_eigenvalues(cov) -> tuple[float, float, float]:
+    """Symplectic eigenvalues of one validated covariance matrix, descending.
 
     Raises
     ------
@@ -141,7 +116,7 @@ def symplectic_eigenvalues(cov) -> SymplecticSpectrum:
     entries = _as_cov(cov)
     if entries.ndim != 2:
         raise ValidationError(f"need one 6x6 covariance, got a stack of shape {entries.shape}")
-    return SymplecticSpectrum(tuple(_symplectic_moduli(entries)[::-1].tolist()))
+    return tuple(_symplectic_moduli(entries)[::-1].tolist())
 
 
 def _thermal_entropies(n: np.ndarray) -> np.ndarray:

@@ -96,6 +96,13 @@ class MonitorCounts:
             raise ValidationError("Bob coincidence rate exceeds singles rate")
 
 
+# The expected events of all categories bound those a run draws (the tap
+# streams in full, the idler near the windows only). Measured peak memory is
+# ~1.5 B per expected event at the acceptance point and ~190 B per tap event,
+# so 1e8 events may ask for ~20 GB; numpy's Poisson draw fails only near 1e19.
+MAX_RUN_EVENTS = 1e8
+
+
 @dataclass(frozen=True)
 class MonitorSimConfig:
     """Source, channel, and detection parameters for one simulated run."""
@@ -142,6 +149,9 @@ class MonitorSimConfig:
             raise ValidationError(f"duration must be positive, got {self.duration!r}")
         if not 0 <= int(self.rng_seed) < 2**64:
             raise ValidationError(f"rng_seed must fit in 64 bits, got {self.rng_seed!r}")
+        events = sum(_category_rates(self).values()) * self.duration
+        if not events <= MAX_RUN_EVENTS:
+            raise ValidationError(f"run expects {events:.3g} events, over the {MAX_RUN_EVENTS:.0e} allowed")
 
 
 @dataclass(frozen=True)

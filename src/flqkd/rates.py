@@ -121,13 +121,13 @@ def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
     )
 
 
-def _golden_max(fun, lo: float, hi: float, rel_tol: float) -> float:
+def _golden_max(fun, lo: float, hi: float) -> float:
     h = hi - lo
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
     yc = fun(c)
     yd = fun(d)
-    while h > rel_tol * max(abs(lo), abs(hi)):
+    while h > 1e-6 * max(abs(lo), abs(hi)):
         h *= _INV_PHI
         if yc > yd:
             hi, d, yd = d, c, yc
@@ -140,8 +140,8 @@ def _golden_max(fun, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def search_grid(n_s_range: tuple[float, float], grid_points: int) -> np.ndarray:
-    """The optimizer's coarse grid: grid_points log-spaced from lo to hi.
+def search_grid(n_s_range: tuple[float, float]) -> np.ndarray:
+    """The optimizer's coarse grid: 64 points log-spaced from lo to hi.
 
     A range starting at 0 starts its log spacing at 1e-12 hi and puts 0 in
     front. The ends are exactly lo and hi; logspace alone can miss them by
@@ -150,10 +150,8 @@ def search_grid(n_s_range: tuple[float, float], grid_points: int) -> np.ndarray:
     lo, hi = float(n_s_range[0]), float(n_s_range[1])
     if not 0.0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got {n_s_range!r}")
-    if grid_points < 2:
-        raise DomainError(f"need at least 2 grid points, got {grid_points!r}")
     grid_lo = max(lo, 1e-12 * hi)
-    grid = np.logspace(math.log10(grid_lo), math.log10(hi), grid_points)
+    grid = np.logspace(math.log10(grid_lo), math.log10(hi), 64)
     grid[0], grid[-1] = grid_lo, hi
     if lo < grid_lo:
         grid = np.concatenate(([lo], grid))
@@ -164,17 +162,16 @@ def optimize_brightness(
     f_e: float,
     params: SystemParams,
     n_s_range: tuple[float, float] = (1e-5, 1.0),
-    rel_tol: float = 1e-6,
-    grid_points: int = 64,
 ) -> OptimizeResult:
     """Maximize the secret key rate over the source brightness.
 
     A log-spaced coarse grid locates the bracketing interval (the rate is
     unimodal in N_S: BER improvement against Holevo growth); golden-section
-    search then refines the maximizer to rel_tol. An everywhere-negative
-    range is not an error; the best point is returned flagged.
+    search then refines the maximizer to a relative 1e-6. An
+    everywhere-negative range is not an error; the best point is returned
+    flagged.
     """
-    grid = search_grid(n_s_range, grid_points)
+    grid = search_grid(n_s_range)
 
     def skr_at(x: float) -> float:
         return skr_lower_bound(x, f_e, params).skr
@@ -183,7 +180,7 @@ def optimize_brightness(
     best = int(np.argmax(vals))
     bracket_lo = grid[max(best - 1, 0)]
     bracket_hi = grid[min(best + 1, grid.size - 1)]
-    n_s_opt = _golden_max(skr_at, float(bracket_lo), float(bracket_hi), rel_tol)
+    n_s_opt = _golden_max(skr_at, float(bracket_lo), float(bracket_hi))
     point = skr_lower_bound(n_s_opt, f_e, params)
     if point.skr < vals[best]:
         # golden refinement can only improve on the grid seed; keep the seed otherwise

@@ -217,6 +217,19 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload
     assert "config error" in err and key in err and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "payload", ['{"monitor": {"duration": 1e20}}', '{"monitor": {"pair_rate": 1e30}}'],
+    ids=["duration", "pair_rate"],
+)
+def test_run_too_large_to_draw_is_a_config_error(tmp_path, capsys, payload):
+    # numpy's Poisson draw fails at these sizes; memory fails long before
+    huge = tmp_path / "huge.json"
+    huge.write_text(payload)
+    assert main(["monitor-sim", "--config", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "events" in err
+
+
 @pytest.mark.parametrize("command", ["monitor-sim", "rate-curve", "optimize", "ber-curve", "limit"])
 def test_committed_outputs_regenerate(tmp_path, capsys, command):
     stem = command.replace("-", "_")

@@ -15,7 +15,6 @@ from flqkd import (
     ValidationError,
     attack_state,
     chernoff_ber_passive,
-    conditional_covariance,
     eve_injection_brightness,
     holevo_bound,
     symplectic_eigenvalues,
@@ -54,8 +53,8 @@ def test_injection_brightness_monotone_in_f_e():
 
 
 def test_bit_values_differ_only_in_signal_correlation_signs():
-    c0 = conditional_covariance(0, PARAMS, 0.01, 0.0027).entries
-    c1 = conditional_covariance(1, PARAMS, 0.01, 0.0027).entries
+    st = attack_state(PARAMS, 0.01, 0.0027)
+    c0, c1 = st.cov_k0.entries, st.cov_k1.entries
     diff = c1 - c0
     mask = np.zeros((6, 6), dtype=bool)
     for i, j in _C_AB_POS + _C_IB_POS:
@@ -75,7 +74,7 @@ def test_unconditional_state_has_no_signal_correlations():
 
 
 def test_no_injection_leaves_idler_in_vacuum():
-    cov = conditional_covariance(0, PARAMS, 0.01, 0.0).entries
+    cov = attack_state(PARAMS, 0.01, 0.0).cov_k0.entries
     idler = cov[2:4, 2:4]
     assert np.allclose(idler, 0.25 * np.eye(2), rtol=0, atol=1e-15)
     # idler decoupled from reference and return modes
@@ -84,7 +83,7 @@ def test_no_injection_leaves_idler_in_vacuum():
 
 
 def test_dark_source_state_is_thermal_background():
-    cov = conditional_covariance(0, PARAMS, 0.0, 0.0).entries
+    cov = attack_state(PARAMS, 0.0, 0.0).cov_k0.entries
     expected = np.diag(
         np.repeat([(2 * 0.0 + 1) / 4, (2 * 0.0 + 1) / 4, (2 * PARAMS.N_B + 1) / 4], 2)
     )
@@ -96,9 +95,9 @@ def test_bit_symmetry_of_spectra():
     for _ in range(12):
         n_s = 10.0 ** rng.uniform(-4, 0)
         f_e = 10.0 ** rng.uniform(-5, -1)
-        nu0 = symplectic_eigenvalues(conditional_covariance(0, PARAMS, n_s, f_e))
-        nu1 = symplectic_eigenvalues(conditional_covariance(1, PARAMS, n_s, f_e))
-        a, b = np.asarray(nu0.eigenvalues), np.asarray(nu1.eigenvalues)
+        st = attack_state(PARAMS, n_s, f_e)
+        a = np.asarray(symplectic_eigenvalues(st.cov_k0))
+        b = np.asarray(symplectic_eigenvalues(st.cov_k1))
         assert np.max(np.abs(a - b) / b) < 1e-10
 
 
@@ -136,7 +135,7 @@ def test_holevo_at_total_injection_is_its_limit():
     with pytest.raises(DomainError):
         eve_injection_brightness(1.0, 0.01, 0.1)
     with pytest.raises(DomainError):
-        conditional_covariance(1, PARAMS, 0.01, 1.0)
+        attack_state(PARAMS, 0.01, 1.0)
     with pytest.raises(DomainError):
         holevo_bound(PARAMS, 0.01, 1.5)
 
@@ -147,13 +146,8 @@ def test_array_attack_state_stacks_the_scalar_states():
     assert batch.cov_uncond.entries.shape == (4, 6, 6)
     for k, n_s in enumerate(grid.tolist()):
         one = attack_state(PARAMS, n_s, 0.0027)
-        assert type(one.n_e) is float
-        assert one.n_e == batch.n_e[k]
         for name in ("cov_k0", "cov_k1", "cov_uncond"):
             assert np.array_equal(getattr(one, name).entries, getattr(batch, name).entries[k])
-        assert np.array_equal(
-            conditional_covariance(1, PARAMS, n_s, 0.0027).entries, one.cov_k1.entries
-        )
     chi = holevo_bound(PARAMS, grid, 0.0027)
     assert chi.tolist() == [holevo_bound(PARAMS, x, 0.0027) for x in grid.tolist()]
 
@@ -225,8 +219,6 @@ def test_parameter_range_checks():
 
 def test_injection_fraction_domain():
     with pytest.raises(DomainError):
-        conditional_covariance(0, PARAMS, 0.01, 1.0)
+        attack_state(PARAMS, 0.01, 1.0)
     with pytest.raises(DomainError):
-        conditional_covariance(0, PARAMS, 0.01, -1e-3)
-    with pytest.raises(DomainError):
-        conditional_covariance(2, PARAMS, 0.01, 0.001)
+        attack_state(PARAMS, 0.01, -1e-3)

@@ -16,6 +16,7 @@ from flqkd import (
     MonitorSimConfig,
     ValidationError,
     estimate_fe,
+    monitor,
     simulate_monitor,
     sweep_injection,
 )
@@ -114,11 +115,18 @@ def test_sim_config_validation():
         ("duration", 0.0),
         ("rng_seed", -1),
         ("rng_seed", 2**64),
+        ("pair_rate", 1e30),  # more events than a run may draw
+        ("duration", 1e20),
     ]:
         with pytest.raises(ValidationError):
             replace(BASE, **{field: bad})
     # the 100x boundary itself is allowed
     replace(BASE, shift_offset=100.0 * BASE.coinc_window)
+    # so is a run just under the event bound; these are built, never run
+    limit = monitor.MAX_RUN_EVENTS / sum(monitor._category_rates(BASE).values())
+    replace(BASE, duration=limit * (1.0 - 1e-9))
+    with pytest.raises(ValidationError, match="events"):
+        replace(BASE, duration=limit * (1.0 + 1e-9))
 
 
 def test_simulation_is_deterministic():
