@@ -104,7 +104,7 @@ def _cmd_ber_curve(cfg: RunConfig):
     table = {
         "ppb": cfg.system.M * grid,
         "ber_alice_theory": alice_ber(grid, cfg.system),
-        "ber_eve_qcb": [chernoff_ber_passive(cfg.system, n_s) for n_s in grid.tolist()],
+        "ber_eve_qcb": chernoff_ber_passive(cfg.system, grid),
     }
     chart = dict(
         series=[

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .gaussian import Covariance3Mode, scalar_or_array, von_neumann_entropy
+from .gaussian import Covariance3Mode, elementwise, scalar_or_array, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,14 @@ def holevo_bound(params: SystemParams, n_s, f_e: float):
     return scalar_or_array(np.minimum(np.maximum(chi, 0.0), 1.0))
 
 
-def chernoff_ber_passive(params: SystemParams, n_s: float) -> float:
-    """Quantum Chernoff bound on a passive eavesdropper's bit-error rate."""
+def chernoff_ber_passive(params: SystemParams, n_s):
+    """Quantum Chernoff bound on a passive eavesdropper's bit-error rate.
+
+    n_s may be an array: the result then has its shape, each element equal
+    bit for bit to the scalar call (math.exp is taken element by element).
+    """
     check_brightness(n_s)
+    n_s = np.asarray(n_s, dtype=float)
     kap = params.kappa
     exponent = 4.0 * params.M * kap * (1.0 - kap) * (1.0 - params.kappa_B) * n_s * n_s
-    return 0.5 * math.exp(-exponent)
+    return 0.5 * elementwise(math.exp, -exponent)

@@ -32,6 +32,13 @@ def scalar_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def elementwise(fun, values):
+    """A scalar function mapped over an array; a 0-d input gives a float."""
+    values = np.asarray(values)
+    out = [fun(v) for v in values.ravel().tolist()]
+    return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
+
+
 @dataclass(frozen=True)
 class Covariance3Mode:
     """Validated 6x6 Wigner covariance matrix, or a stack of them.

@@ -40,10 +40,14 @@ distribution:
   it tested before, together with the end of that earlier test: its earliest
   event found so far, or its window's start. A stretch whose span holds no
   drawn or partnered event has a single gap there, from new to that end, so
-  one comparison decides it; only the stretches whose span holds an event
-  need their points put in time order. An empty span is at least two dead
-  times wide unless the stretch has met the previous one, so such a stretch
-  always settles.
+  one comparison decides it. An empty span is at least two dead times wide
+  unless the stretch has met the previous one, so such a stretch always
+  settles. The spans do not overlap and the round's draw comes sorted, so
+  once the few partnered events are merged in, the events of each busy
+  stretch form one run of the round's events, in time order; one linear
+  pass finds where each run starts and ends and makes the gap tests from
+  new to the first event, between events, and from the last event to the
+  end of the earlier test.
 - In the drawn sample a stretch's head is a head too: its predecessor there
   is the same event, or an earlier one from a previous stretch. One
   dead_time_filter call over all stretches therefore keeps, from every head
@@ -51,8 +55,8 @@ distribution:
   its stretch's head.
 
 A run is one pass over [0, duration], so its peak memory grows with the
-duration: about 0.2 MB per simulated second at the acceptance tests'
-operating point, and 0.6 MB/s with the idler near saturation. Statistics
+duration: about 0.3 MB per simulated second at the acceptance tests'
+operating point, and 0.5 MB/s with the idler near saturation. Statistics
 come from more trials (sweep_injection), not from longer ones.
 """
 
@@ -98,8 +102,8 @@ class MonitorCounts:
 
 # The expected events of all categories bound those a run draws (the tap
 # streams in full, the idler near the windows only). Measured peak memory is
-# ~1.5 B per expected event at the acceptance point and ~190 B per tap event,
-# so 1e8 events may ask for ~20 GB; numpy's Poisson draw fails only near 1e19.
+# ~1.4 B per expected event at the acceptance point and ~160 B per tap event,
+# so 1e8 events may ask for ~16 GB; numpy's Poisson draw fails only near 1e19.
 MAX_RUN_EVENTS = 1e8
 
 
@@ -267,11 +271,21 @@ def _poisson_times(rng: np.random.Generator, rate: float, t0, t1) -> np.ndarray:
     n = rng.poisson(rate * ends[-1])
     u = rng.uniform(0.0, ends[-1], n)
     u.sort()
-    k = np.minimum(np.searchsorted(ends, u, "right"), t0.size - 1)
+    k = np.minimum(_rank(ends, u), t0.size - 1)
     times = t0[k] + (u - np.concatenate(([0.0], ends[:-1]))[k])
     # in order already, but for rounding where two intervals touch
     times.sort(kind="stable")
     return times
+
+
+def _rank(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """np.searchsorted(edges, points, "right") for sorted edges and points,
+    searching the shorter array into the longer."""
+    if points.size <= edges.size:
+        return np.searchsorted(edges, points, "right")
+    # point i ranks above the edges that at most i points lie before
+    below = np.searchsorted(points, edges, "left")
+    return np.repeat(np.arange(edges.size + 1), np.diff(below, prepend=0, append=points.size))
 
 
 def _merge_sorted(bulk: np.ndarray, add: np.ndarray) -> np.ndarray:
@@ -290,26 +304,8 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     docstring)."""
     rates = _category_rates(cfg)
     tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
-    # fixed draw order keeps runs reproducible for a given seed
-    drawn = {k: _poisson_times(rng, rates[k], 0.0, cfg.duration) for k in _TAP_CATEGORIES}
-
-    def stream(detector):
-        return np.sort(np.concatenate([drawn.get(k, ()) for k in _DETECTOR_CATEGORIES[detector]]))
-
-    alice_live, _ = dead_time_filter(stream("alice_tap"), tau, 0.0)
-    bob_live, _ = dead_time_filter(stream("bob_tap"), tau, 0.0)
-    # the idler's events drawn so far: those whose partner was detected too
-    paired = stream("idler")
-
-    # aligned and shifted windows, in the float arithmetic of
-    # count_coincidences
-    triggers = np.concatenate((alice_live, bob_live))
-    centers = np.concatenate((triggers, triggers - shift))
-    lo = np.maximum(centers - half_window, 0.0)
-    hi = np.minimum(centers + half_window, cfg.duration)
-    keep = hi > lo
-    lo, hi = _union(lo[keep], hi[keep])
-
+    alice_live, bob_live, paired = _tap_streams(rng, rates, tau, cfg.duration)
+    lo, hi = _window_hulls(np.concatenate((alice_live, bob_live)), half_window, shift, cfg.duration)
     bulk, start = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
     # partnered idler events join the stream where it is drawn: in a stretch
     # [start[k], hi[k]], whose window holds its end
@@ -332,6 +328,32 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     )
 
 
+def _tap_streams(rng, rates, dead_time, duration):
+    """Both taps' live streams and the idler's events drawn so far (those
+    whose partner was detected too), from the tap-side categories drawn in
+    full. The categories' draws are freed on return."""
+    # fixed draw order keeps runs reproducible for a given seed
+    drawn = {k: _poisson_times(rng, rates[k], 0.0, duration) for k in _TAP_CATEGORIES}
+
+    def stream(detector):
+        return np.sort(np.concatenate([drawn.get(k, ()) for k in _DETECTOR_CATEGORIES[detector]]))
+
+    alice_live, _ = dead_time_filter(stream("alice_tap"), dead_time, 0.0)
+    bob_live, _ = dead_time_filter(stream("bob_tap"), dead_time, 0.0)
+    return alice_live, bob_live, stream("idler")
+
+
+def _window_hulls(triggers, half_window, shift, duration):
+    """Hulls of the triggers' aligned and shifted windows within the run, in
+    the float arithmetic of count_coincidences. A function of its own, so
+    that its temporaries are freed before the idler rounds."""
+    centers = np.concatenate((triggers, triggers - shift))
+    lo = np.maximum(centers - half_window, 0.0)
+    hi = np.minimum(centers + half_window, duration)
+    keep = hi > lo
+    return _union(lo[keep], hi[keep])
+
+
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted, disjoint hulls of the intervals [lo[k], hi[k]]."""
     if lo.size == 0:
@@ -351,8 +373,8 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
     until the stream it holds shows a gap of at least dead_time before its
     first needed event, or until it meets the previous stretch (or the start
     of the run), which it then continues. paired holds the sorted partnered
-    idler events, part of the stream. A round sorts only the points of the
-    stretches whose new span holds an event (module docstring).
+    idler events, part of the stream. A round tests each stretch's new span
+    in one linear pass over its events (module docstring).
     """
     start = lo.copy()
     bound = np.concatenate(([0.0], hi[:-1]))
@@ -374,31 +396,35 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
         new = np.maximum(bound[todo], lo[todo] - reach)
         events = _poisson_times(rng, rate, new, top)
         drawn.append(events)
-        # the stream in [new, old) of each stretch
+        # the stream in [new, old) of each stretch, in time order; stretches
+        # do not overlap, so the labels do not decrease
         old = start[todo]
-        label = np.searchsorted(new, events, "right") - 1
+        label = _rank(new, events) - 1
         fresh = (label >= 0) & (events < old[label])
+        times, label = events[fresh], label[fresh]
         near = pool >= new[pool_at]
-        times = np.concatenate((events[fresh], pool[near]))
-        label = np.concatenate((label[fresh], pool_at[near]))
+        at = np.searchsorted(times, pool[near])
+        times = np.insert(times, at, pool[near])
+        label = np.insert(label, at, pool_at[near])
+        # where the label changes: each busy stretch's first and last event
+        edge = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
+        first, last = edge[:-1], edge[1:] - 1
+        busy = label[first]
         tested = after[todo]
         held = np.zeros(todo.size, bool)
-        held[label] = True
-        # a gap of dead_time makes the next event a cluster head; a stretch
-        # whose span holds no event has one gap, from new to tested
+        held[busy] = True
+        # a gap of dead_time makes the next event a cluster head. A stretch
+        # whose span holds no event has one gap, from new to tested; a busy
+        # one has them from new to its first event (the true predecessor of
+        # that event lies before new), between its events, and from its
+        # last event to tested
         done = (new <= bound[todo]) | (~held & (tested >= new + dead_time))
-        busy = np.flatnonzero(held)
-        # each busy stretch's points in time order: its new start (the true
-        # predecessor of its first event lies before it), those events, and
-        # the end of its previous test; stretches do not overlap in time
-        points = np.concatenate((new[busy], times, tested[busy]))
-        owner = np.concatenate((busy, label, busy))
-        order = np.argsort(points, kind="stable")
-        points, owner = points[order], owner[order]
-        head = (owner[1:] == owner[:-1]) & (points[1:] >= points[:-1] + dead_time)
-        done[owner[1:][head]] = True
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        after[todo[busy]] = points[first + 1]
+        before = np.empty_like(times)
+        before[1:] = times[:-1]
+        before[first] = new[busy]
+        done[label[times >= before + dead_time]] = True
+        done[busy[tested[busy] >= times[last] + dead_time]] = True
+        after[todo[busy]] = times[first]
         start[todo] = new
         keep = ~near & ~done[pool_at]
         # positions in the next round's todo

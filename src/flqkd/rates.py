@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .eve import SystemParams, check_brightness, holevo_bound
-from .gaussian import scalar_or_array
+from .gaussian import elementwise, scalar_or_array
 
 _SQRT_2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -28,13 +28,6 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(float(x) / _SQRT_2)
 
 
-def _elementwise(fun, values):
-    # a scalar function mapped over an array; a 0-d input gives a float
-    values = np.asarray(values)
-    out = [fun(v) for v in values.ravel().tolist()]
-    return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
-
-
 def alice_ber(n_s, params: SystemParams):
     """Alice's homodyne bit-error rate Q(sqrt(2 M kappa eta (1-kappa_B) N_S / gamma)).
 
@@ -43,7 +36,7 @@ def alice_ber(n_s, params: SystemParams):
     check_brightness(n_s)
     n_s = np.asarray(n_s, dtype=float)
     arg = 2.0 * params.M * params.kappa * params.eta * (1.0 - params.kappa_B) * n_s / params.gamma
-    return _elementwise(q_function, np.sqrt(arg))
+    return elementwise(q_function, np.sqrt(arg))
 
 
 def shannon_info(ber: float) -> float:
@@ -107,7 +100,7 @@ def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
     """
     n_s = scalar_or_array(np.asarray(n_s, dtype=float))
     ber = alice_ber(n_s, params)
-    i_ab = _elementwise(shannon_info, ber)
+    i_ab = elementwise(shannon_info, ber)
     chi = holevo_bound(params, n_s, f_e)
     ske = params.beta * i_ab - chi
     return RatePoint(

@@ -188,6 +188,19 @@ def test_chernoff_examples():
     assert math.isclose(chernoff_ber_passive(PARAMS, n_s), ou.QCB_EXAMPLE, rel_tol=1e-12)
 
 
+def test_array_chernoff_bound_equals_the_scalar_calls_bit_for_bit():
+    grid = np.concatenate(([0.0], np.logspace(-4, -1, 80), [0.3, 1.0]))
+    batch = chernoff_ber_passive(PARAMS, grid)
+    assert batch.shape == grid.shape
+    for k, n_s in enumerate(grid.tolist()):
+        value = chernoff_ber_passive(PARAMS, n_s)
+        assert type(value) is float
+        assert value.hex() == float(batch[k]).hex(), n_s
+    assert chernoff_ber_passive(PARAMS, grid[1:].reshape(2, -1)).shape == (2, 41)
+    with pytest.raises(DomainError):
+        chernoff_ber_passive(PARAMS, np.array([1e-3, -1e-3]))
+
+
 def test_chernoff_monotone_decreasing_in_brightness():
     vals = [chernoff_ber_passive(PARAMS, n) for n in (0.0, 1e-4, 1e-3, 1e-2, 0.1)]
     assert all(b < a for a, b in zip(vals, vals[1:]))

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flqkd import (
@@ -231,3 +231,18 @@ def test_sweep_rows_and_determinism():
 def test_sweep_needs_two_trials():
     with pytest.raises(ValidationError):
         sweep_injection(BASE, [0.5], trials=1)
+
+
+@given(st.lists(st.integers(0, 12), max_size=60), st.lists(st.integers(0, 12), max_size=60))
+@example([], [])
+@example([], [3, 3])
+@example([3, 3], [])
+@example([2, 5, 5], [0, 2, 2, 5, 9, 12])
+def test_rank_equals_searchsorted_right(edges, points):
+    # a few distinct values make ties within and across the arrays common;
+    # either array may be the longer one
+    edges = np.array(sorted(edges), np.float64)
+    points = np.array(sorted(points), np.float64)
+    rank = monitor._rank(edges, points)
+    assert rank.dtype == np.intp
+    assert np.array_equal(rank, np.searchsorted(edges, points, "right"))

@@ -125,6 +125,13 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     return [round(r * cfg.duration) for r in _rates(counts)], full_stream_counts(cfg, streams)
 
 
+def _frozen_counts_on_given_streams(cfg, streams, monkeypatch):
+    """The six counts of the same cut draws with frozen_draw_idler in place
+    of the library's idler rounds."""
+    monkeypatch.setattr(monitor, "_draw_idler", frozen_draw_idler)
+    return _counts_on_given_streams(cfg, streams, monkeypatch)[0]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -177,6 +184,13 @@ HAND_PLACED = {
         "b_only": [SHIFT + 0.1 * W],
         "i_only": [0.7 * W],
     },
+    # Bob's shifted window on Alice's aligned one, an idler event at their
+    # start and one an ulp before it: no round holds an event in a new span
+    "window-start": {
+        "a_only": [T + 0.5 * W],
+        "b_only": [T + 0.5 * W + SHIFT],
+        "i_only": [np.nextafter(T, 0.0), T],
+    },
 }
 
 
@@ -184,6 +198,7 @@ HAND_PLACED = {
 def test_windowed_engine_counts_hand_placed_hulls(case, monkeypatch):
     windowed, full = _counts_on_given_streams(HAND_PLACED_RUN, HAND_PLACED[case], monkeypatch)
     assert windowed == full
+    assert _frozen_counts_on_given_streams(HAND_PLACED_RUN, HAND_PLACED[case], monkeypatch) == full
     assert full[2] + full[4] + full[5] > 0
 
 
@@ -240,6 +255,46 @@ DEAD_TIME_PLACED = {
         {"a_only": [L + 0.5 * W2], "b_only": [L + W2 - 0.5 * TAU], "i_bob": [L + W2]},
         [1, 1, 0, 1, 0, 0],
     ),
+    # the round's only drawn event lies in the window, not in a new span, so
+    # no stretch holds an event and every stretch settles on its one gap
+    "no-event-in-any-span": (
+        {"a_only": [L + 0.5 * W2], "i_only": [L + 0.5 * W2]},
+        [1, 1, 0, 0, 0, 0],
+    ),
+    # a partnered event, which Bob's tap blocks, is the only event in the
+    # stretch's round-0 span; the gap from it to the window settles it
+    "only-a-partnered-event": (
+        {
+            "a_only": [L + 0.5 * W2],
+            "b_only": [L - 2.5 * TAU],
+            "i_bob": [L - 1.75 * TAU],
+            "i_only": [L + 0.5 * W2],
+        },
+        [1, 1, 0, 1, 0, 0],
+    ),
+    # the partnered event lies between new and the drawn event at
+    # L - 0.875 TAU, so that event is no head: round 1 draws the event at
+    # L - 2.25 TAU, which blocks the partnered one and leaves L - 0.875 TAU
+    # kept to block the window's event
+    "partnered-event-before-a-drawn-one": (
+        {
+            "a_only": [L + 0.5 * W2],
+            "b_only": [L - 2.5 * TAU],
+            "i_bob": [L - 1.75 * TAU],
+            "i_only": [L - 2.25 * TAU, L - 0.875 * TAU, L + 0.5 * W2],
+        },
+        [1, 0, 0, 1, 0, 0],
+    ),
+    # a partnered event and a drawn one at the same time: one of them is kept
+    "partnered-at-a-drawn-event": (
+        {
+            "a_only": [L + 0.5 * W2],
+            "b_only": [L - 2.5 * TAU],
+            "i_bob": [L - 1.75 * TAU],
+            "i_only": [L - 1.75 * TAU, L + 0.5 * W2],
+        },
+        [1, 1, 0, 1, 0, 0],
+    ),
     # round 0 finds gaps of 0.75, 0.75 and 0.5 TAU after new = L - 2 TAU;
     # round 1 finds the head at L - 2.125 TAU, which blocks L - 1.25 TAU, so
     # L - 0.5 TAU is kept and blocks the window's event
@@ -256,6 +311,7 @@ def test_windowed_engine_counts_hand_placed_dead_time_stretches(case, monkeypatc
     windowed, full = _counts_on_given_streams(DEAD_TIME_RUN, streams, monkeypatch)
     assert full == expected
     assert windowed == full
+    assert _frozen_counts_on_given_streams(DEAD_TIME_RUN, streams, monkeypatch) == full
 
 
 # the benchmark's operating points: the acceptance bias gate's, and the same
