@@ -1,9 +1,9 @@
 """Hot kernels for the coincidence simulator: dead-time filtering and
 windowed coincidence counting over sorted timestamp arrays.
 
-Both kernels are vectorized numpy. Their sequential loop versions stay
-here as the reference the tests require bit-identical results against; all
-random number generation happens outside the kernels.
+Both kernels are vectorized numpy. The tests hold their sequential loop
+versions (tests/monitor_oracle.py) and require bit-identical results against
+them; all random number generation happens outside the kernels.
 
 The numpy dead-time filter is exact because of one property of the greedy
 non-paralyzable rule: call event i a cluster head when
@@ -22,21 +22,6 @@ once, one array step per kept event of the longest chain in any cluster.
 from __future__ import annotations
 
 import numpy as np
-
-
-def _dead_time_sequential(times, dead_time, free_from):
-    # non-paralyzable: accept the first event at or after the free time,
-    # then block for dead_time
-    out = np.empty(times.size, np.float64)
-    m = 0
-    free = free_from
-    for i in range(times.size):
-        t = times[i]
-        if t >= free:
-            out[m] = t
-            m += 1
-            free = t + dead_time
-    return out[:m], free
 
 
 def dead_time_filter(times, dead_time, free_from):
@@ -63,23 +48,6 @@ def dead_time_filter(times, dead_time, free_from):
     del reach  # release it before the output is allocated
     kept = live[~waiting[:-1]]
     return kept, kept[-1] + dead_time
-
-
-def _count_coincidences_sequential(triggers, partners, half_window, offset):
-    # a trigger at t scores when >= 1 partner lies in
-    # [(t - offset) - half_window, (t - offset) + half_window]
-    count = 0
-    j = 0
-    n = partners.size
-    for i in range(triggers.size):
-        d = triggers[i] - offset
-        lo = d - half_window
-        hi = d + half_window
-        while j < n and partners[j] < lo:
-            j += 1
-        if j < n and partners[j] <= hi:
-            count += 1
-    return count
 
 
 def count_coincidences(triggers, partners, half_window, offset):

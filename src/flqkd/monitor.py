@@ -42,12 +42,14 @@ distribution:
   drawn or partnered event has a single gap there, from new to that end, so
   one comparison decides it. An empty span is at least two dead times wide
   unless the stretch has met the previous one, so such a stretch always
-  settles. The spans do not overlap and the round's draw comes sorted, so
-  once the few partnered events are merged in, the events of each busy
-  stretch form one run of the round's events, in time order; one linear
-  pass finds where each run starts and ends and makes the gap tests from
-  new to the first event, between events, and from the last event to the
-  end of the earlier test.
+  settles. A round draws all its spans at once, laid end to end, and each
+  event keeps the span it was drawn for (one that rounds onto the next
+  span's start moves to that span). The spans do not overlap, so once the
+  few partnered events are merged in, the events of each busy stretch form
+  one run of the round's events, in time order; one linear pass finds where
+  each run starts and ends and makes the gap tests from new to the first
+  event, between events, and from the last event to the end of the earlier
+  test.
 - In the drawn sample a stretch's head is a head too: its predecessor there
   is the same event, or an earlier one from a previous stretch. One
   dead_time_filter call over all stretches therefore keeps, from every head
@@ -55,8 +57,8 @@ distribution:
   its stretch's head.
 
 A run is one pass over [0, duration], so its peak memory grows with the
-duration: about 0.3 MB per simulated second at the acceptance tests'
-operating point, and 0.5 MB/s with the idler near saturation. Statistics
+duration: about 0.25 MB per simulated second at the acceptance tests'
+operating point, and 0.44 MB/s with the idler near saturation. Statistics
 come from more trials (sweep_injection), not from longer ones.
 """
 
@@ -102,8 +104,8 @@ class MonitorCounts:
 
 # The expected events of all categories bound those a run draws (the tap
 # streams in full, the idler near the windows only). Measured peak memory is
-# ~1.4 B per expected event at the acceptance point and ~160 B per tap event,
-# so 1e8 events may ask for ~16 GB; numpy's Poisson draw fails only near 1e19.
+# ~1.1 B per expected event at the acceptance point and ~120 B per tap event,
+# so 1e8 events may ask for ~12 GB; numpy's Poisson draw fails only near 1e19.
 MAX_RUN_EVENTS = 1e8
 
 
@@ -259,23 +261,41 @@ _DETECTOR_CATEGORIES = {
 _TAP_CATEGORIES = ("i_alice", "i_bob", "a_only", "b_only", "ase_a", "ase_b", "eve")
 
 
-def _poisson_times(rng: np.random.Generator, rate: float, t0, t1) -> np.ndarray:
-    """Sorted event times of a Poisson process of the given rate on the
-    disjoint intervals [t0[k], t1[k]); scalars give one interval."""
-    t0 = np.atleast_1d(np.asarray(t0, np.float64))
-    t1 = np.atleast_1d(np.asarray(t1, np.float64))
-    if rate <= 0.0 or t0.size == 0:
+def _poisson_times(rng: np.random.Generator, rate: float, t0: float, t1: float) -> np.ndarray:
+    """Sorted event times of a Poisson process of the given rate on [t0, t1)."""
+    if rate <= 0.0:
         return np.empty(0, np.float64)
-    # one draw over the intervals laid end to end, then mapped back
-    ends = np.cumsum(t1 - t0)
-    n = rng.poisson(rate * ends[-1])
-    u = rng.uniform(0.0, ends[-1], n)
-    u.sort()
-    k = np.minimum(_rank(ends, u), t0.size - 1)
-    times = t0[k] + (u - np.concatenate(([0.0], ends[:-1]))[k])
-    # in order already, but for rounding where two intervals touch
-    times.sort(kind="stable")
+    times = rng.uniform(0.0, t1 - t0, rng.poisson(rate * (t1 - t0)))
+    times.sort()
+    times += t0
     return times
+
+
+def _draw_spans(rng, rate, t0, t1):
+    """Sorted event times of a Poisson process of the given rate on the
+    disjoint, nonempty list of spans [t0[k], t1[k]), ordered by start, and
+    the span of each time: np.searchsorted(t0, times, "right") - 1."""
+    # one draw over the spans laid end to end, then mapped back; ends[k] is
+    # where span k starts in the draw
+    ends = np.empty(t0.size + 1)
+    ends[0] = 0.0
+    np.cumsum(np.subtract(t1, t0, out=ends[1:]), out=ends[1:])
+    times = _poisson_times(rng, rate, 0.0, ends[-1])
+    span = _rank(ends[1:], times)
+    np.minimum(span, t0.size - 1, out=span)
+    times -= ends[span]
+    times += t0[span]
+    del ends
+    # in order and in their spans already, but for rounding where two spans
+    # touch or lie an ulp apart: a time can round onto the next span's start
+    if np.any(times[1:] < times[:-1]):
+        order = np.argsort(times, kind="stable")
+        times, span = times[order], span[order]
+    outside = times < t0[span]
+    outside |= times >= np.append(t0[1:], np.inf)[span]
+    moved = np.flatnonzero(outside)
+    span[moved] = np.searchsorted(t0, times[moved], "right") - 1
+    return times, span
 
 
 def _rank(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -305,7 +325,7 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     rates = _category_rates(cfg)
     tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
     alice_live, bob_live, paired = _tap_streams(rng, rates, tau, cfg.duration)
-    lo, hi = _window_hulls(np.concatenate((alice_live, bob_live)), half_window, shift, cfg.duration)
+    lo, hi = _window_hulls((alice_live, bob_live), half_window, shift, cfg.duration)
     bulk, start = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
     # partnered idler events join the stream where it is drawn: in a stretch
     # [start[k], hi[k]], whose window holds its end
@@ -343,15 +363,25 @@ def _tap_streams(rng, rates, dead_time, duration):
     return alice_live, bob_live, stream("idler")
 
 
-def _window_hulls(triggers, half_window, shift, duration):
-    """Hulls of the triggers' aligned and shifted windows within the run, in
-    the float arithmetic of count_coincidences. A function of its own, so
-    that its temporaries are freed before the idler rounds."""
-    centers = np.concatenate((triggers, triggers - shift))
+def _window_hulls(arms, half_window, shift, duration):
+    """Hulls of the aligned and shifted windows of each arm's triggers
+    within the run, in the float arithmetic of count_coincidences. A function
+    of its own, so that its temporaries are freed before the idler rounds."""
+    runs = [_windows(c, half_window, duration) for triggers in arms for c in (triggers, triggers - shift)]
+    lo = np.concatenate([lo for lo, _ in runs])
+    hi = np.concatenate([hi for _, hi in runs])
+    del runs
+    return _union(lo, hi)
+
+
+def _windows(centers, half_window, duration):
+    """The windows around centers, clipped to the run; those left empty go.
+    A function of its own, so that one run's temporaries are freed before the
+    next run's are made."""
     lo = np.maximum(centers - half_window, 0.0)
     hi = np.minimum(centers + half_window, duration)
     keep = hi > lo
-    return _union(lo[keep], hi[keep])
+    return lo[keep], hi[keep]
 
 
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +390,9 @@ def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return lo, hi
     order = np.argsort(lo, kind="stable")
     lo = lo[order]
-    reach = np.maximum.accumulate(hi[order])
+    reach = hi[order]
+    del order
+    np.maximum.accumulate(reach, out=reach)
     first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
     return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
 
@@ -389,18 +421,21 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
     ahead[ahead] = paired[ahead] < lo[pool_at[ahead]]
     pool, pool_at = paired[ahead], pool_at[ahead]
     todo = np.arange(lo.size)
+    # todo as an index: a slice while every stretch is open, so that the
+    # first round reads views of the per-stretch arrays instead of copies;
+    # each view is read before its array is written
+    pick = slice(None)
     top = hi
     reach = 2.0 * dead_time
     drawn = []
     while todo.size:
-        new = np.maximum(bound[todo], lo[todo] - reach)
-        events = _poisson_times(rng, rate, new, top)
+        new = lo[pick] - reach
+        np.maximum(bound[pick], new, out=new)
+        events, label = _draw_spans(rng, rate, new, top)
         drawn.append(events)
-        # the stream in [new, old) of each stretch, in time order; stretches
-        # do not overlap, so the labels do not decrease
-        old = start[todo]
-        label = _rank(new, events) - 1
-        fresh = (label >= 0) & (events < old[label])
+        # the stream in [new, start) of each stretch; _draw_spans labels
+        # each event with its stretch, in time order
+        fresh = events < start[pick][label]
         times, label = events[fresh], label[fresh]
         near = pool >= new[pool_at]
         at = np.searchsorted(times, pool[near])
@@ -410,7 +445,7 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
         edge = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
         first, last = edge[:-1], edge[1:] - 1
         busy = label[first]
-        tested = after[todo]
+        tested = after[pick]
         held = np.zeros(todo.size, bool)
         held[busy] = True
         # a gap of dead_time makes the next event a cluster head. A stretch
@@ -418,19 +453,20 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
         # one has them from new to its first event (the true predecessor of
         # that event lies before new), between its events, and from its
         # last event to tested
-        done = (new <= bound[todo]) | (~held & (tested >= new + dead_time))
+        done = (new <= bound[pick]) | (~held & (tested >= new + dead_time))
         before = np.empty_like(times)
         before[1:] = times[:-1]
         before[first] = new[busy]
         done[label[times >= before + dead_time]] = True
         done[busy[tested[busy] >= times[last] + dead_time]] = True
         after[todo[busy]] = times[first]
-        start[todo] = new
+        start[pick] = new
+        rest = np.flatnonzero(~done)
         keep = ~near & ~done[pool_at]
         # positions in the next round's todo
-        pool, pool_at = pool[keep], (np.cumsum(~done) - 1)[pool_at[keep]]
-        top = new[~done]
-        todo = todo[~done]
+        pool, pool_at = pool[keep], np.searchsorted(rest, pool_at[keep])
+        top = new[rest]
+        todo = pick = todo[rest]
         reach *= 2.0
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()

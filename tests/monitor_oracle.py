@@ -1,4 +1,4 @@
-"""Reference engines for the windowed monitor simulator.
+"""Reference engines and kernels for the monitor simulator.
 
 The full-stream simulator draws every idler event of the run, filters each
 detector's whole stream, and counts coincidences with count_coincidences
@@ -9,7 +9,13 @@ frozen_draw_idler and frozen_count_coincidences are an earlier form of the
 library's idler rounds and coincidence count: each round labels the whole
 partnered pool and argsorts the points of every open stretch, and each
 trigger takes two searches. Run in place of the library's, they must give
-the same counts, field for field, on every seed.
+the same counts, field for field, on every seed. frozen_poisson_times is the
+earlier draw on a list of intervals, which the library's _draw_spans must
+match time for time.
+
+dead_time_sequential and count_coincidences_sequential are the detector
+rules written as one loop over the events; the vectorized kernels must give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -50,6 +56,25 @@ def simulate_full_stream(cfg: monitor.MonitorSimConfig) -> tuple[float, ...]:
     return tuple(c / cfg.duration for c in full_stream_counts(cfg, draws))
 
 
+def frozen_poisson_times(rng, rate, t0, t1):
+    """Sorted event times of a Poisson process of the given rate on the
+    disjoint intervals [t0[k], t1[k]): one draw over the intervals laid end
+    to end, mapped back; scalars give one interval."""
+    t0 = np.atleast_1d(np.asarray(t0, np.float64))
+    t1 = np.atleast_1d(np.asarray(t1, np.float64))
+    if rate <= 0.0 or t0.size == 0:
+        return np.empty(0, np.float64)
+    ends = np.cumsum(t1 - t0)
+    n = rng.poisson(rate * ends[-1])
+    u = rng.uniform(0.0, ends[-1], n)
+    u.sort()
+    k = np.minimum(np.searchsorted(ends, u, "right"), t0.size - 1)
+    times = t0[k] + (u - np.concatenate(([0.0], ends[:-1]))[k])
+    # in order already, but for rounding where two intervals touch
+    times.sort(kind="stable")
+    return times
+
+
 def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
     """The windowed idler rounds, every open stretch in every round."""
     start = lo.copy()
@@ -61,7 +86,7 @@ def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
     drawn = []
     while todo.size:
         new = np.maximum(bound[todo], lo[todo] - reach)
-        events = monitor._poisson_times(rng, rate, new, top)
+        events = monitor._draw_spans(rng, rate, new, top)[0]
         drawn.append(events)
         old = start[todo]
         times = np.concatenate((events, paired))
@@ -97,3 +122,35 @@ def frozen_count_coincidences(triggers, partners, half_window, offset):
     first = np.searchsorted(partners, d - float(half_window), "left")
     last = np.searchsorted(partners, d + float(half_window), "right")
     return int(np.count_nonzero(last > first))
+
+
+def dead_time_sequential(times, dead_time, free_from):
+    # non-paralyzable: accept the first event at or after the free time,
+    # then block for dead_time
+    out = np.empty(times.size, np.float64)
+    m = 0
+    free = free_from
+    for i in range(times.size):
+        t = times[i]
+        if t >= free:
+            out[m] = t
+            m += 1
+            free = t + dead_time
+    return out[:m], free
+
+
+def count_coincidences_sequential(triggers, partners, half_window, offset):
+    # a trigger at t scores when >= 1 partner lies in
+    # [(t - offset) - half_window, (t - offset) + half_window]
+    count = 0
+    j = 0
+    n = partners.size
+    for i in range(triggers.size):
+        d = triggers[i] - offset
+        lo = d - half_window
+        hi = d + half_window
+        while j < n and partners[j] < lo:
+            j += 1
+        if j < n and partners[j] <= hi:
+            count += 1
+    return count

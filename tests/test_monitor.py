@@ -20,6 +20,7 @@ from flqkd import (
     simulate_monitor,
     sweep_injection,
 )
+from monitor_oracle import frozen_poisson_times
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -246,3 +247,63 @@ def test_rank_equals_searchsorted_right(edges, points):
     rank = monitor._rank(edges, points)
     assert rank.dtype == np.intp
     assert np.array_equal(rank, np.searchsorted(edges, points, "right"))
+
+
+@st.composite
+def span_layouts(draw):
+    """Disjoint spans [t0[k], t1[k]) in order. Each lasts a few ulps of its
+    start or a multiple of a scale; the next one touches it, starts one ulp
+    after its end, or starts a while later. Far from 0, a time drawn near a
+    span's end can round onto the next span's start."""
+    t = draw(st.sampled_from([0.0, 0.375, 1e6]))
+    scale = draw(st.sampled_from([1e-9, 1.0]))
+    t0, t1 = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        ulps = draw(st.integers(0, 16))
+        end = t + ulps * np.spacing(max(t, 1.0)) if ulps else t + draw(st.floats(0.01, 4.0)) * scale
+        end = max(end, np.nextafter(t, np.inf))
+        t0.append(t)
+        t1.append(end)
+        gap = draw(st.sampled_from(["touch", "ulp", "wide"]))
+        t = end if gap == "touch" else np.nextafter(end, np.inf) if gap == "ulp" else end + scale
+    return np.array(t0), np.array(t1)
+
+
+def _hex(times):
+    return [float.hex(t) for t in times.tolist()]
+
+
+@given(span_layouts(), st.sampled_from([0, 1, 40, 400]), st.integers(0, 2**32 - 1))
+def test_draw_spans_equals_the_multi_interval_draw(layout, expected_events, seed):
+    t0, t1 = layout
+    rate = expected_events / np.cumsum(t1 - t0)[-1]
+    times, span = monitor._draw_spans(np.random.default_rng(seed), rate, t0, t1)
+    assert _hex(times) == _hex(frozen_poisson_times(np.random.default_rng(seed), rate, t0, t1))
+    assert np.array_equal(span, np.searchsorted(t0, times, "right") - 1)
+
+
+class _FixedDraw:
+    """A generator stand-in whose one uniform draw is the given sample."""
+
+    def __init__(self, sample):
+        self.sample = np.asarray(sample, np.float64)
+
+    def poisson(self, lam):
+        return self.sample.size
+
+    def uniform(self, low, high, size):
+        return self.sample.copy()
+
+
+def test_draw_spans_relabels_a_time_that_rounds_into_the_next_span():
+    # two touching spans of 8 ulps at 1e6; the second sample lies in the
+    # first span, less than half an ulp of 1e6 below its end, so its time
+    # rounds up to the second span's start
+    ulp = np.spacing(1e6)
+    t0 = 1e6 + np.array([0.0, 8.0]) * ulp
+    t1 = t0 + 8 * ulp
+    sample = [2.25 * ulp, np.nextafter(8 * ulp, 0.0), 10.25 * ulp]
+    times, span = monitor._draw_spans(_FixedDraw(sample), 1.0, t0, t1)
+    assert _hex(times) == _hex(frozen_poisson_times(_FixedDraw(sample), 1.0, t0, t1))
+    assert times[1] == t0[1]
+    assert span.tolist() == [0, 1, 1]

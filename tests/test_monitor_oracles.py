@@ -102,19 +102,24 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     taps = []
     stretches = []
 
-    def cut(rng, rate, t0, t1):
-        if np.ndim(t0) == 0:  # a tap-side category over the whole run
-            name = monitor._TAP_CATEGORIES[len(taps)]
-            taps.append(name)
-        else:
-            name = "i_only"
-            stretches.append((t0, t1))
-        t0, t1 = np.atleast_1d(t0), np.atleast_1d(t1)
+    def cut(name, t0, t1):
         events = np.asarray(streams.get(name, ()), np.float64)
+        t0, t1 = np.atleast_1d(t0), np.atleast_1d(t1)
         k = np.searchsorted(t0, events, "right") - 1
-        return events[(k >= 0) & (events < t1[np.maximum(k, 0)])]
+        inside = (k >= 0) & (events < t1[np.maximum(k, 0)])
+        return events[inside], k[inside]
 
-    monkeypatch.setattr(monitor, "_poisson_times", cut)
+    def tap(rng, rate, t0, t1):  # a tap-side category over the whole run
+        name = monitor._TAP_CATEGORIES[len(taps)]
+        taps.append(name)
+        return cut(name, t0, t1)[0]
+
+    def spans(rng, rate, t0, t1):  # stretches of the idler-only stream
+        stretches.append((t0, t1))
+        return cut("i_only", t0, t1)
+
+    monkeypatch.setattr(monitor, "_poisson_times", tap)
+    monkeypatch.setattr(monitor, "_draw_spans", spans)
     counts = simulate_monitor(cfg)
     monkeypatch.undo()
     lo = np.concatenate([s[0] for s in stretches])
