@@ -40,6 +40,11 @@ def write_text_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flqkd-", suffix=".part")
     try:
+        # mkstemp makes the file owner-only; give it the mode open(path, "w")
+        # would, which os.replace keeps (the umask is read by setting it)
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -27,11 +27,19 @@ distribution:
   events come from the tap draws and join every stretch they fall in.
 - Whether an event is kept depends on the detector's past. Call an event a
   cluster head when it comes at least one dead time after its predecessor,
-  in the float addition the dead-time kernel makes; a head is kept whatever
-  came before it (see _kernels), and from a head on the greedy filter keeps
-  the same events in any stream that agrees from there. So each stretch
-  reaches back from its window, doubling its reach per round, until its
-  events show a head at or before the first event the window needs. Its
+  times[i] >= times[i-1] + dead_time, in the float addition that every
+  dead-time test here makes. A head is kept whatever came before it: the
+  last kept event before it lies at or before times[i-1], and float
+  addition is monotone, so the detector is free again by times[i-1] +
+  dead_time <= times[i]. A stream's first event is a head too. Between two
+  heads the events form a cluster of short gaps, and the kept ones follow
+  from the cluster's head alone: the next kept event is the first one at or
+  after the last kept time plus dead_time, a chase that cannot pass the next
+  head. So dead_time_filter chases all clusters at once, one array step per
+  kept event of the longest chain, and from a head on the greedy filter
+  keeps the same events in any stream that agrees from there. So each
+  stretch reaches back from its window, doubling its reach per round, until
+  its events show a head at or before the first event the window needs. Its
   first event counts as a head when it lies a dead time after the stretch's
   start, since its true predecessor lies before that start. A stretch that
   would reach the previous one (or the start of the run) stops there and
@@ -69,7 +77,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import count_coincidences, dead_time_filter
 from .errors import EstimatorUndefinedError, ValidationError
 
 
@@ -153,8 +160,9 @@ class MonitorSimConfig:
             raise ValidationError("shift_offset must be >= 100 * coinc_window")
         if self.duration <= 0:
             raise ValidationError(f"duration must be positive, got {self.duration!r}")
-        if not 0 <= int(self.rng_seed) < 2**64:
-            raise ValidationError(f"rng_seed must fit in 64 bits, got {self.rng_seed!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+            raise ValidationError(f"rng_seed must be an integer in [0, 2**64), got {seed!r}")
         events = sum(_category_rates(self).values()) * self.duration
         if not events <= MAX_RUN_EVENTS:
             raise ValidationError(f"run expects {events:.3g} events, over the {MAX_RUN_EVENTS:.0e} allowed")
@@ -261,13 +269,12 @@ _DETECTOR_CATEGORIES = {
 _TAP_CATEGORIES = ("i_alice", "i_bob", "a_only", "b_only", "ase_a", "ase_b", "eve")
 
 
-def _poisson_times(rng: np.random.Generator, rate: float, t0: float, t1: float) -> np.ndarray:
-    """Sorted event times of a Poisson process of the given rate on [t0, t1)."""
+def _poisson_times(rng: np.random.Generator, rate: float, length: float) -> np.ndarray:
+    """Sorted event times of a Poisson process of the given rate on [0, length)."""
     if rate <= 0.0:
         return np.empty(0, np.float64)
-    times = rng.uniform(0.0, t1 - t0, rng.poisson(rate * (t1 - t0)))
+    times = rng.uniform(0.0, length, rng.poisson(rate * length))
     times.sort()
-    times += t0
     return times
 
 
@@ -280,7 +287,7 @@ def _draw_spans(rng, rate, t0, t1):
     ends = np.empty(t0.size + 1)
     ends[0] = 0.0
     np.cumsum(np.subtract(t1, t0, out=ends[1:]), out=ends[1:])
-    times = _poisson_times(rng, rate, 0.0, ends[-1])
+    times = _poisson_times(rng, rate, ends[-1])
     span = _rank(ends[1:], times)
     np.minimum(span, t0.size - 1, out=span)
     times -= ends[span]
@@ -312,6 +319,50 @@ def _merge_sorted(bulk: np.ndarray, add: np.ndarray) -> np.ndarray:
     return np.insert(bulk, np.searchsorted(bulk, add), add)
 
 
+def dead_time_filter(times: np.ndarray, dead_time: float) -> tuple[np.ndarray, float]:
+    """The events of sorted times that a non-paralyzable detector keeps, and
+    the time it is free again after the last (-inf when it keeps none).
+    Every cluster of short gaps is chased from its head at once (module
+    docstring)."""
+    n = times.size
+    if n == 0:
+        return times.copy(), -math.inf
+    reach = times + dead_time
+    # waiting[i]: event i sits in a cluster and is not known to be kept yet;
+    # the False at n ends every chase that runs off the end of the stream
+    waiting = np.zeros(n + 1, bool)
+    np.less(times[1:], reach[:-1], out=waiting[1:n])
+    cur = np.flatnonzero(waiting[1:] & ~waiting[:-1])
+    while cur.size:
+        cur = times.searchsorted(reach[cur])
+        # a chase stops on a kept event: the next head, or an earlier one
+        # when reach[cur] rounds to times[cur]
+        cur = cur[waiting[cur]]
+        waiting[cur] = False
+    del reach  # release it before the output is allocated
+    kept = times[~waiting[:-1]]
+    return kept, kept[-1] + dead_time
+
+
+def _window_edges(triggers, half_window, offset):
+    """Each trigger's window [lo, hi], (t - offset) -/+ half_window: the one
+    arithmetic of both the counts and the hulls the idler is drawn on."""
+    d = triggers - offset
+    return d - half_window, d + half_window
+
+
+def count_coincidences(triggers, partners, half_window, offset) -> int:
+    """Triggers with at least one of the sorted partners in their window."""
+    if triggers.size == 0 or partners.size == 0:
+        return 0
+    lo, hi = _window_edges(triggers, half_window, offset)
+    # the first partner at or after the window's start scores iff it lies at
+    # or before the window's end
+    first = np.searchsorted(partners, lo, "left")
+    hit = partners.take(first, mode="clip") <= hi
+    return int(np.count_nonzero(hit & (first < partners.size)))
+
+
 def simulate_monitor(config: MonitorSimConfig) -> MonitorCounts:
     """Run one seeded end-to-end simulation and return measured rates."""
     rng = np.random.default_rng(np.random.SeedSequence(int(config.rng_seed)))
@@ -333,7 +384,7 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     if hi.size:
         k = np.searchsorted(start, paired, "right") - 1
         inside = (k >= 0) & (paired <= hi[k])
-    idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired[inside]), tau, 0.0)
+    idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired[inside]), tau)
 
     t = cfg.duration
     return MonitorCounts(
@@ -353,33 +404,34 @@ def _tap_streams(rng, rates, dead_time, duration):
     whose partner was detected too), from the tap-side categories drawn in
     full. The categories' draws are freed on return."""
     # fixed draw order keeps runs reproducible for a given seed
-    drawn = {k: _poisson_times(rng, rates[k], 0.0, duration) for k in _TAP_CATEGORIES}
+    drawn = {k: _poisson_times(rng, rates[k], duration) for k in _TAP_CATEGORIES}
 
     def stream(detector):
         return np.sort(np.concatenate([drawn.get(k, ()) for k in _DETECTOR_CATEGORIES[detector]]))
 
-    alice_live, _ = dead_time_filter(stream("alice_tap"), dead_time, 0.0)
-    bob_live, _ = dead_time_filter(stream("bob_tap"), dead_time, 0.0)
+    alice_live, _ = dead_time_filter(stream("alice_tap"), dead_time)
+    bob_live, _ = dead_time_filter(stream("bob_tap"), dead_time)
     return alice_live, bob_live, stream("idler")
 
 
 def _window_hulls(arms, half_window, shift, duration):
     """Hulls of the aligned and shifted windows of each arm's triggers
-    within the run, in the float arithmetic of count_coincidences. A function
-    of its own, so that its temporaries are freed before the idler rounds."""
-    runs = [_windows(c, half_window, duration) for triggers in arms for c in (triggers, triggers - shift)]
+    within the run. A function of its own, so that its temporaries are freed
+    before the idler rounds."""
+    runs = [_windows(triggers, half_window, offset, duration) for triggers in arms for offset in (0.0, shift)]
     lo = np.concatenate([lo for lo, _ in runs])
     hi = np.concatenate([hi for _, hi in runs])
     del runs
     return _union(lo, hi)
 
 
-def _windows(centers, half_window, duration):
-    """The windows around centers, clipped to the run; those left empty go.
-    A function of its own, so that one run's temporaries are freed before the
-    next run's are made."""
-    lo = np.maximum(centers - half_window, 0.0)
-    hi = np.minimum(centers + half_window, duration)
+def _windows(triggers, half_window, offset, duration):
+    """The triggers' windows (_window_edges), clipped to the run; those left
+    empty go. A function of its own, so that one run's temporaries are freed
+    before the next run's are made."""
+    lo, hi = _window_edges(triggers, half_window, offset)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, duration, out=hi)
     keep = hi > lo
     return lo[keep], hi[keep]
 

@@ -14,8 +14,8 @@ earlier draw on a list of intervals, which the library's _draw_spans must
 match time for time.
 
 dead_time_sequential and count_coincidences_sequential are the detector
-rules written as one loop over the events; the vectorized kernels must give
-bit-identical results.
+rules written as one loop over the events; the library's vectorized
+dead_time_filter and count_coincidences must give bit-identical results.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from flqkd import monitor
-from flqkd._kernels import count_coincidences, dead_time_filter
+from flqkd.monitor import count_coincidences, dead_time_filter
 
 
 def full_stream_counts(cfg: monitor.MonitorSimConfig, draws) -> list[int]:
@@ -32,7 +32,7 @@ def full_stream_counts(cfg: monitor.MonitorSimConfig, draws) -> list[int]:
 
     def live(*names):
         stream = np.sort(np.concatenate([np.asarray(draws.get(n, ()), np.float64) for n in names]))
-        return dead_time_filter(stream, cfg.dead_time, 0.0)[0]
+        return dead_time_filter(stream, cfg.dead_time)[0]
 
     idler = live("i_only", "i_alice", "i_bob")
     half_window = 0.5 * cfg.coinc_window
@@ -50,7 +50,7 @@ def simulate_full_stream(cfg: monitor.MonitorSimConfig) -> tuple[float, ...]:
     """(s_a, c_ia, c_ia_shift, s_b, c_ib, c_ib_shift) rates of one seeded run."""
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.rng_seed)))
     draws = {
-        name: monitor._poisson_times(rng, rate, 0.0, cfg.duration)
+        name: monitor._poisson_times(rng, rate, cfg.duration)
         for name, rate in monitor._category_rates(cfg).items()
     }
     return tuple(c / cfg.duration for c in full_stream_counts(cfg, draws))
@@ -124,12 +124,12 @@ def frozen_count_coincidences(triggers, partners, half_window, offset):
     return int(np.count_nonzero(last > first))
 
 
-def dead_time_sequential(times, dead_time, free_from):
+def dead_time_sequential(times, dead_time):
     # non-paralyzable: accept the first event at or after the free time,
     # then block for dead_time
     out = np.empty(times.size, np.float64)
     m = 0
-    free = free_from
+    free = -np.inf
     for i in range(times.size):
         t = times[i]
         if t >= free:

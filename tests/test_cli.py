@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -121,6 +123,20 @@ def test_out_and_svg_files(tmp_path, capsys):
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
     assert any(el.tag.endswith("polyline") for el in root.iter())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"])
+def test_output_files_take_the_mode_the_umask_gives(tmp_path, capsys, umask, mode):
+    # the mode open(path, "w") would give, not the owner-only staging file's
+    out, svg = tmp_path / "l.csv", tmp_path / "l.svg"
+    saved = os.umask(umask)
+    try:
+        assert main(["limit", "--out", str(out), "--svg", str(svg)]) == 0
+    finally:
+        os.umask(saved)
+    capsys.readouterr()
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert stat.S_IMODE(svg.stat().st_mode) == mode
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -1,5 +1,5 @@
-"""Dead-time and coincidence kernels: the numpy kernels must agree exactly
-with the sequential reference loops."""
+"""Dead-time and coincidence kernels of flqkd.monitor: the numpy kernels
+must agree exactly with the sequential reference loops."""
 
 from __future__ import annotations
 
@@ -8,63 +8,49 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flqkd._kernels import count_coincidences, dead_time_filter
+from flqkd.monitor import count_coincidences, dead_time_filter
 from monitor_oracle import count_coincidences_sequential, dead_time_sequential
 
 
-def _assert_matches_oracle(times, dead_time, free_from):
-    ks, fs = dead_time_sequential(times, dead_time, free_from)
-    kv, fv = dead_time_filter(times, dead_time, free_from)
+def _assert_matches_oracle(times, dead_time):
+    ks, fs = dead_time_sequential(times, dead_time)
+    kv, fv = dead_time_filter(times, dead_time)
     assert np.array_equal(ks, kv) and fs == fv
     return kv, fv
 
 
 def test_dead_time_known_case():
     times = np.array([0.0, 0.3, 1.0, 1.05, 1.11, 2.0])
-    kept, free = dead_time_filter(times, 0.1, 0.0)
+    kept, free = dead_time_filter(times, 0.1)
     assert kept.tolist() == [0.0, 0.3, 1.0, 1.11, 2.0]
     assert free == 2.1
 
 
 def test_dead_time_zero_keeps_everything():
     times = np.linspace(0.0, 1.0, 50)
-    kept, free = dead_time_filter(times, 0.0, 0.0)
+    kept, free = _assert_matches_oracle(times, 0.0)
     assert np.array_equal(kept, times)
     assert free == times[-1]
-    kept, free = _assert_matches_oracle(times, 0.0, 0.3)
-    assert np.array_equal(kept, times[times >= 0.3]) and free == times[-1]
-
-
-def test_dead_time_initial_free_carries_over_segments():
-    first = np.array([0.0, 0.6])
-    second = np.array([1.05, 1.2])
-    _, free = dead_time_filter(first, 0.6, 0.0)
-    kept, _ = dead_time_filter(second, 0.6, free)
-    # 1.05 falls inside the dead window opened at t=0.6
-    assert kept.tolist() == [1.2]
 
 
 def test_dead_time_empty_input():
-    kept, free = dead_time_filter(np.empty(0), 0.1, 0.7)
-    assert kept.size == 0 and free == 0.7
+    # nothing kept: the detector was never blocked
+    kept, free = _assert_matches_oracle(np.empty(0), 0.1)
+    assert kept.size == 0 and kept.dtype == np.float64 and free == -np.inf
 
 
-@given(
-    st.lists(st.floats(-1.0, 1.0, allow_nan=False), max_size=120),
-    st.floats(0.0, 0.5),
-    st.floats(-1.5, 1.5),
-)
-def test_dead_time_numpy_equals_sequential(values, dead_time, free_from):
-    _assert_matches_oracle(np.sort(np.array(values, np.float64)), dead_time, free_from)
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), max_size=120), st.floats(0.0, 0.5))
+def test_dead_time_numpy_equals_sequential(values, dead_time):
+    _assert_matches_oracle(np.sort(np.array(values, np.float64)), dead_time)
 
 
-@given(st.lists(st.integers(0, 40), max_size=120), st.integers(0, 9), st.integers(-1, 41))
-def test_dead_time_numpy_equals_sequential_on_a_grid(ticks, dead_ticks, free_tick):
+@given(st.lists(st.integers(0, 40), max_size=120), st.integers(0, 9))
+def test_dead_time_numpy_equals_sequential_on_a_grid(ticks, dead_ticks):
     # dyadic ticks make the sums exact: duplicates and gaps of exactly the
     # dead time are common here
     tick = 0.125
     times = np.sort(np.array(ticks, np.float64)) * tick
-    _assert_matches_oracle(times, dead_ticks * tick, free_tick * tick)
+    _assert_matches_oracle(times, dead_ticks * tick)
 
 
 @pytest.mark.parametrize("load", [0.01, 1.2, 10.0])
@@ -74,7 +60,7 @@ def test_dead_time_numpy_equals_sequential_across_loads(load):
     rng = np.random.default_rng(int(load * 100))
     dead_time = 5e-8
     times = np.sort(rng.uniform(0.0, 20_000 * dead_time / load, 20_000))
-    kept, _ = _assert_matches_oracle(times, dead_time, 0.0)
+    kept, _ = _assert_matches_oracle(times, dead_time)
     assert kept.size / times.size == pytest.approx(1.0 / (1.0 + load), rel=0.05)
 
 
@@ -84,48 +70,25 @@ def test_dead_time_gaps_of_exactly_the_dead_time_are_kept():
     for _ in range(20):
         times.append(times[-1] + dead_time)
     exact = np.array(times)
-    kept, _ = _assert_matches_oracle(exact, dead_time, 0.0)
+    kept, _ = _assert_matches_oracle(exact, dead_time)
     assert np.array_equal(kept, exact)
     # inside a cluster: the event exactly one dead time after the kept one
-    kept, _ = _assert_matches_oracle(np.array([0.0, 0.5, 0.75, 1.0, 1.0, 1.5]), 1.0, 0.0)
+    kept, _ = _assert_matches_oracle(np.array([0.0, 0.5, 0.75, 1.0, 1.0, 1.5]), 1.0)
     assert kept.tolist() == [0.0, 1.0]
     # one ulp short of the dead time: every other event falls in a dead window
     short = [1.0]
     for _ in range(20):
         short.append(np.nextafter(short[-1] + dead_time, -np.inf))
-    kept, _ = _assert_matches_oracle(np.array(short), dead_time, 0.0)
+    kept, _ = _assert_matches_oracle(np.array(short), dead_time)
     assert kept.size == 11
 
 
 def test_dead_time_duplicate_timestamps():
     times = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])
-    assert _assert_matches_oracle(times, 1.0, 0.0)[0].tolist() == [1.0, 2.0, 3.0]
-    assert np.array_equal(_assert_matches_oracle(times, 0.0, 0.0)[0], times)
+    assert _assert_matches_oracle(times, 1.0)[0].tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(_assert_matches_oracle(times, 0.0)[0], times)
     # a dead time below half an ulp of the timestamps blocks nothing
-    assert np.array_equal(_assert_matches_oracle(times, 1e-300, 0.0)[0], times)
-
-
-@pytest.mark.parametrize("free_from", [-1.0, 0.0, 0.52, 0.999, 1.0, 5.0])
-def test_dead_time_free_from_before_inside_and_past_the_stream(free_from):
-    rng = np.random.default_rng(17)
-    times = np.sort(rng.uniform(0.0, 1.0, 2_000))
-    kept, free = _assert_matches_oracle(times, 2e-3, free_from)
-    if free_from > times[-1]:
-        assert kept.size == 0 and free == free_from
-    else:
-        assert kept[0] == times[np.searchsorted(times, free_from)]
-
-
-def test_dead_time_split_stream_equals_whole_stream():
-    # free_from carries the detector state from one part of a stream to the next
-    rng = np.random.default_rng(2024)
-    dead_time = 5e-8
-    times = np.sort(rng.uniform(0.0, 10_000 * dead_time, 10_000))
-    whole, whole_free = dead_time_filter(times, dead_time, 0.0)
-    for cut in (0, 1, 137, 5_000, 9_999, 10_000):
-        head, free = dead_time_filter(times[:cut], dead_time, 0.0)
-        tail, free = dead_time_filter(times[cut:], dead_time, free)
-        assert np.array_equal(np.concatenate((head, tail)), whole) and free == whole_free
+    assert np.array_equal(_assert_matches_oracle(times, 1e-300)[0], times)
 
 
 def test_coincidence_known_case():
@@ -182,12 +145,11 @@ def test_paths_agree_on_random_streams():
         trig = np.sort(rng.uniform(0.0, 1.0, n)) * scale
         part = np.sort(rng.uniform(0.0, 1.0, m)) * scale
         dead = float(rng.uniform(0.0, 0.01)) * scale
-        free0 = float(rng.uniform(0.0, 0.005)) * scale
         hw = float(rng.uniform(1e-5, 1e-2)) * scale
         off = float(rng.uniform(0.0, 0.1)) * scale
 
-        ks, fs = dead_time_sequential(trig, dead, free0)
-        kv, fv = dead_time_filter(trig, dead, free0)
+        ks, fs = dead_time_sequential(trig, dead)
+        kv, fv = dead_time_filter(trig, dead)
         assert np.array_equal(ks, kv) and fs == fv
 
         cs = count_coincidences_sequential(trig, part, hw, off)

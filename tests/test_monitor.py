@@ -116,13 +116,21 @@ def test_sim_config_validation():
         ("duration", 0.0),
         ("rng_seed", -1),
         ("rng_seed", 2**64),
+        # a seed that is not an integer would run as another seed
+        ("rng_seed", 1.5),
+        ("rng_seed", 1.0),
+        ("rng_seed", True),
+        ("rng_seed", np.bool_(True)),
+        ("rng_seed", "1"),
         ("pair_rate", 1e30),  # more events than a run may draw
         ("duration", 1e20),
     ]:
         with pytest.raises(ValidationError):
             replace(BASE, **{field: bad})
-    # the 100x boundary itself is allowed
+    # the 100x boundary itself is allowed, and so are numpy integer seeds
     replace(BASE, shift_offset=100.0 * BASE.coinc_window)
+    replace(BASE, rng_seed=np.uint64(2**64 - 1))
+    replace(BASE, rng_seed=np.int64(7))
     # so is a run just under the event bound; these are built, never run
     limit = monitor.MAX_RUN_EVENTS / sum(monitor._category_rates(BASE).values())
     replace(BASE, duration=limit * (1.0 - 1e-9))
@@ -247,6 +255,41 @@ def test_rank_equals_searchsorted_right(edges, points):
     rank = monitor._rank(edges, points)
     assert rank.dtype == np.intp
     assert np.array_equal(rank, np.searchsorted(edges, points, "right"))
+
+
+@st.composite
+def trigger_arms(draw):
+    """Two sorted trigger arms in a run, a half window and a shift. Some
+    triggers lie within a half window of 0, of the shift or of the run's
+    end, so that some aligned and shifted windows are clipped by the run."""
+    duration = draw(st.sampled_from([1.0, 36.0, 1e3]))
+    half_window = draw(st.sampled_from([5e-10, 1e-3, 0.25]))
+    shift = draw(st.floats(0.0, 1.5 * duration))
+    near = st.tuples(st.sampled_from([0.0, shift, duration]), st.floats(-half_window, half_window))
+
+    def arm():
+        inner = draw(st.lists(st.floats(0.0, duration), max_size=20))
+        edges = [min(max(at + d, 0.0), duration) for at, d in draw(st.lists(near, max_size=6))]
+        return np.sort(np.array(inner + edges, np.float64))
+
+    return (arm(), arm()), half_window, shift, duration
+
+
+@given(trigger_arms())
+def test_window_hulls_hold_every_counted_window(case):
+    # the idler is drawn only on the hulls, so every window that
+    # count_coincidences looks in must lie inside one hull, to the bit
+    arms, half_window, shift, duration = case
+    lo, hi = monitor._window_hulls(arms, half_window, shift, duration)
+    for triggers in arms:
+        for offset in (0.0, shift):
+            w_lo, w_hi = monitor._window_edges(triggers, half_window, offset)
+            w_lo, w_hi = np.maximum(w_lo, 0.0), np.minimum(w_hi, duration)
+            counted = w_hi > w_lo
+            w_lo, w_hi = w_lo[counted], w_hi[counted]
+            k = np.searchsorted(lo, w_lo, "right") - 1
+            assert np.all(k >= 0)
+            assert np.all(w_hi <= hi[k])
 
 
 @st.composite

@@ -109,10 +109,10 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
         inside = (k >= 0) & (events < t1[np.maximum(k, 0)])
         return events[inside], k[inside]
 
-    def tap(rng, rate, t0, t1):  # a tap-side category over the whole run
+    def tap(rng, rate, length):  # a tap-side category over the whole run
         name = monitor._TAP_CATEGORIES[len(taps)]
         taps.append(name)
-        return cut(name, t0, t1)[0]
+        return cut(name, 0.0, length)[0]
 
     def spans(rng, rate, t0, t1):  # stretches of the idler-only stream
         stretches.append((t0, t1))
