@@ -184,11 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        write_text_atomic(path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must fit in 64 bits, got {args.seed}")
         cfg = load_run_config(
             args.config,
             seed_override=args.seed,
@@ -203,8 +209,7 @@ def main(argv=None) -> int:
         table = {name: np.asarray(column).tolist() for name, column in table.items()}
         csv_text = render_csv(table, cfg.output.precision)
         if cfg.output.csv_path:
-            write_text_atomic(cfg.output.csv_path, csv_text)
-            print(f"wrote {cfg.output.csv_path}", file=sys.stderr)
+            _write(cfg.output.csv_path, csv_text)
         else:
             sys.stdout.write(csv_text)
         if cfg.output.svg_path:
@@ -212,8 +217,7 @@ def main(argv=None) -> int:
                 (label, *(table[v] if isinstance(v, str) else v for v in (x, y)))
                 for label, x, y in chart.pop("series")
             ]
-            write_text_atomic(cfg.output.svg_path, render_svg(series, **chart))
-            print(f"wrote {cfg.output.svg_path}", file=sys.stderr)
+            _write(cfg.output.svg_path, render_svg(series, **chart))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,7 +24,8 @@ distribution:
 - A Poisson process restricted to disjoint intervals gives independent
   Poisson processes on them, so drawing each stretch once, and no stretch
   twice, gives the law of the full stream on their union. Partnered idler
-  events come from the tap draws and join every stretch they fall in.
+  events come from the tap draws, and the rounds return, once each, those
+  in a stretch, its window's closed end included.
 - Whether an event is kept depends on the detector's past. Call an event a
   cluster head when it comes at least one dead time after its predecessor,
   times[i] >= times[i-1] + dead_time, in the float addition that every
@@ -57,7 +58,7 @@ distribution:
   one run of the round's events, in time order; one linear pass finds where
   each run starts and ends and makes the gap tests from new to the first
   event, between events, and from the last event to the end of the earlier
-  test.
+  test. Only the stretches still open carry state into the next round.
 - In the drawn sample a stretch's head is a head too: its predecessor there
   is the same event, or an earlier one from a previous stretch. One
   dead_time_filter call over all stretches therefore keeps, from every head
@@ -377,14 +378,8 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
     alice_live, bob_live, paired = _tap_streams(rng, rates, tau, cfg.duration)
     lo, hi = _window_hulls((alice_live, bob_live), half_window, shift, cfg.duration)
-    bulk, start = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
-    # partnered idler events join the stream where it is drawn: in a stretch
-    # [start[k], hi[k]], whose window holds its end
-    inside = np.zeros(paired.size, bool)
-    if hi.size:
-        k = np.searchsorted(start, paired, "right") - 1
-        inside = (k >= 0) & (paired <= hi[k])
-    idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired[inside]), tau)
+    bulk, joined = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
+    idler_live, _ = dead_time_filter(_merge_sorted(bulk, joined), tau)
 
     t = cfg.duration
     return MonitorCounts(
@@ -450,8 +445,8 @@ def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_idler(rng, rate, lo, hi, paired, dead_time):
-    """Idler-only events on stretches [start, hi) around the window hulls
-    [lo, hi]; returns (sorted events, start).
+    """Idler-only events on stretches around the window hulls [lo, hi], and
+    the partnered idler events that lie in a stretch; returns both, sorted.
 
     Each stretch reaches back from its window, twice as far each round,
     until the stream it holds shows a gap of at least dead_time before its
@@ -460,69 +455,69 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
     idler events, part of the stream. A round tests each stretch's new span
     in one linear pass over its events (module docstring).
     """
-    start = lo.copy()
     bound = np.concatenate(([0.0], hi[:-1]))
     # where each stretch's gap test ends: its earliest event found so far,
     # or its window's start
     after = lo.copy()
-    # the partnered events in front of a window, in [bound[k], lo[k]), and
-    # their stretch's position in todo; an event leaves the pool once it has
-    # been tested or its stretch has settled
+    # a partnered event's hull is the first that ends after it. The event
+    # joins the stream if it lies in that hull or on the previous hull's
+    # closed end; one in front of its hull, in [bound[k], lo[k]), waits in
+    # the pool until a round's span reaches it or its stretch settles
     pool_at = np.searchsorted(hi, paired, "right")
-    ahead = pool_at < lo.size
-    ahead[ahead] = paired[ahead] < lo[pool_at[ahead]]
-    pool, pool_at = paired[ahead], pool_at[ahead]
-    todo = np.arange(lo.size)
-    # todo as an index: a slice while every stretch is open, so that the
-    # first round reads views of the per-stretch arrays instead of copies;
-    # each view is read before its array is written
-    pick = slice(None)
-    top = hi
+    joined = pool_at < lo.size
+    joined[joined] = paired[joined] >= lo[pool_at[joined]]
+    pool = np.flatnonzero((pool_at < lo.size) & ~joined)
+    ended = pool_at > 0
+    joined[ended] |= paired[ended] == hi[pool_at[ended] - 1]
+    pool_at = pool_at[pool]
+    # lo, bound and after hold the open stretches only; old is where each
+    # one's tested stream starts, and top where its next span ends
+    old, top = lo, hi
     reach = 2.0 * dead_time
     drawn = []
-    while todo.size:
-        new = lo[pick] - reach
-        np.maximum(bound[pick], new, out=new)
+    while lo.size:
+        new = lo - reach
+        np.maximum(bound, new, out=new)
         events, label = _draw_spans(rng, rate, new, top)
         drawn.append(events)
-        # the stream in [new, start) of each stretch; _draw_spans labels
-        # each event with its stretch, in time order
-        fresh = events < start[pick][label]
+        # the stream in [new, old) of each stretch; _draw_spans labels each
+        # event with its stretch, in time order
+        fresh = events < old[label]
         times, label = events[fresh], label[fresh]
-        near = pool >= new[pool_at]
-        at = np.searchsorted(times, pool[near])
-        times = np.insert(times, at, pool[near])
+        near = paired[pool] >= new[pool_at]
+        joined[pool[near]] = True
+        add = paired[pool[near]]
+        at = np.searchsorted(times, add)
+        times = np.insert(times, at, add)
         label = np.insert(label, at, pool_at[near])
         # where the label changes: each busy stretch's first and last event
         edge = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
         first, last = edge[:-1], edge[1:] - 1
         busy = label[first]
-        tested = after[pick]
-        held = np.zeros(todo.size, bool)
+        held = np.zeros(lo.size, bool)
         held[busy] = True
         # a gap of dead_time makes the next event a cluster head. A stretch
-        # whose span holds no event has one gap, from new to tested; a busy
+        # whose span holds no event has one gap, from new to after; a busy
         # one has them from new to its first event (the true predecessor of
         # that event lies before new), between its events, and from its
-        # last event to tested
-        done = (new <= bound[pick]) | (~held & (tested >= new + dead_time))
+        # last event to after
+        done = (new <= bound) | (~held & (after >= new + dead_time))
         before = np.empty_like(times)
         before[1:] = times[:-1]
         before[first] = new[busy]
         done[label[times >= before + dead_time]] = True
-        done[busy[tested[busy] >= times[last] + dead_time]] = True
-        after[todo[busy]] = times[first]
-        start[pick] = new
+        done[busy[after[busy] >= times[last] + dead_time]] = True
+        after[busy] = times[first]
         rest = np.flatnonzero(~done)
         keep = ~near & ~done[pool_at]
-        # positions in the next round's todo
+        # positions among the next round's open stretches
         pool, pool_at = pool[keep], np.searchsorted(rest, pool_at[keep])
-        top = new[rest]
-        todo = pick = todo[rest]
+        lo, bound, after = lo[rest], bound[rest], after[rest]
+        old = top = new[rest]
         reach *= 2.0
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()
-    return bulk, start
+    return bulk, paired[joined]
 
 
 def sweep_injection(

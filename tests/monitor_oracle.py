@@ -76,7 +76,9 @@ def frozen_poisson_times(rng, rate, t0, t1):
 
 
 def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
-    """The windowed idler rounds, every open stretch in every round."""
+    """The windowed idler rounds, every open stretch in every round. The
+    partnered events it returns are those in a stretch [start[k], hi[k]],
+    found by one search into the stretches' final starts."""
     start = lo.copy()
     bound = np.concatenate(([0.0], hi[:-1]))
     after = lo.copy()
@@ -109,7 +111,11 @@ def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
         reach *= 2.0
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()
-    return bulk, start
+    inside = np.zeros(paired.size, bool)
+    if hi.size:
+        k = np.searchsorted(start, paired, "right") - 1
+        inside = (k >= 0) & (paired <= hi[k])
+    return bulk, paired[inside]
 
 
 def frozen_count_coincidences(triggers, partners, half_window, offset):

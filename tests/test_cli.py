@@ -90,6 +90,27 @@ def test_ber_curve_table(tmp_path, capsys):
     assert all(b < a for a, b in zip(alice, alice[1:]))
 
 
+def test_linear_sweep_grid(tmp_path, capsys):
+    # log_scale false spaces n_s evenly and allows n_s = 0, where Alice
+    # sends nothing: a coin-flip BER, no Holevo information and no key
+    path = _cfg(tmp_path, {
+        "sweep": {"n_s_min": 0.0, "n_s_max": 0.02, "points": 5, "log_scale": False},
+        "output": {"precision": 17},
+    })
+    grid = [0.0, 0.005, 0.01, 0.015, 0.02]
+    assert main(["rate-curve", "--config", path]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    column = {name: [float(r[i]) for r in rows] for i, name in enumerate(header)}
+    assert column["n_s"] == grid
+    assert column["ber"][0] == 0.5
+    for name in ("chi_ub_active", "chi_ub_passive", "ske_active", "ske_passive"):
+        assert column[name][0] == 0.0
+    assert main(["ber-curve", "--config", path]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [float(r[0]) for r in rows] == [22000 * n_s for n_s in grid]
+    assert float(rows[0][1]) == 0.5
+
+
 def test_limit_table(capsys):
     assert main(["limit"]) == 0
     header, rows = _rows(capsys.readouterr().out)
@@ -158,9 +179,10 @@ def test_seed_override_changes_and_reproduces(tmp_path, capsys):
 
 
 def test_seed_must_fit_64_bits(capsys):
-    assert main(["monitor-sim", "--seed", "-1"]) == 2
-    assert main(["monitor-sim", "--seed", str(2**64)]) == 2
-    capsys.readouterr()
+    for seed in ("-1", str(2**64)):
+        assert main(["monitor-sim", "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "rng_seed" in err
 
 
 def test_dump_config_round_trip(tmp_path, capsys):
@@ -210,6 +232,15 @@ def test_failed_run_leaves_no_output_file(tmp_path, capsys):
     assert main(["rate-curve", "--config", str(bad), "--out", str(target)]) == 2
     assert not target.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, flag):
+    # a missing directory, and a directory where the file should go
+    for target in (tmp_path / "missing" / "x.out", tmp_path):
+        assert main(["limit", flag, str(target)]) == 2
+        assert f"config error: cannot write {target}: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 NON_FINITE = [

@@ -20,7 +20,7 @@ from flqkd import (
     simulate_monitor,
     sweep_injection,
 )
-from monitor_oracle import frozen_poisson_times
+from monitor_oracle import frozen_draw_idler, frozen_poisson_times
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -323,6 +323,45 @@ def test_draw_spans_equals_the_multi_interval_draw(layout, expected_events, seed
     times, span = monitor._draw_spans(np.random.default_rng(seed), rate, t0, t1)
     assert _hex(times) == _hex(frozen_poisson_times(np.random.default_rng(seed), rate, t0, t1))
     assert np.array_equal(span, np.searchsorted(t0, times, "right") - 1)
+
+
+@st.composite
+def hull_layouts(draw):
+    """Sorted, disjoint window hulls [lo[k], hi[k]], a dead time, and sorted
+    partnered idler events. The hulls lie an ulp to many dead times apart;
+    the events lie at 0, exactly on a hull's start or end (the next hull's
+    bound), on a span start some round draws (lo[k] minus 1, 2 or 4 dead
+    times), and anywhere in or between the hulls."""
+    dead_time = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    t = draw(st.sampled_from([0.0, 0.5, 1e3]))
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if hi:
+            gap = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 9.0]))
+            t = hi[-1] + gap if gap else np.nextafter(hi[-1], np.inf)
+        lo.append(t)
+        t += draw(st.floats(0.01, 2.0))
+        hi.append(t)
+    marks = [0.0] + lo + hi + [at - m * dead_time for at in lo for m in (1, 2, 4)]
+    paired = draw(st.lists(st.sampled_from(marks), max_size=12))
+    paired += draw(st.lists(st.floats(0.0, hi[-1] + 1.0), max_size=6))
+    paired = np.sort(np.array([p for p in paired if p >= 0.0], np.float64))
+    return np.array(lo), np.array(hi), paired, dead_time
+
+
+@given(hull_layouts(), st.sampled_from([0.0, 0.5, 2.0, 6.0]), st.integers(0, 2**32 - 1))
+def test_draw_idler_joins_the_partnered_events_the_frozen_rounds_join(layout, load, seed):
+    # the rounds mark the partnered events they take in; the frozen rounds
+    # find them again by one search into the stretches' final starts
+    lo, hi, paired, dead_time = layout
+    rate = load / (dead_time or 1.0)
+    hulls = _hex(lo), _hex(hi)
+    bulk, joined = monitor._draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
+    frozen = frozen_draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
+    assert _hex(bulk) == _hex(frozen[0])
+    assert _hex(joined) == _hex(frozen[1])
+    # the first round reads the caller's hulls and writes none of them
+    assert (_hex(lo), _hex(hi)) == hulls
 
 
 class _FixedDraw:

@@ -98,9 +98,13 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     """Run the windowed engine with every draw cut from the given whole-run
     streams (category -> sorted times); return its six counts and those of
     the same streams filtered and counted in one piece. Also checks that no
-    stretch of the idler-only stream is drawn twice."""
+    stretch of the idler-only stream is drawn twice, and that the partnered
+    idler events merged into the drawn stream are, once each, those in a
+    stretch, closed at its window's end."""
     taps = []
     stretches = []
+    merged = []
+    merge_sorted = monitor._merge_sorted
 
     def cut(name, t0, t1):
         events = np.asarray(streams.get(name, ()), np.float64)
@@ -118,8 +122,13 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
         stretches.append((t0, t1))
         return cut("i_only", t0, t1)
 
+    def merge(bulk, add):
+        merged.append(add)
+        return merge_sorted(bulk, add)
+
     monkeypatch.setattr(monitor, "_poisson_times", tap)
     monkeypatch.setattr(monitor, "_draw_spans", spans)
+    monkeypatch.setattr(monitor, "_merge_sorted", merge)
     counts = simulate_monitor(cfg)
     monkeypatch.undo()
     lo = np.concatenate([s[0] for s in stretches])
@@ -127,6 +136,10 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     assert np.all(hi >= lo) and np.all(lo[1:] >= hi[:-1])
+    paired = np.sort(np.concatenate([cut(name, 0.0, cfg.duration)[0] for name in ("i_alice", "i_bob")]))
+    k = np.searchsorted(lo, paired, "right") - 1
+    inside = (k >= 0) & (paired <= hi[np.maximum(k, 0)])
+    assert len(merged) == 1 and merged[0].tolist() == paired[inside].tolist()
     return [round(r * cfg.duration) for r in _rates(counts)], full_stream_counts(cfg, streams)
 
 
@@ -254,6 +267,20 @@ DEAD_TIME_PLACED = {
     "partnered-at-the-window-start": (
         {"a_only": [L + 0.5 * W2], "b_only": [L - 0.5 * TAU], "i_bob": [L]},
         [1, 1, 0, 1, 0, 0],
+    ),
+    # a partnered event on the first window's end, L + W2, where the stretch
+    # of Alice's second window, one dead time later, is clipped: it lies on
+    # one hull's closed end and in the next stretch's round-0 span. It joins
+    # the stream once, hits the first window and blocks the event in the
+    # second; Bob's tap blocks the partner
+    "partnered-at-a-clipped-stretch": (
+        {
+            "a_only": [L + 0.5 * W2, L + 0.5 * W2 + TAU],
+            "b_only": [L + W2 - 0.5 * TAU],
+            "i_bob": [L + W2],
+            "i_only": [L + TAU + 0.5 * W2],
+        },
+        [2, 1, 0, 1, 0, 0],
     ),
     # a partnered event at the window's end hi, which the closed window holds
     "partnered-at-hi": (
