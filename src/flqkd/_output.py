@@ -7,6 +7,7 @@ dependencies; output bytes are a pure function of the data.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import tempfile
@@ -35,24 +36,35 @@ def render_csv(table: dict[str, list], precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    # stage in the destination directory so os.replace stays atomic
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".flqkd-", suffix=".part")
+def write_text_atomic(files: dict[str, str]) -> None:
+    """Write each text to its path. Every file is staged beside its target
+    before any target is replaced, so a failure while staging leaves every
+    target as it was; an OSError names the target (filename)."""
+    # mkstemp makes the file owner-only; give it the mode open(path, "w")
+    # would, which os.replace keeps (the umask is read by setting it)
+    umask = os.umask(0o077)
+    os.umask(umask)
+    staged = {}
     try:
-        # mkstemp makes the file owner-only; give it the mode open(path, "w")
-        # would, which os.replace keeps (the umask is read by setting it)
-        umask = os.umask(0o077)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            # stage in the destination directory so os.replace stays atomic
+            directory = os.path.dirname(os.path.abspath(path)) or "."
+            fd, staged[path] = tempfile.mkstemp(dir=directory, prefix=".flqkd-", suffix=".part")
+            os.chmod(staged[path], 0o666 & ~umask)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in staged.values():
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -35,6 +35,7 @@ from .rates import (
     f_e_upper_bound,
     optimize_brightness,
     pirandola_limit,
+    search_grid,
     skr_lower_bound,
 )
 
@@ -47,7 +48,7 @@ def _resolve_f_e(cfg: RunConfig) -> float:
 def _sweep_grid(cfg: RunConfig) -> np.ndarray:
     s = cfg.sweep
     if s.log_scale:
-        return np.logspace(math.log10(s.n_s_min), math.log10(s.n_s_max), s.points)
+        return search_grid((s.n_s_min, s.n_s_max), s.points)
     return np.linspace(s.n_s_min, s.n_s_max, s.points)
 
 
@@ -184,12 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> None:
+def _write(files: dict[str, str]) -> None:
     try:
-        write_text_atomic(path, text)
+        write_text_atomic(files)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-    print(f"wrote {path}", file=sys.stderr)
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
+    for path in files:
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -207,17 +209,21 @@ def main(argv=None) -> int:
         table, chart = _IMPL[args.command](cfg)
         # plain Python values, so a column formats the same from any source
         table = {name: np.asarray(column).tolist() for name, column in table.items()}
+        # every text is rendered and every file written before stdout gets
+        # the table, so a failed run writes nothing
         csv_text = render_csv(table, cfg.output.precision)
+        files = {}
         if cfg.output.csv_path:
-            _write(cfg.output.csv_path, csv_text)
-        else:
-            sys.stdout.write(csv_text)
+            files[cfg.output.csv_path] = csv_text
         if cfg.output.svg_path:
             series = [
                 (label, *(table[v] if isinstance(v, str) else v for v in (x, y)))
                 for label, x, y in chart.pop("series")
             ]
-            _write(cfg.output.svg_path, render_svg(series, **chart))
+            files[cfg.output.svg_path] = render_svg(series, **chart)
+        _write(files)
+        if not cfg.output.csv_path:
+            sys.stdout.write(csv_text)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

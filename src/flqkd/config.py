@@ -221,6 +221,8 @@ def _parse_monitor(raw: dict, seed_override: int | None):
     merged = _merge(raw, "monitor", DEFAULT_MONITOR)
     raw_sweep = merged.pop("sweep_f_e")
     trials = _typed("monitor", "trials", merged.pop("trials"), int)
+    if trials < 2:
+        raise ConfigError(f"monitor.trials must be >= 2, got {trials}")
     if not isinstance(raw_sweep, list):
         raise ConfigError("monitor.sweep_f_e must be a list")
     sweep_f_e = tuple(_typed("monitor", "sweep_f_e", v, float) for v in raw_sweep)

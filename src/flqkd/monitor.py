@@ -66,8 +66,8 @@ distribution:
   its stretch's head.
 
 A run is one pass over [0, duration], so its peak memory grows with the
-duration: about 0.25 MB per simulated second at the acceptance tests'
-operating point, and 0.44 MB/s with the idler near saturation. Statistics
+duration: about 0.1 MB per simulated second at the acceptance tests'
+operating point, and 0.3 MB/s with the idler near saturation. Statistics
 come from more trials (sweep_injection), not from longer ones.
 """
 
@@ -112,8 +112,8 @@ class MonitorCounts:
 
 # The expected events of all categories bound those a run draws (the tap
 # streams in full, the idler near the windows only). Measured peak memory is
-# ~1.1 B per expected event at the acceptance point and ~120 B per tap event,
-# so 1e8 events may ask for ~12 GB; numpy's Poisson draw fails only near 1e19.
+# ~0.4 B per expected event at the acceptance point and ~90 B per tap event,
+# so 1e8 events may ask for ~9 GB; numpy's Poisson draw fails only near 1e19.
 MAX_RUN_EVENTS = 1e8
 
 
@@ -410,38 +410,22 @@ def _tap_streams(rng, rates, dead_time, duration):
 
 
 def _window_hulls(arms, half_window, shift, duration):
-    """Hulls of the aligned and shifted windows of each arm's triggers
-    within the run. A function of its own, so that its temporaries are freed
-    before the idler rounds."""
-    runs = [_windows(triggers, half_window, offset, duration) for triggers in arms for offset in (0.0, shift)]
-    lo = np.concatenate([lo for lo, _ in runs])
-    hi = np.concatenate([hi for _, hi in runs])
-    del runs
-    return _union(lo, hi)
-
-
-def _windows(triggers, half_window, offset, duration):
-    """The triggers' windows (_window_edges), clipped to the run; those left
-    empty go. A function of its own, so that one run's temporaries are freed
-    before the next run's are made."""
-    lo, hi = _window_edges(triggers, half_window, offset)
+    """Sorted, disjoint hulls of the aligned and shifted windows of each
+    arm's triggers, clipped to the run (empty ones go). The windows share one
+    width, so with their centers sorted their starts and ends are sorted, and
+    a hull starts where a window starts after the previous one ends. A
+    function of its own, so that its temporaries are freed before the rounds."""
+    centers = np.concatenate([triggers - offset for triggers in arms for offset in (0.0, shift)])
+    centers.sort()
+    # centers - 0.0 is exact, so each edge has the bits the counts use
+    lo, hi = _window_edges(centers, half_window, 0.0)
+    del centers
     np.maximum(lo, 0.0, out=lo)
     np.minimum(hi, duration, out=hi)
     keep = hi > lo
-    return lo[keep], hi[keep]
-
-
-def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, disjoint hulls of the intervals [lo[k], hi[k]]."""
-    if lo.size == 0:
-        return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    reach = hi[order]
-    del order
-    np.maximum.accumulate(reach, out=reach)
-    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
-    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
+    lo, hi = lo[keep], hi[keep]
+    gap = lo[1:] > hi[:-1]
+    return np.concatenate((lo[:1], lo[1:][gap])), np.concatenate((hi[:-1][gap], hi[-1:]))
 
 
 def _draw_idler(rng, rate, lo, hi, paired, dead_time):

@@ -133,8 +133,9 @@ def _golden_max(fun, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def search_grid(n_s_range: tuple[float, float]) -> np.ndarray:
-    """The optimizer's coarse grid: 64 points log-spaced from lo to hi.
+def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
+    """points values log-spaced from lo to hi: the optimizer's coarse grid,
+    and the CLI's log sweep.
 
     A range starting at 0 starts its log spacing at 1e-12 hi and puts 0 in
     front. The ends are exactly lo and hi; logspace alone can miss them by
@@ -143,8 +144,8 @@ def search_grid(n_s_range: tuple[float, float]) -> np.ndarray:
     lo, hi = float(n_s_range[0]), float(n_s_range[1])
     if not 0.0 <= lo < hi:
         raise DomainError(f"need 0 <= lo < hi, got {n_s_range!r}")
-    grid_lo = max(lo, 1e-12 * hi)
-    grid = np.logspace(math.log10(grid_lo), math.log10(hi), 64)
+    grid_lo = lo if lo > 0.0 else 1e-12 * hi
+    grid = np.logspace(math.log10(grid_lo), math.log10(hi), points)
     grid[0], grid[-1] = grid_lo, hi
     if lo < grid_lo:
         grid = np.concatenate(([lo], grid))

@@ -11,7 +11,10 @@ partnered pool and argsorts the points of every open stretch, and each
 trigger takes two searches. Run in place of the library's, they must give
 the same counts, field for field, on every seed. frozen_poisson_times is the
 earlier draw on a list of intervals, which the library's _draw_spans must
-match time for time.
+match time for time. frozen_window_hulls builds the hulls the idler is
+drawn on from an argsort of all window starts and a running maximum of their
+ends; the library's _window_hulls, which sorts the window centers, must give
+float-identical hulls.
 
 dead_time_sequential and count_coincidences_sequential are the detector
 rules written as one loop over the events; the library's vectorized
@@ -116,6 +119,28 @@ def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
         k = np.searchsorted(start, paired, "right") - 1
         inside = (k >= 0) & (paired <= hi[k])
     return bulk, paired[inside]
+
+
+def frozen_window_hulls(arms, half_window, shift, duration):
+    """The hulls by an argsort of all window starts and a running maximum of
+    their ends: each run of windows clipped to the run, the empty ones
+    dropped, then the union of the four runs."""
+    runs = []
+    for triggers in arms:
+        for offset in (0.0, shift):
+            lo, hi = monitor._window_edges(triggers, half_window, offset)
+            lo, hi = np.maximum(lo, 0.0), np.minimum(hi, duration)
+            keep = hi > lo
+            runs.append((lo[keep], hi[keep]))
+    lo = np.concatenate([lo for lo, _ in runs])
+    hi = np.concatenate([hi for _, hi in runs])
+    if lo.size == 0:
+        return lo, hi
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
+    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
 
 
 def frozen_count_coincidences(triggers, partners, half_window, offset):

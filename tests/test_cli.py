@@ -111,6 +111,21 @@ def test_linear_sweep_grid(tmp_path, capsys):
     assert float(rows[0][1]) == 0.5
 
 
+@pytest.mark.parametrize("n_s_range", [(3e-4, 0.07), (1e-5, 1.0), (1e-15, 1.0)])
+def test_log_sweep_grid_ends_are_exact(tmp_path, capsys, n_s_range):
+    # a log grid from logspace alone misses the first two ranges' ends by an
+    # ulp or two; the third spans more than 12 decades and keeps its points
+    path = _cfg(tmp_path, {
+        "sweep": {"n_s_min": n_s_range[0], "n_s_max": n_s_range[1], "points": 7},
+        "output": {"precision": 17},
+    })
+    assert main(["rate-curve", "--config", path]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    n_s = [float(r[header.index("n_s")]) for r in rows]
+    assert len(n_s) == 7
+    assert (n_s[0], n_s[-1]) == n_s_range
+
+
 def test_limit_table(capsys):
     assert main(["limit"]) == 0
     header, rows = _rows(capsys.readouterr().out)
@@ -209,12 +224,19 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-def test_runtime_validation_exits_3(tmp_path, capsys):
-    # trials=1 parses but the sweep itself rejects it
-    payload = dict(FAST_MONITOR)
-    payload["monitor"] = dict(FAST_MONITOR["monitor"], trials=1)
+def test_one_trial_is_a_config_error(tmp_path, capsys):
+    # the sweep's spread needs two trials
+    payload = {"monitor": dict(FAST_MONITOR["monitor"], trials=1)}
     path = _cfg(tmp_path, payload)
-    assert main(["monitor-sim", "--config", path]) == 3
+    assert main(["monitor-sim", "--config", path]) == 2
+    assert "config error: monitor.trials" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_runtime_validation_exits_3(tmp_path, capsys):
+    # a brightness of 1e300 parses, but its covariance overflows
+    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300, "points": 2}})
+    assert main(["rate-curve", "--config", path]) == 3
     assert "numerical error" in capsys.readouterr().err
 
 
@@ -241,6 +263,33 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, flag):
         assert main(["limit", flag, str(target)]) == 2
         assert f"config error: cannot write {target}: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_prints_nothing(tmp_path, capsys):
+    # the SVG target is a directory: the table must not reach stdout either
+    assert main(["limit", "--svg", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"config error: cannot write {tmp_path}: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [None, "kept,bytes\r\n"], ids=["new", "existing"])
+def test_failed_write_creates_or_replaces_no_file(tmp_path, capsys, existing):
+    # the CSV target is fine but the SVG target is a directory: the CSV is
+    # neither created nor replaced
+    csv = tmp_path / "keep.csv"
+    if existing is not None:
+        csv.write_bytes(existing.encode())
+    assert main(["limit", "--out", str(csv), "--svg", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "wrote" not in err
+    assert f"config error: cannot write {tmp_path}: " in err
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [csv]
+        assert csv.read_bytes() == existing.encode()
 
 
 NON_FINITE = [

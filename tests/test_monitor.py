@@ -20,7 +20,7 @@ from flqkd import (
     simulate_monitor,
     sweep_injection,
 )
-from monitor_oracle import frozen_draw_idler, frozen_poisson_times
+from monitor_oracle import frozen_draw_idler, frozen_poisson_times, frozen_window_hulls
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -257,11 +257,16 @@ def test_rank_equals_searchsorted_right(edges, points):
     assert np.array_equal(rank, np.searchsorted(edges, points, "right"))
 
 
+def _hex(times):
+    return [float.hex(t) for t in times.tolist()]
+
+
 @st.composite
 def trigger_arms(draw):
     """Two sorted trigger arms in a run, a half window and a shift. Some
     triggers lie within a half window of 0, of the shift or of the run's
-    end, so that some aligned and shifted windows are clipped by the run."""
+    end, so that some aligned and shifted windows are clipped by the run;
+    the second arm may repeat the first."""
     duration = draw(st.sampled_from([1.0, 36.0, 1e3]))
     half_window = draw(st.sampled_from([5e-10, 1e-3, 0.25]))
     shift = draw(st.floats(0.0, 1.5 * duration))
@@ -272,15 +277,29 @@ def trigger_arms(draw):
         edges = [min(max(at + d, 0.0), duration) for at, d in draw(st.lists(near, max_size=6))]
         return np.sort(np.array(inner + edges, np.float64))
 
-    return (arm(), arm()), half_window, shift, duration
+    first = arm()
+    return (first, first.copy() if draw(st.booleans()) else arm()), half_window, shift, duration
+
+
+def _arms(*arms):
+    return tuple(np.array(a, np.float64) for a in arms)
 
 
 @given(trigger_arms())
+# a half window of 0.25 s in a 1-s run: windows of one arm overlap, touch
+# (0.0 and 0.5) and reach past both ends of the run; the arms repeat
+@example((_arms([0.0, 0.1, 0.5, 0.6, 1.0], [0.0, 0.1, 0.5, 0.6, 1.0]), 0.25, 0.3, 1.0))
+@example((_arms([0.0, 0.5], [0.75]), 0.25, 0.0, 1.0))
+@example((_arms([], []), 0.25, 0.5, 1.0))
 def test_window_hulls_hold_every_counted_window(case):
     # the idler is drawn only on the hulls, so every window that
-    # count_coincidences looks in must lie inside one hull, to the bit
+    # count_coincidences looks in must lie inside one hull, to the bit; the
+    # hulls are sorted and disjoint, and equal the frozen union's
     arms, half_window, shift, duration = case
     lo, hi = monitor._window_hulls(arms, half_window, shift, duration)
+    frozen = frozen_window_hulls(arms, half_window, shift, duration)
+    assert (_hex(lo), _hex(hi)) == (_hex(frozen[0]), _hex(frozen[1]))
+    assert np.all(lo[1:] > hi[:-1])
     for triggers in arms:
         for offset in (0.0, shift):
             w_lo, w_hi = monitor._window_edges(triggers, half_window, offset)
@@ -310,10 +329,6 @@ def span_layouts(draw):
         gap = draw(st.sampled_from(["touch", "ulp", "wide"]))
         t = end if gap == "touch" else np.nextafter(end, np.inf) if gap == "ulp" else end + scale
     return np.array(t0), np.array(t1)
-
-
-def _hex(times):
-    return [float.hex(t) for t in times.tolist()]
 
 
 @given(span_layouts(), st.sampled_from([0, 1, 40, 400]), st.integers(0, 2**32 - 1))
