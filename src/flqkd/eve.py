@@ -61,8 +61,8 @@ class SystemParams:
             raise ValidationError(f"kappa_B must be in [0,1), got {self.kappa_B!r}")
         if self.G_B < 1.0:
             raise ValidationError(f"G_B must be >= 1, got {self.G_B!r}")
-        if self.N_B < 0.0:
-            raise ValidationError(f"N_B must be >= 0, got {self.N_B!r}")
+        if not self.N_B > 0.0:
+            raise ValidationError(f"N_B must be > 0, got {self.N_B!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValidationError(f"beta must be in (0,1], got {self.beta!r}")
 
@@ -141,22 +141,25 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
     kap = params.kappa
     gb_loss = params.G_B * (1.0 - params.kappa_B)
-    n_ab = (1.0 - kap) * n_s + kap * n_e
-    c_ia = 2.0 * np.sqrt(kap * n_e * (n_e + 1.0))
-    # signed: goes negative once the injected brightness exceeds the source's
-    c_ab = 2.0 * math.sqrt(gb_loss * kap * (1.0 - kap)) * (n_s - n_e)
-    c_ib = 2.0 * np.sqrt(gb_loss * (1.0 - kap) * n_e * (n_e + 1.0))
-    n_ba = gb_loss * (kap * n_s + (1.0 - kap) * n_e) + params.N_B
-    a = 2.0 * n_ab + 1.0
-    e = 2.0 * n_e + 1.0
-    b = 2.0 * n_ba + 1.0
-    # shape (..., 6): the brightness axes first, as in the entries
-    terms = np.array([a, e, b, c_ia, c_ab, c_ib]).transpose((*range(1, n_s.ndim + 1), 0)) / 4.0
-    # the stack (V_0, V_1, (V_0 + V_1)/2)
-    entries = np.zeros((3,) + n_s.shape + (6, 6))
-    signs = _SIGNS.reshape((2,) + (1,) * n_s.ndim + (-1,))
-    entries[:2, ..., _ROWS, _COLS] = terms[..., _TERMS] * signs
-    entries[2] = 0.5 * (entries[0] + entries[1])
+    # a brightness too large for floats overflows to inf or nan here;
+    # Covariance3Mode rejects such entries, so numpy need not warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_ab = (1.0 - kap) * n_s + kap * n_e
+        c_ia = 2.0 * np.sqrt(kap * n_e * (n_e + 1.0))
+        # signed: goes negative once the injected brightness exceeds the source's
+        c_ab = 2.0 * math.sqrt(gb_loss * kap * (1.0 - kap)) * (n_s - n_e)
+        c_ib = 2.0 * np.sqrt(gb_loss * (1.0 - kap) * n_e * (n_e + 1.0))
+        n_ba = gb_loss * (kap * n_s + (1.0 - kap) * n_e) + params.N_B
+        a = 2.0 * n_ab + 1.0
+        e = 2.0 * n_e + 1.0
+        b = 2.0 * n_ba + 1.0
+        # shape (..., 6): the brightness axes first, as in the entries
+        terms = np.array([a, e, b, c_ia, c_ab, c_ib]).transpose((*range(1, n_s.ndim + 1), 0)) / 4.0
+        # the stack (V_0, V_1, (V_0 + V_1)/2)
+        entries = np.zeros((3,) + n_s.shape + (6, 6))
+        signs = _SIGNS.reshape((2,) + (1,) * n_s.ndim + (-1,))
+        entries[:2, ..., _ROWS, _COLS] = terms[..., _TERMS] * signs
+        entries[2] = 0.5 * (entries[0] + entries[1])
     return AttackState(*Covariance3Mode(entries).unstack())
 
 

@@ -5,6 +5,13 @@ Q-function, Shannon information of the resulting binary symmetric channel,
 secret-key efficiency SKE = beta * I_AB - chi against the collective-attack
 Holevo bound, and a grid-plus-golden-section maximizer over the source
 brightness N_S.
+
+The maximizer makes few rate calls, each over many points: one call scans
+its 64-point grid, and the golden-section steps go in batches. Each batch
+holds every point the next three steps could ask for, whichever way their
+comparisons go, and the steps read their values from it. An array call
+gives each point the value of the scalar call, so the iterates, and the
+optimum, are those of the one-point search bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from .gaussian import elementwise, scalar_or_array
 _SQRT_2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# relative width at which the golden-section search stops
+_TOL = 1e-6
+# golden steps whose points one rate call evaluates
+_LOOKAHEAD = 3
 
 
 def q_function(x: float) -> float:
@@ -114,22 +125,66 @@ def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
     )
 
 
+def _points_ahead(lo, hi, h, c, d, yc, yd, steps: int) -> list[float]:
+    """Every point that the next `steps` golden steps from the state
+    (lo, hi, h, c, d, yc, yd) could ask for, in the one-point arithmetic.
+
+    A value not yet known is None; a comparison that reads one is followed
+    both ways, so each step ahead doubles the points it may need.
+    """
+    if steps == 0 or not h > _TOL * max(abs(lo), abs(hi)):
+        return []
+    h *= _INV_PHI
+    c_wins = (True, False) if yc is None or yd is None else (yc > yd,)
+    points = []
+    for wins in c_wins:
+        if wins:
+            x = lo + _INV_PHI2 * h
+            points += [x, *_points_ahead(lo, d, h, x, c, None, yc, steps - 1)]
+        else:
+            x = c + _INV_PHI * h
+            points += [x, *_points_ahead(c, hi, h, d, x, yd, None, steps - 1)]
+    return points
+
+
 def _golden_max(fun, lo: float, hi: float) -> float:
+    """Golden-section maximizer of fun over [lo, hi], to a relative _TOL.
+
+    fun takes an array of points and returns their values. The iterates are
+    those of the one-point search, which asks for one new point per step.
+    When a step asks for a point not yet known, one call evaluates it
+    together with every point that the next _LOOKAHEAD - 1 steps could ask
+    for, whichever way their comparisons go (1 + 2 + 4 points; the first
+    call takes both starting points and two steps ahead); the steps then
+    read their values from that batch. fun must give each point the
+    value it gives that point alone, so every comparison, and the returned
+    midpoint, is the one-point search's bit for bit.
+    """
+    known = {}
+
+    def fill(need, *state):
+        ahead = [*need, *_points_ahead(*state, _LOOKAHEAD - 1)]
+        known.update(zip(ahead, fun(np.array(ahead)).tolist()))
+
     h = hi - lo
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
-    yc = fun(c)
-    yd = fun(d)
-    while h > 1e-6 * max(abs(lo), abs(hi)):
+    fill((c, d), lo, hi, h, c, d, None, None)
+    yc, yd = known[c], known[d]
+    while h > _TOL * max(abs(lo), abs(hi)):
         h *= _INV_PHI
         if yc > yd:
             hi, d, yd = d, c, yc
             c = lo + _INV_PHI2 * h
-            yc = fun(c)
+            if c not in known:
+                fill((c,), lo, hi, h, c, d, None, yd)
+            yc = known[c]
         else:
             lo, c, yc = c, d, yd
             d = lo + _INV_PHI * h
-            yd = fun(d)
+            if d not in known:
+                fill((d,), lo, hi, h, c, d, yc, None)
+            yd = known[d]
     return 0.5 * (lo + hi)
 
 
@@ -167,7 +222,7 @@ def optimize_brightness(
     """
     grid = search_grid(n_s_range)
 
-    def skr_at(x: float) -> float:
+    def skr_at(x: np.ndarray) -> np.ndarray:
         return skr_lower_bound(x, f_e, params).skr
 
     vals = skr_lower_bound(grid, f_e, params).skr

@@ -9,6 +9,8 @@ deliberately independent of the package's numpy eigenvalue route.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Q(x) = erfc(x/sqrt(2))/2 from x = 0 into the far tail, where Q is
@@ -112,3 +114,26 @@ def brute_force_spectrum(entries, dps=40):
     nus = sorted((abs(e) for e in eigs if mp.im(e) > 0), reverse=True)
     assert len(nus) == 3
     return np.array([float(x) for x in nus])
+
+
+def frozen_golden_max(fun, lo, hi):
+    """The one-point golden-section search the optimizer's batched search
+    must reproduce: fun(x) of one point per step, to a relative 1e-6."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    h = hi - lo
+    c = lo + inv_phi2 * h
+    d = lo + inv_phi * h
+    yc = fun(c)
+    yd = fun(d)
+    while h > 1e-6 * max(abs(lo), abs(hi)):
+        h *= inv_phi
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            c = lo + inv_phi2 * h
+            yc = fun(c)
+        else:
+            lo, c, yc = c, d, yd
+            d = lo + inv_phi * h
+            yd = fun(d)
+    return 0.5 * (lo + hi)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -232,12 +234,29 @@ def test_one_trial_is_a_config_error(tmp_path, capsys):
     assert "config error: monitor.trials" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_noiseless_receiver_is_a_config_error(tmp_path, capsys):
+    path = _cfg(tmp_path, {"system": {"N_B": 0}})
+    for command in ("optimize", "rate-curve", "limit"):
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: N_B must be > 0, got 0.0\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_runtime_validation_exits_3(tmp_path, capsys):
     # a brightness of 1e300 parses, but its covariance overflows
     path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300, "points": 2}})
     assert main(["rate-curve", "--config", path]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_overflow_prints_only_the_error_line(tmp_path, capfd):
+    # a fresh interpreter, so numpy warnings would reach stderr as a user sees them
+    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    status = subprocess.run([sys.executable, "-m", "flqkd.cli", "rate-curve", "--config", path], env=env).returncode
+    out, err = capfd.readouterr()
+    assert status == 3
+    assert (out, err) == ("", "numerical error: covariance has non-finite entries\n")
 
 
 def test_estimator_undefined_exits_4(tmp_path, capsys):

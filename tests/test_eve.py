@@ -223,7 +223,9 @@ def test_parameter_range_checks():
     good = dict(W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
                 G_B=3.8e3, N_B=9.7e3, beta=0.94)
     for key, bad in [("kappa", 0.0), ("kappa", 1.0), ("eta", 1.5), ("kappa_B", -0.1),
-                     ("G_B", 0.0), ("N_B", -1.0), ("beta", 1.01), ("W", 0.0), ("R", 0.0)]:
+                     ("G_B", 0.0), ("N_B", -1.0), ("beta", 1.01), ("W", 0.0), ("R", 0.0),
+                     # gamma = N_B/G_B divides Alice's BER argument
+                     ("N_B", 0.0), ("N_B", math.nan)]:
         kw = dict(good)
         kw[key] = bad
         with pytest.raises(ValidationError):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_utils as ou
@@ -23,7 +25,9 @@ from flqkd import (
     shannon_info,
     skr_lower_bound,
 )
-from flqkd.rates import search_grid
+from flqkd import rates
+from flqkd.config import load_run_config
+from flqkd.rates import _golden_max, search_grid
 
 PARAMS = SystemParams(
     W=2.0e12,
@@ -198,6 +202,89 @@ def test_optimizer_stays_inside_its_range(n_s_range):
 def test_optimizer_returns_the_upper_end_exactly():
     res = optimize_brightness(0.0027, PARAMS, n_s_range=(1e-5, 1e-3))
     assert res.n_s_opt == 1e-3
+
+
+def _assert_same_search(scalar_fun, lo, hi):
+    """The batched search returns the frozen one-point search's float and
+    asks for every point that search asks for."""
+    batched_asked, frozen_asked = [], []
+
+    def batched(xs):
+        batched_asked.extend(xs.tolist())
+        return np.array([scalar_fun(x) for x in xs.tolist()])
+
+    def frozen(x):
+        frozen_asked.append(x)
+        return scalar_fun(x)
+
+    got = _golden_max(batched, lo, hi)
+    assert type(got) is float
+    assert repr(got) == repr(ou.frozen_golden_max(frozen, lo, hi))
+    assert set(frozen_asked) <= set(batched_asked)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=0.03),
+    st.floats(min_value=-5.0, max_value=-0.2),
+    st.floats(min_value=1.01, max_value=3.0),
+)
+# a bracket above the optimum: the search runs into its lower end
+@example(0.0027, math.log10(0.013), 1.5)
+def test_batched_golden_search_matches_one_point_search_on_the_rate(f_e, log_lo, ratio):
+    lo = 10.0**log_lo
+    _assert_same_search(lambda x: skr_lower_bound(x, f_e, PARAMS).skr, lo, lo * ratio)
+
+
+_OBJECTIVES = {
+    "constant": lambda m: lambda x: 1.0,
+    # unimodal with flat steps: ties on every plateau
+    "plateaus": lambda m: lambda x: -float(math.floor(abs(x - m) * 7.0)),
+    "nan above the peak": lambda m: lambda x: math.nan if x > m else -((x - m) ** 2),
+    "nan on every other step": lambda m: lambda x: math.nan if math.floor(x * 3.0) % 2 else -abs(x - m),
+    "increasing": lambda m: lambda x: x,
+    "decreasing": lambda m: lambda x: -x,
+}
+
+
+@given(
+    st.sampled_from(sorted(_OBJECTIVES)),
+    st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+    st.floats(min_value=1e-9, max_value=1e3, allow_subnormal=False),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_batched_golden_search_matches_one_point_search_on_ties_and_nans(kind, lo, width, at):
+    hi = lo + width
+    # the relative tolerance never stops a search closing in on 0
+    assume(lo > 0.0 or hi < 0.0)
+    _assert_same_search(_OBJECTIVES[kind](lo + at * width), lo, hi)
+
+
+def _keyrate_grid_scenarios():
+    """(f_e, params): the centers of the benchmark's keyrate-grid strata,
+    f_e in [0, 0.03) by 6 and kappa in [0.05, 0.3) by 4, on the default
+    configuration."""
+    system = load_run_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.json")).system
+    f_es = [0.03 * (k + 0.5) / 6 for k in range(6)]
+    kappas = [0.05 + 0.25 * (k + 0.5) / 4 for k in range(4)]
+    return [(f_e, replace(system, kappa=kappa)) for f_e in f_es for kappa in kappas]
+
+
+def test_optimizer_batches_its_golden_steps(monkeypatch):
+    # one grid call, the golden steps in batches of three, one final point:
+    # 31 calls when each golden step made its own
+    calls = []
+
+    def counted(n_s, *args):
+        calls.append(np.size(n_s))
+        return skr_lower_bound(n_s, *args)
+
+    monkeypatch.setattr(rates, "skr_lower_bound", counted)
+    for f_e, params in _keyrate_grid_scenarios():
+        calls.clear()
+        rates.optimize_brightness(f_e, params, n_s_range=(1e-5, 1.0))
+        assert len(calls) <= 13, (f_e, params.kappa, calls)
+        assert calls[0] == 64 and calls[-1] == 1
 
 
 def test_search_grid_ends_are_exact():
