@@ -197,12 +197,7 @@ def _write(files: dict[str, str]) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(
-            args.config,
-            seed_override=args.seed,
-            csv_override=args.out,
-            svg_override=args.svg,
-        )
+        cfg = load_run_config(args.config, seed_override=args.seed)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0
@@ -213,16 +208,16 @@ def main(argv=None) -> int:
         # the table, so a failed run writes nothing
         csv_text = render_csv(table, cfg.output.precision)
         files = {}
-        if cfg.output.csv_path:
-            files[cfg.output.csv_path] = csv_text
-        if cfg.output.svg_path:
+        if args.out:
+            files[args.out] = csv_text
+        if args.svg:
             series = [
                 (label, *(table[v] if isinstance(v, str) else v for v in (x, y)))
                 for label, x, y in chart.pop("series")
             ]
-            files[cfg.output.svg_path] = render_svg(series, **chart)
+            files[args.svg] = render_svg(series, **chart)
         _write(files)
-        if not cfg.output.csv_path:
+        if not args.out:
             sys.stdout.write(csv_text)
         return 0
     except ConfigError as exc:

@@ -33,8 +33,6 @@ DEFAULT_SWEEP = {"n_s_min": 1e-4, "n_s_max": 0.1, "points": 80, "log_scale": Tru
 DEFAULT_MONITOR = {
     "pair_rate": 2e5,
     "ase_rate_at_source": 2e5,
-    "kappa": 0.1,
-    "f_e_true": 0.0,
     "tap_alice": 1e-3,
     "tap_bob": 1e-3,
     "det_eff_idler": 0.8,
@@ -48,7 +46,7 @@ DEFAULT_MONITOR = {
     "sweep_f_e": [0.25, 0.5, 0.75, 1.0],
     "trials": 8,
 }
-DEFAULT_OUTPUT = {"csv_path": None, "svg_path": None, "precision": 9}
+DEFAULT_OUTPUT = {"precision": 9}
 
 _SECTIONS = ("system", "attack", "sweep", "monitor", "output")
 # get_type_hints re-resolves the string annotations on every call
@@ -75,8 +73,6 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class OutputSpec:
-    csv_path: str | None
-    svg_path: str | None
     precision: int
 
     def __post_init__(self) -> None:
@@ -114,7 +110,7 @@ def _merge(raw: dict, section: str, defaults: dict) -> dict:
 
 def _typed(section: str, key: str, value, kind):
     """value checked against a field type: float (an int widens; NaN and the
-    infinities are refused), int, bool, or str | None."""
+    infinities are refused), int or bool."""
     name = f"{section}.{key}"
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true/false, got {value!r}")
@@ -129,8 +125,6 @@ def _typed(section: str, key: str, value, kind):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
-    if kind == str | None and value is not None and not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string or null")
     return value
 
 
@@ -143,12 +137,7 @@ def _build(cls, section: str, values: dict, **overrides):
     return cls(**checked)
 
 
-def load_run_config(
-    path: str | None = None,
-    seed_override: int | None = None,
-    csv_override: str | None = None,
-    svg_override: str | None = None,
-) -> RunConfig:
+def load_run_config(path: str | None = None, seed_override: int | None = None) -> RunConfig:
     """Parse a JSON config file (or defaults when path is None)."""
     if path is None:
         raw: dict = {}
@@ -170,14 +159,8 @@ def load_run_config(
         system = _build(SystemParams, "system", _merge(raw, "system", DEFAULT_SYSTEM))
         f_e_explicit, confidence, n_sigma_list = _parse_attack(raw)
         sweep = _build(SweepSpec, "sweep", _merge(raw, "sweep", DEFAULT_SWEEP))
-        monitor, sweep_f_e, trials = _parse_monitor(raw, seed_override)
-        output = _build(
-            OutputSpec,
-            "output",
-            _merge(raw, "output", DEFAULT_OUTPUT),
-            csv_path=csv_override,
-            svg_path=svg_override,
-        )
+        monitor, sweep_f_e, trials = _parse_monitor(raw, system.kappa, seed_override)
+        output = _build(OutputSpec, "output", _merge(raw, "output", DEFAULT_OUTPUT))
     except FlqkdError as exc:
         # a library check's message, or a ConfigError's own, as a ConfigError
         raise ConfigError(str(exc)) from None
@@ -217,7 +200,9 @@ def _parse_attack(raw: dict):
     return None, confidence, n_sigma_list
 
 
-def _parse_monitor(raw: dict, seed_override: int | None):
+def _parse_monitor(raw: dict, kappa: float, seed_override: int | None):
+    """The monitor's run, on the channel of the key-rate model (system.kappa);
+    sweep_injection sets f_e_true for each row."""
     merged = _merge(raw, "monitor", DEFAULT_MONITOR)
     raw_sweep = merged.pop("sweep_f_e")
     trials = _typed("monitor", "trials", merged.pop("trials"), int)
@@ -228,7 +213,9 @@ def _parse_monitor(raw: dict, seed_override: int | None):
     sweep_f_e = tuple(_typed("monitor", "sweep_f_e", v, float) for v in raw_sweep)
     if any(not 0.0 <= v <= 1.0 for v in sweep_f_e):
         raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
-    monitor = _build(MonitorSimConfig, "monitor", merged, rng_seed=seed_override)
+    monitor = _build(
+        MonitorSimConfig, "monitor", merged, kappa=kappa, f_e_true=0.0, rng_seed=seed_override
+    )
     return monitor, sweep_f_e, trials
 
 
@@ -238,11 +225,9 @@ def effective_dict(cfg: RunConfig) -> dict:
         attack: dict = {"f_e": cfg.f_e_explicit}
     else:
         attack = {**asdict(cfg.confidence), "n_sigma_list": list(cfg.n_sigma_list)}
-    monitor = {
-        **asdict(cfg.monitor),
-        "sweep_f_e": list(cfg.monitor_sweep_f_e),
-        "trials": cfg.monitor_trials,
-    }
+    # kappa comes from system, and f_e_true is set per sweep row
+    monitor = {key: value for key, value in asdict(cfg.monitor).items() if key in DEFAULT_MONITOR}
+    monitor.update(sweep_f_e=list(cfg.monitor_sweep_f_e), trials=cfg.monitor_trials)
     return {
         "system": asdict(cfg.system),
         "attack": attack,

@@ -192,5 +192,8 @@ def chernoff_ber_passive(params: SystemParams, n_s):
     check_brightness(n_s)
     n_s = np.asarray(n_s, dtype=float)
     kap = params.kappa
-    exponent = 4.0 * params.M * kap * (1.0 - kap) * (1.0 - params.kappa_B) * n_s * n_s
+    # a brightness too large for floats overflows to an infinite exponent,
+    # whose exp is the right limit, 0
+    with np.errstate(over="ignore"):
+        exponent = 4.0 * params.M * kap * (1.0 - kap) * (1.0 - params.kappa_B) * n_s * n_s
     return 0.5 * elementwise(math.exp, -exponent)

@@ -24,8 +24,7 @@ distribution:
 - A Poisson process restricted to disjoint intervals gives independent
   Poisson processes on them, so drawing each stretch once, and no stretch
   twice, gives the law of the full stream on their union. Partnered idler
-  events come from the tap draws, and the rounds return, once each, those
-  in a stretch, its window's closed end included.
+  events come from the tap draws, and all of them join the drawn stream.
 - Whether an event is kept depends on the detector's past. Call an event a
   cluster head when it comes at least one dead time after its predecessor,
   times[i] >= times[i-1] + dead_time, in the float addition that every
@@ -59,11 +58,14 @@ distribution:
   each run starts and ends and makes the gap tests from new to the first
   event, between events, and from the last event to the end of the earlier
   test. Only the stretches still open carry state into the next round.
-- In the drawn sample a stretch's head is a head too: its predecessor there
-  is the same event, or an earlier one from a previous stretch. One
-  dead_time_filter call over all stretches therefore keeps, from every head
-  on, exactly the events the full stream keeps, and every window lies after
-  its stretch's head.
+- The drawn sample is a subset of the full stream, and in any subset that
+  holds it a stretch's head is a head too: its predecessor there is the
+  same event or an earlier one. A partnered event outside every stretch is
+  a real idler event that lies in no window, and since each stretch's head
+  is kept whatever comes before it, such events change no kept event inside
+  a stretch. One dead_time_filter call over the sample therefore keeps,
+  from every head on, exactly the events the full stream keeps, and every
+  window lies after its stretch's head.
 
 A run is one pass over [0, duration], so its peak memory grows with the
 duration: about 0.1 MB per simulated second at the acceptance tests'
@@ -378,8 +380,8 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     tau, half_window, shift = cfg.dead_time, 0.5 * cfg.coinc_window, cfg.shift_offset
     alice_live, bob_live, paired = _tap_streams(rng, rates, tau, cfg.duration)
     lo, hi = _window_hulls((alice_live, bob_live), half_window, shift, cfg.duration)
-    bulk, joined = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
-    idler_live, _ = dead_time_filter(_merge_sorted(bulk, joined), tau)
+    bulk = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
+    idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired), tau)
 
     t = cfg.duration
     return MonitorCounts(
@@ -429,8 +431,7 @@ def _window_hulls(arms, half_window, shift, duration):
 
 
 def _draw_idler(rng, rate, lo, hi, paired, dead_time):
-    """Idler-only events on stretches around the window hulls [lo, hi], and
-    the partnered idler events that lie in a stretch; returns both, sorted.
+    """Sorted idler-only events on stretches around the window hulls [lo, hi].
 
     Each stretch reaches back from its window, twice as far each round,
     until the stream it holds shows a gap of at least dead_time before its
@@ -443,16 +444,12 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
     # where each stretch's gap test ends: its earliest event found so far,
     # or its window's start
     after = lo.copy()
-    # a partnered event's hull is the first that ends after it. The event
-    # joins the stream if it lies in that hull or on the previous hull's
-    # closed end; one in front of its hull, in [bound[k], lo[k]), waits in
-    # the pool until a round's span reaches it or its stretch settles
+    # a partnered event's hull is the first that ends after it. One in front
+    # of its hull, in [bound[k], lo[k]), waits in the pool until a round's
+    # span reaches it or its stretch settles
     pool_at = np.searchsorted(hi, paired, "right")
-    joined = pool_at < lo.size
-    joined[joined] = paired[joined] >= lo[pool_at[joined]]
-    pool = np.flatnonzero((pool_at < lo.size) & ~joined)
-    ended = pool_at > 0
-    joined[ended] |= paired[ended] == hi[pool_at[ended] - 1]
+    pool = np.flatnonzero(pool_at < lo.size)
+    pool = pool[paired[pool] < lo[pool_at[pool]]]
     pool_at = pool_at[pool]
     # lo, bound and after hold the open stretches only; old is where each
     # one's tested stream starts, and top where its next span ends
@@ -469,7 +466,6 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
         fresh = events < old[label]
         times, label = events[fresh], label[fresh]
         near = paired[pool] >= new[pool_at]
-        joined[pool[near]] = True
         add = paired[pool[near]]
         at = np.searchsorted(times, add)
         times = np.insert(times, at, add)
@@ -501,7 +497,7 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
         reach *= 2.0
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()
-    return bulk, paired[joined]
+    return bulk
 
 
 def sweep_injection(

@@ -148,7 +148,8 @@ def _points_ahead(lo, hi, h, c, d, yc, yd, steps: int) -> list[float]:
 
 
 def _golden_max(fun, lo: float, hi: float) -> float:
-    """Golden-section maximizer of fun over [lo, hi], to a relative _TOL.
+    """Golden-section maximizer of fun over [lo, hi], to a relative _TOL or
+    until the bracket stops narrowing.
 
     fun takes an array of points and returns their values. The iterates are
     those of the one-point search, which asks for one new point per step.
@@ -171,7 +172,11 @@ def _golden_max(fun, lo: float, hi: float) -> float:
     d = lo + _INV_PHI * h
     fill((c, d), lo, hi, h, c, d, None, None)
     yc, yd = known[c], known[d]
-    while h > _TOL * max(abs(lo), abs(hi)):
+    # closing in on 0 the relative test never ends the search, so it also
+    # ends once a step no longer narrows the bracket in float
+    width = math.inf
+    while h > _TOL * max(abs(lo), abs(hi)) and hi - lo < width:
+        width = hi - lo
         h *= _INV_PHI
         if yc > yd:
             hi, d, yd = d, c, yc
@@ -249,7 +254,8 @@ def f_e_upper_bound(spec: ConfidenceSpec) -> float:
     """Confidence-level upper bound clamp(f_e_hat + n_sigma * sigma, 0, 1).
 
     The measured value is used as-is (it may be negative, noise around zero)
-    before the multiple of sigma is added; only the sum is clamped.
+    before the multiple of sigma is added; only the sum is clamped. A bound
+    of 1 takes holevo_bound's f_e = 1 limit.
     """
     raw = spec.f_e_hat + spec.n_sigma * spec.sigma
-    return min(max(raw, 0.0), 1.0 - 1e-12)
+    return min(max(raw, 0.0), 1.0)

@@ -9,12 +9,14 @@ frozen_draw_idler and frozen_count_coincidences are an earlier form of the
 library's idler rounds and coincidence count: each round labels the whole
 partnered pool and argsorts the points of every open stretch, and each
 trigger takes two searches. Run in place of the library's, they must give
-the same counts, field for field, on every seed. frozen_poisson_times is the
-earlier draw on a list of intervals, which the library's _draw_spans must
-match time for time. frozen_window_hulls builds the hulls the idler is
-drawn on from an argsort of all window starts and a running maximum of their
-ends; the library's _window_hulls, which sorts the window centers, must give
-float-identical hulls.
+the same counts, field for field, on every seed. frozen_draw_idler also
+returns the partnered events that lie in a stretch; the engine merges every
+partnered event itself, so the tests run it through its drawn events alone.
+frozen_poisson_times is the earlier draw on a list of intervals, which the
+library's _draw_spans must match time for time. frozen_window_hulls builds
+the hulls the idler is drawn on from an argsort of all window starts and a
+running maximum of their ends; the library's _window_hulls, which sorts the
+window centers, must give float-identical hulls.
 
 dead_time_sequential and count_coincidences_sequential are the detector
 rules written as one loop over the events; the library's vectorized

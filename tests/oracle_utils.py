@@ -118,7 +118,8 @@ def brute_force_spectrum(entries, dps=40):
 
 def frozen_golden_max(fun, lo, hi):
     """The one-point golden-section search the optimizer's batched search
-    must reproduce: fun(x) of one point per step, to a relative 1e-6."""
+    must reproduce: fun(x) of one point per step, to a relative 1e-6 or
+    until a step no longer narrows the bracket in float."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
     h = hi - lo
@@ -126,7 +127,9 @@ def frozen_golden_max(fun, lo, hi):
     d = lo + inv_phi * h
     yc = fun(c)
     yd = fun(d)
-    while h > 1e-6 * max(abs(lo), abs(hi)):
+    width = math.inf
+    while h > 1e-6 * max(abs(lo), abs(hi)) and hi - lo < width:
+        width = hi - lo
         h *= inv_phi
         if yc > yd:
             hi, d, yd = d, c, yc

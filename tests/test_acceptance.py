@@ -215,9 +215,10 @@ def test_monitor_calibration_free(capsys):
 
 def test_cli_determinism(capsys, tmp_path):
     cfg = {
+        "system": {"kappa": 0.5},
         "sweep": {"points": 16},
         "monitor": {
-            "pair_rate": 2e5, "ase_rate_at_source": 2e5, "kappa": 0.5,
+            "pair_rate": 2e5, "ase_rate_at_source": 2e5,
             "duration": 1.5, "trials": 2, "sweep_f_e": [0.5], "rng_seed": 4242,
         },
     }

@@ -13,14 +13,15 @@ from pathlib import Path
 import pytest
 
 from flqkd.cli import main
+from flqkd.config import load_run_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
 FAST_MONITOR = {
+    "system": {"kappa": 0.5},
     "monitor": {
         "pair_rate": 2e5,
         "ase_rate_at_source": 2e5,
-        "kappa": 0.5,
         "duration": 1.5,
         "trials": 2,
         "sweep_f_e": [0.5],
@@ -215,6 +216,46 @@ def test_dump_config_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == dumped
 
 
+def test_dump_config_holds_only_settable_keys(tmp_path, capsys):
+    # the output paths come from the flags, and the monitor's kappa and
+    # f_e_true from system.kappa and the sweep
+    path = _cfg(tmp_path, FAST_MONITOR)
+    argv = ["monitor-sim", "--config", path, "--out", "x.csv", "--svg", "x.svg", "--dump-config"]
+    assert main(argv) == 0
+    dumped = capsys.readouterr().out
+    eff = json.loads(dumped)
+    assert not {"kappa", "f_e_true"} & set(eff["monitor"])
+    assert set(eff["output"]) == {"precision"}
+    path2 = tmp_path / "eff.json"
+    path2.write_text(dumped)
+    assert load_run_config(str(path2)) == load_run_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("monitor", "kappa", 0.1),
+        ("monitor", "f_e_true", 0.7),
+        ("output", "csv_path", "x.csv"),
+        ("output", "svg_path", "x.svg"),
+    ],
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
+    path = _cfg(tmp_path, {section: {key: value}})
+    assert main(["monitor-sim", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key {section}.{key}\n"
+    assert list(tmp_path.iterdir()) == [Path(path)]
+
+
+def test_monitor_runs_on_the_system_kappa(tmp_path, capsys):
+    outs = []
+    for kappa in (0.5, 0.3):
+        path = _cfg(tmp_path, dict(FAST_MONITOR, system={"kappa": kappa}))
+        assert main(["monitor-sim", "--config", path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
+
+
 def test_config_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"system": {"kappa": 2.0}}')
@@ -228,7 +269,7 @@ def test_config_error_exits_2(tmp_path, capsys):
 
 def test_one_trial_is_a_config_error(tmp_path, capsys):
     # the sweep's spread needs two trials
-    payload = {"monitor": dict(FAST_MONITOR["monitor"], trials=1)}
+    payload = dict(FAST_MONITOR, monitor=dict(FAST_MONITOR["monitor"], trials=1))
     path = _cfg(tmp_path, payload)
     assert main(["monitor-sim", "--config", path]) == 2
     assert "config error: monitor.trials" in capsys.readouterr().err
@@ -249,18 +290,46 @@ def test_runtime_validation_exits_3(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_overflow_prints_only_the_error_line(tmp_path, capfd):
+def _fresh_cli(*argv):
     # a fresh interpreter, so numpy warnings would reach stderr as a user sees them
-    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    status = subprocess.run([sys.executable, "-m", "flqkd.cli", "rate-curve", "--config", path], env=env).returncode
+    return subprocess.run([sys.executable, "-m", "flqkd.cli", *argv], env=env).returncode
+
+
+def test_overflow_prints_only_the_error_line(tmp_path, capfd):
+    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})
+    status = _fresh_cli("rate-curve", "--config", path)
     out, err = capfd.readouterr()
     assert status == 3
     assert (out, err) == ("", "numerical error: covariance has non-finite entries\n")
 
 
+def test_ber_curve_overflow_is_silent(tmp_path, capfd):
+    # Eve's Chernoff exponent overflows to inf, and exp(-inf) = 0 is its limit
+    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})
+    status = _fresh_cli("ber-curve", "--config", path)
+    out, err = capfd.readouterr()
+    assert (status, err) == (0, "")
+    header, rows = _rows(out)
+    # n_s * n_s alone overflows above 1.4e154; ppb = 22000 n_s
+    huge = [float(r[header.index("ber_eve_qcb")]) for r in rows if float(r[0]) > 22000 * 1.4e154]
+    assert huge and set(huge) == {0.0}
+
+
+def test_a_bound_of_one_takes_the_total_injection_limit(tmp_path, capsys):
+    # 17 digits, so a bound an ulp-scale short of 1 would show
+    payload = {"attack": {"f_e_hat": 0.99, "sigma": 0.1}, "sweep": {"points": 8}, "output": {"precision": 17}}
+    path = _cfg(tmp_path, payload)
+    assert main(["optimize", "--config", path]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    assert [float(r[header.index("f_e_ub")]) for r in rows] == [1.0] * 5
+    assert main(["rate-curve", "--config", path]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    assert [float(r[header.index("chi_ub_active")]) for r in rows] == [1.0] * 8
+
+
 def test_estimator_undefined_exits_4(tmp_path, capsys):
-    payload = {"monitor": dict(FAST_MONITOR["monitor"], pair_rate=0.0)}
+    payload = dict(FAST_MONITOR, monitor=dict(FAST_MONITOR["monitor"], pair_rate=0.0))
     path = _cfg(tmp_path, payload)
     assert main(["monitor-sim", "--config", path]) == 4
     assert "estimator undefined" in capsys.readouterr().err

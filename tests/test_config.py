@@ -99,15 +99,8 @@ def test_missing_file():
 
 
 def test_overrides_apply(tmp_path):
-    cfg = load_run_config(
-        _write(tmp_path, {}),
-        seed_override=99,
-        csv_override="out.csv",
-        svg_override="out.svg",
-    )
+    cfg = load_run_config(_write(tmp_path, {}), seed_override=99)
     assert cfg.monitor.rng_seed == 99
-    assert cfg.output.csv_path == "out.csv"
-    assert cfg.output.svg_path == "out.svg"
 
 
 def test_n_sigma_list_validation(tmp_path):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_utils as ou
@@ -29,6 +33,7 @@ from flqkd import rates
 from flqkd.config import load_run_config
 from flqkd.rates import _golden_max, search_grid
 
+ROOT = Path(__file__).resolve().parents[1]
 PARAMS = SystemParams(
     W=2.0e12,
     R=1e8,
@@ -255,16 +260,44 @@ _OBJECTIVES = {
 )
 def test_batched_golden_search_matches_one_point_search_on_ties_and_nans(kind, lo, width, at):
     hi = lo + width
-    # the relative tolerance never stops a search closing in on 0
-    assume(lo > 0.0 or hi < 0.0)
     _assert_same_search(_OBJECTIVES[kind](lo + at * width), lo, hi)
+
+
+_CLOSING_IN_ON_ZERO = """
+import json
+import oracle_utils as ou
+from flqkd.rates import _golden_max
+cases = {"-x on [0, w]": (lambda x: -x, 0.0, 2.5), "peak at 0": (lambda x: -abs(x), -1.0, 3.0)}
+out = {}
+for name, (fun, lo, hi) in cases.items():
+    batched, frozen = [], []
+    got = _golden_max(lambda xs: (batched.extend(xs.tolist()), fun(xs))[1], lo, hi)
+    want = ou.frozen_golden_max(lambda x: (frozen.append(x), fun(x))[1], lo, hi)
+    out[name] = [repr(got), repr(want), set(frozen) <= set(batched)]
+print(json.dumps(out))
+"""
+
+
+def test_golden_search_closing_in_on_zero_ends():
+    # the relative tolerance alone never ends these searches, so they run in
+    # a child process that a hang cannot stall
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run(
+        [sys.executable, "-c", _CLOSING_IN_ON_ZERO], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    for name, (got, want, superset) in json.loads(child.stdout).items():
+        assert got == want, name
+        assert superset, name
+        assert abs(float(got)) < 1e-300, name
 
 
 def _keyrate_grid_scenarios():
     """(f_e, params): the centers of the benchmark's keyrate-grid strata,
     f_e in [0, 0.03) by 6 and kappa in [0.05, 0.3) by 4, on the default
     configuration."""
-    system = load_run_config(str(Path(__file__).resolve().parents[1] / "configs" / "default.json")).system
+    system = load_run_config(str(ROOT / "configs" / "default.json")).system
     f_es = [0.03 * (k + 0.5) / 6 for k in range(6)]
     kappas = [0.05 + 0.25 * (k + 0.5) / 4 for k in range(4)]
     return [(f_e, replace(system, kappa=kappa)) for f_e in f_es for kappa in kappas]
@@ -329,8 +362,9 @@ def test_f_e_upper_bound_examples():
 
 def test_f_e_upper_bound_clamps():
     assert f_e_upper_bound(ConfidenceSpec(0.0, 0.0, 1)) == 0.0
-    ub = f_e_upper_bound(ConfidenceSpec(0.9, 0.5, 3))
-    assert ub < 1.0
+    # a bound of 1 or more is f_e = 1, which holevo_bound defines
+    assert f_e_upper_bound(ConfidenceSpec(0.9, 0.5, 3)) == 1.0
+    assert f_e_upper_bound(ConfidenceSpec(0.99, 0.1, 1)) == 1.0
 
 
 def test_confidence_spec_validation():
