@@ -3,7 +3,7 @@
 Subcommands: rate-curve, optimize, ber-curve, monitor-sim, limit. Every
 command reads one JSON config (defaults when omitted), writes one CSV table
 (stdout when --out is omitted) and an optional SVG rendering, and is
-deterministic for a fixed config and seed.
+deterministic for a fixed config.
 
 Exit codes: 0 success, 2 config error, 3 numerical/domain error,
 4 estimator undefined.
@@ -39,11 +39,6 @@ from .rates import (
     skr_lower_bound,
 )
 
-def _resolve_f_e(cfg: RunConfig) -> float:
-    if cfg.f_e_explicit is not None:
-        return cfg.f_e_explicit
-    return f_e_upper_bound(cfg.confidence)
-
 
 def _sweep_grid(cfg: RunConfig) -> np.ndarray:
     s = cfg.sweep
@@ -59,7 +54,7 @@ def _sweep_grid(cfg: RunConfig) -> np.ndarray:
 
 def _cmd_rate_curve(cfg: RunConfig):
     grid = _sweep_grid(cfg)
-    active = skr_lower_bound(grid, _resolve_f_e(cfg), cfg.system)
+    active = skr_lower_bound(grid, f_e_upper_bound(cfg.confidence), cfg.system)
     passive = skr_lower_bound(grid, 0.0, cfg.system)
     table = {
         "ppb": active.ppb, "n_s": active.n_s, "ber": active.ber, "i_ab": active.i_ab,
@@ -78,8 +73,6 @@ def _cmd_rate_curve(cfg: RunConfig):
 
 
 def _cmd_optimize(cfg: RunConfig):
-    if cfg.confidence is None:
-        raise ConfigError("optimize needs the {f_e_hat, sigma, n_sigma} attack form")
     f_es = [f_e_upper_bound(replace(cfg.confidence, n_sigma=n)) for n in cfg.n_sigma_list]
     results = [optimize_brightness(f_e, cfg.system) for f_e in f_es]
     table = {
@@ -137,7 +130,7 @@ def _cmd_monitor_sim(cfg: RunConfig):
 
 def _cmd_limit(cfg: RunConfig):
     limit = pirandola_limit(cfg.system.kappa)
-    ske = optimize_brightness(_resolve_f_e(cfg), cfg.system).point.ske
+    ske = optimize_brightness(f_e_upper_bound(cfg.confidence), cfg.system).point.ske
     table = {
         "kappa": [cfg.system.kappa],
         "limit_bits_per_mode": [limit],
@@ -176,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", metavar="PATH", help="JSON run configuration")
         sp.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
         sp.add_argument("--svg", metavar="PATH", help="also render an SVG chart")
-        sp.add_argument("--seed", type=int, metavar="U64", help="override monitor RNG seed")
         sp.add_argument(
             "--dump-config",
             action="store_true",
@@ -197,7 +189,7 @@ def _write(files: dict[str, str]) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config, seed_override=args.seed)
+        cfg = load_run_config(args.config)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))
             return 0

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import get_type_hints
 
-from .errors import ConfigError, FlqkdError
+from .errors import ConfigError, FlqkdError, ValidationError
 from .eve import SystemParams
 from .monitor import MonitorSimConfig
 from .rates import ConfidenceSpec
@@ -83,8 +83,7 @@ class OutputSpec:
 @dataclass(frozen=True)
 class RunConfig:
     system: SystemParams
-    f_e_explicit: float | None
-    confidence: ConfidenceSpec | None
+    confidence: ConfidenceSpec
     n_sigma_list: tuple[int, ...]
     sweep: SweepSpec
     monitor: MonitorSimConfig
@@ -128,16 +127,15 @@ def _typed(section: str, key: str, value, kind):
     return value
 
 
-def _build(cls, section: str, values: dict, **overrides):
-    """cls from values, each checked against its field's type; overrides
-    that are not None then replace the checked values."""
+def _build(cls, section: str, values: dict, **fixed):
+    """cls from values, each checked against its field's type, and the fixed
+    fields, which no config key sets."""
     hints = _field_types(cls)
     checked = {key: _typed(section, key, value, hints[key]) for key, value in values.items()}
-    checked.update((key, value) for key, value in overrides.items() if value is not None)
-    return cls(**checked)
+    return cls(**checked, **fixed)
 
 
-def load_run_config(path: str | None = None, seed_override: int | None = None) -> RunConfig:
+def load_run_config(path: str | None = None) -> RunConfig:
     """Parse a JSON config file (or defaults when path is None)."""
     if path is None:
         raw: dict = {}
@@ -157,16 +155,15 @@ def load_run_config(path: str | None = None, seed_override: int | None = None) -
 
     try:
         system = _build(SystemParams, "system", _merge(raw, "system", DEFAULT_SYSTEM))
-        f_e_explicit, confidence, n_sigma_list = _parse_attack(raw)
+        confidence, n_sigma_list = _parse_attack(raw)
         sweep = _build(SweepSpec, "sweep", _merge(raw, "sweep", DEFAULT_SWEEP))
-        monitor, sweep_f_e, trials = _parse_monitor(raw, system.kappa, seed_override)
+        monitor, sweep_f_e, trials = _parse_monitor(raw, system.kappa)
         output = _build(OutputSpec, "output", _merge(raw, "output", DEFAULT_OUTPUT))
     except FlqkdError as exc:
         # a library check's message, or a ConfigError's own, as a ConfigError
         raise ConfigError(str(exc)) from None
     return RunConfig(
         system=system,
-        f_e_explicit=f_e_explicit,
         confidence=confidence,
         n_sigma_list=n_sigma_list,
         sweep=sweep,
@@ -178,29 +175,23 @@ def load_run_config(path: str | None = None, seed_override: int | None = None) -
 
 
 def _parse_attack(raw: dict):
-    section = _require_mapping(raw.get("attack", {}), "attack")
-    if "f_e" in section:
-        extra = sorted(set(section) - {"f_e"})
-        if extra:
-            raise ConfigError(
-                f"attack gives explicit f_e; remove {', '.join(extra)} or drop f_e"
-            )
-        f_e = _typed("attack", "f_e", section["f_e"], float)
-        if not 0.0 <= f_e < 1.0:
-            raise ConfigError(f"attack.f_e must be in [0,1), got {f_e!r}")
-        return f_e, None, tuple(range(1, 6))
+    """The monitor's estimate of f_E and the confidence levels it is taken
+    at; a known f_E is {"f_e_hat": x, "sigma": 0}."""
     merged = _merge(raw, "attack", {**DEFAULT_ATTACK, "n_sigma_list": list(range(1, 6))})
     raw_list = merged.pop("n_sigma_list")
     confidence = _build(ConfidenceSpec, "attack", merged)
     if not isinstance(raw_list, list) or not raw_list:
         raise ConfigError("attack.n_sigma_list must be a non-empty list")
     n_sigma_list = tuple(_typed("attack", "n_sigma_list", v, int) for v in raw_list)
-    if any(n < 1 for n in n_sigma_list):
-        raise ConfigError("attack.n_sigma_list entries must be >= 1")
-    return None, confidence, n_sigma_list
+    for n in n_sigma_list:  # the optimize command takes the bound at each level
+        try:
+            replace(confidence, n_sigma=n)
+        except ValidationError as exc:
+            raise ConfigError(f"attack.n_sigma_list: {exc}") from None
+    return confidence, n_sigma_list
 
 
-def _parse_monitor(raw: dict, kappa: float, seed_override: int | None):
+def _parse_monitor(raw: dict, kappa: float):
     """The monitor's run, on the channel of the key-rate model (system.kappa);
     sweep_injection sets f_e_true for each row."""
     merged = _merge(raw, "monitor", DEFAULT_MONITOR)
@@ -213,18 +204,13 @@ def _parse_monitor(raw: dict, kappa: float, seed_override: int | None):
     sweep_f_e = tuple(_typed("monitor", "sweep_f_e", v, float) for v in raw_sweep)
     if any(not 0.0 <= v <= 1.0 for v in sweep_f_e):
         raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
-    monitor = _build(
-        MonitorSimConfig, "monitor", merged, kappa=kappa, f_e_true=0.0, rng_seed=seed_override
-    )
+    monitor = _build(MonitorSimConfig, "monitor", merged, kappa=kappa, f_e_true=0.0)
     return monitor, sweep_f_e, trials
 
 
 def effective_dict(cfg: RunConfig) -> dict:
     """Canonical nested-dict form of a parsed config; reparses identically."""
-    if cfg.f_e_explicit is not None:
-        attack: dict = {"f_e": cfg.f_e_explicit}
-    else:
-        attack = {**asdict(cfg.confidence), "n_sigma_list": list(cfg.n_sigma_list)}
+    attack = {**asdict(cfg.confidence), "n_sigma_list": list(cfg.n_sigma_list)}
     # kappa comes from system, and f_e_true is set per sweep row
     monitor = {key: value for key, value in asdict(cfg.monitor).items() if key in DEFAULT_MONITOR}
     monitor.update(sweep_f_e=list(cfg.monitor_sweep_f_e), trials=cfg.monitor_trials)

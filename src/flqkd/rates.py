@@ -86,10 +86,20 @@ class ConfidenceSpec:
     n_sigma: int
 
     def __post_init__(self) -> None:
+        for name in ("f_e_hat", "sigma", "n_sigma"):
+            if not _finite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma < 0:
             raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
         if int(self.n_sigma) != self.n_sigma or self.n_sigma < 1:
             raise ValidationError(f"n_sigma must be a positive integer, got {self.n_sigma!r}")
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range, which n_sigma * sigma cannot take
+        return False
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ frozen_draw_idler and frozen_count_coincidences are an earlier form of the
 library's idler rounds and coincidence count: each round labels the whole
 partnered pool and argsorts the points of every open stretch, and each
 trigger takes two searches. Run in place of the library's, they must give
-the same counts, field for field, on every seed. frozen_draw_idler also
-returns the partnered events that lie in a stretch; the engine merges every
-partnered event itself, so the tests run it through its drawn events alone.
+the same counts, field for field, on every seed. frozen_draw_idler returns
+only its drawn events, as the library's does; the engine merges every
+partnered event itself.
 frozen_poisson_times is the earlier draw on a list of intervals, which the
 library's _draw_spans must match time for time. frozen_window_hulls builds
 the hulls the idler is drawn on from an argsort of all window starts and a
@@ -81,9 +81,8 @@ def frozen_poisson_times(rng, rate, t0, t1):
 
 
 def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
-    """The windowed idler rounds, every open stretch in every round. The
-    partnered events it returns are those in a stretch [start[k], hi[k]],
-    found by one search into the stretches' final starts."""
+    """The windowed idler rounds, every open stretch in every round; returns
+    the drawn idler events, sorted."""
     start = lo.copy()
     bound = np.concatenate(([0.0], hi[:-1]))
     after = lo.copy()
@@ -116,11 +115,7 @@ def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
         reach *= 2.0
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()
-    inside = np.zeros(paired.size, bool)
-    if hi.size:
-        k = np.searchsorted(start, paired, "right") - 1
-        inside = (k >= 0) & (paired <= hi[k])
-    return bulk, paired[inside]
+    return bulk
 
 
 def frozen_window_hulls(arms, half_window, shift, duration):

@@ -58,7 +58,7 @@ def test_rate_curve_table(tmp_path, capsys):
 
 
 def test_rate_curve_zero_injection_collapses_active_passive(tmp_path, capsys):
-    path = _cfg(tmp_path, {"attack": {"f_e": 0.0}, "sweep": {"points": 4}})
+    path = _cfg(tmp_path, {"attack": {"f_e_hat": 0.0, "sigma": 0.0}, "sweep": {"points": 4}})
     assert main(["rate-curve", "--config", path]) == 0
     _, rows = _rows(capsys.readouterr().out)
     for r in rows:
@@ -76,12 +76,6 @@ def test_optimize_table(tmp_path, capsys):
     skrs = [float(r[5]) for r in rows]
     assert all(b < a for a, b in zip(skrs, skrs[1:]))
     assert all(r[6] == "1" for r in rows)
-
-
-def test_optimize_requires_confidence_form(tmp_path, capsys):
-    path = _cfg(tmp_path, {"attack": {"f_e": 0.002}})
-    assert main(["optimize", "--config", path]) == 2
-    assert "config error" in capsys.readouterr().err
 
 
 def test_ber_curve_table(tmp_path, capsys):
@@ -186,26 +180,40 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _with_seed(seed):
+    return dict(FAST_MONITOR, monitor=dict(FAST_MONITOR["monitor"], rng_seed=seed))
+
+
 def test_seed_override_changes_and_reproduces(tmp_path, capsys):
-    path = _cfg(tmp_path, FAST_MONITOR)
     outs = []
-    for seed in ("777", "777", "778"):
-        assert main(["monitor-sim", "--config", path, "--seed", seed]) == 0
+    for seed in (777, 777, 778):
+        path = _cfg(tmp_path, _with_seed(seed))
+        assert main(["monitor-sim", "--config", path]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
 
 
-def test_seed_must_fit_64_bits(capsys):
-    for seed in ("-1", str(2**64)):
-        assert main(["monitor-sim", "--seed", seed]) == 2
+def test_seed_must_fit_64_bits(tmp_path, capsys):
+    for seed in (-1, 2**64):
+        path = _cfg(tmp_path, _with_seed(seed))
+        assert main(["monitor-sim", "--config", path]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "rng_seed" in err
 
 
+@pytest.mark.parametrize("command", ["limit", "rate-curve"])
+def test_seed_flag_is_gone(capsys, command):
+    # the seed is set only by monitor.rng_seed
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_dump_config_round_trip(tmp_path, capsys):
-    path = _cfg(tmp_path, {"system": {"W": 2.0e12}})
-    assert main(["rate-curve", "--config", path, "--seed", "5", "--dump-config"]) == 0
+    path = _cfg(tmp_path, {"system": {"W": 2.0e12}, "monitor": {"rng_seed": 5}})
+    assert main(["rate-curve", "--config", path, "--dump-config"]) == 0
     dumped = capsys.readouterr().out
     eff = json.loads(dumped)
     assert eff["system"]["W"] == 2.0e12
@@ -238,6 +246,7 @@ def test_dump_config_holds_only_settable_keys(tmp_path, capsys):
         ("monitor", "f_e_true", 0.7),
         ("output", "csv_path", "x.csv"),
         ("output", "svg_path", "x.svg"),
+        ("attack", "f_e", 0.002),
     ],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
@@ -389,6 +398,9 @@ NON_FINITE = [
     # that long stays an int that no float can hold
     ("rate-curve", '{"system": {"N_B": -1e400}}', "system.N_B"),
     ("rate-curve", '{"system": {"G_B": 1%s}}' % ("0" * 400), "system.G_B"),
+    # a confidence level that long would overflow n_sigma * sigma
+    ("limit", '{"attack": {"n_sigma": 1%s}}' % ("0" * 400), "n_sigma"),
+    ("optimize", '{"attack": {"n_sigma_list": [1%s]}}' % ("0" * 400), "attack.n_sigma_list"),
 ]
 
 

@@ -372,7 +372,7 @@ def test_draw_idler_draws_the_events_the_frozen_rounds_draw(layout, load, seed):
     rate = load / (dead_time or 1.0)
     hulls = _hex(lo), _hex(hi)
     bulk = monitor._draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
-    frozen, _ = frozen_draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
+    frozen = frozen_draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
     assert _hex(bulk) == _hex(frozen)
     # the first round reads the caller's hulls and writes none of them
     assert (_hex(lo), _hex(hi)) == hulls

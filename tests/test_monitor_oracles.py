@@ -140,15 +140,10 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     return [round(r * cfg.duration) for r in _rates(counts)], full_stream_counts(cfg, streams)
 
 
-def _frozen_draw_idler_bulk(*args):
-    # the drawn events alone; the engine merges every partnered event itself
-    return frozen_draw_idler(*args)[0]
-
-
 def _frozen_counts_on_given_streams(cfg, streams, monkeypatch):
     """The six counts of the same cut draws with frozen_draw_idler in place
     of the library's idler rounds."""
-    monkeypatch.setattr(monitor, "_draw_idler", _frozen_draw_idler_bulk)
+    monkeypatch.setattr(monitor, "_draw_idler", frozen_draw_idler)
     return _counts_on_given_streams(cfg, streams, monkeypatch)[0]
 
 
@@ -367,7 +362,7 @@ SATURATED_POINT = replace(NOMINAL_POINT, dead_time=5e-6, shift_offset=2e-5)
 def test_idler_rounds_and_counting_equal_the_frozen_engine(cfg, monkeypatch):
     seeds = range(20)
     library = [simulate_monitor(replace(cfg, rng_seed=s)) for s in seeds]
-    monkeypatch.setattr(monitor, "_draw_idler", _frozen_draw_idler_bulk)
+    monkeypatch.setattr(monitor, "_draw_idler", frozen_draw_idler)
     monkeypatch.setattr(monitor, "count_coincidences", frozen_count_coincidences)
     frozen = [simulate_monitor(replace(cfg, rng_seed=s)) for s in seeds]
     assert library == frozen

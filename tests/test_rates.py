@@ -375,3 +375,26 @@ def test_confidence_spec_validation():
         ConfidenceSpec(0.0007, -0.002, 1)
     with pytest.raises(ValidationError):
         ConfidenceSpec(0.0007, 0.002, 0)
+
+
+@pytest.mark.parametrize(
+    "f_e_hat, sigma, n_sigma",
+    [
+        (math.nan, 0.1, 1),
+        (math.inf, 0.0, 1),
+        (-math.inf, 0.1, 1),
+        (0.0, math.nan, 1),
+        (0.0, math.inf, 1),
+        (0.0, 0.1, math.inf),
+        (0.0, 0.1, math.nan),
+        (0.0, 0.1, 10**400),
+    ],
+    ids=[
+        "f_e_hat-nan", "f_e_hat-inf", "f_e_hat-neg-inf", "sigma-nan", "sigma-inf",
+        "n_sigma-inf", "n_sigma-nan", "n_sigma-beyond-float",
+    ],
+)
+def test_confidence_spec_refuses_non_finite_values(f_e_hat, sigma, n_sigma):
+    # each passed, or failed outside the package's errors
+    with pytest.raises(ValidationError, match="must be finite"):
+        ConfidenceSpec(f_e_hat, sigma, n_sigma)
