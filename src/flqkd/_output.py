@@ -68,10 +68,8 @@ def write_text_atomic(files: dict[str, str]) -> None:
         raise
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks_linear(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _ticks_log(lo: float, hi: float) -> list[float]:
@@ -81,13 +79,34 @@ def _ticks_log(lo: float, hi: float) -> list[float]:
     return [t for t in ticks if lo <= t <= hi] or [lo, hi]
 
 
+def _axis(values: list[float], log: bool, p0: float, p1: float):
+    """The axis over values, drawn from pixel p0 to p1: its scale (value to
+    pixel) and its ticks. A linear axis is padded by 5% of its span. With no
+    value an axis spans [0, 1] when linear and [1, 10] when log."""
+    if values:
+        lo, hi = min(values), max(values)
+    else:
+        lo, hi = (1.0, 10.0) if log else (0.0, 1.0)
+    if not log:
+        pad = 0.05 * (hi - lo) or max(abs(lo), 1.0) * 0.05
+        lo, hi = lo - pad, hi + pad
+    f = math.log10 if log else float
+    f_lo = f(lo)
+    span = f(hi) - f_lo or 1.0
+
+    def scale(v: float) -> float:
+        return p0 + (f(v) - f_lo) / span * (p1 - p0)
+
+    return scale, _ticks_log(lo, hi) if log else _ticks_linear(lo, hi)
+
+
 def render_svg(
     series: list[tuple[str, list[float], list[float]]],
     x_label: str,
     y_label: str,
+    title: str,
     log_x: bool = False,
     log_y: bool = False,
-    title: str = "",
 ) -> str:
     width, height = 720.0, 480.0
     left, right, top, bottom = 72.0, 24.0, 36.0, 56.0
@@ -104,35 +123,8 @@ def render_svg(
         for label, xs, ys in series
     ]
     points = [p for _, placed in series for p in placed]
-    if not points:
-        points = [(0.0, 0.0), (1.0, 1.0)]
-    x_lo = min(p[0] for p in points)
-    x_hi = max(p[0] for p in points)
-    y_lo = min(p[1] for p in points)
-    y_hi = max(p[1] for p in points)
-
-    def _expand(lo: float, hi: float, log: bool) -> tuple[float, float]:
-        if log:
-            return lo, hi
-        pad = 0.05 * (hi - lo) or max(abs(lo), 1.0) * 0.05
-        return lo - pad, hi + pad
-
-    x_lo, x_hi = _expand(x_lo, x_hi, log_x)
-    y_lo, y_hi = _expand(y_lo, y_hi, log_y)
-
-    def sx(x: float) -> float:
-        if log_x:
-            f = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo) or 1.0)
-        else:
-            f = (x - x_lo) / ((x_hi - x_lo) or 1.0)
-        return px0 + f * (px1 - px0)
-
-    def sy(y: float) -> float:
-        if log_y:
-            f = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo) or 1.0)
-        else:
-            f = (y - y_lo) / ((y_hi - y_lo) or 1.0)
-        return py0 + f * (py1 - py0)
+    sx, x_ticks = _axis([x for x, _ in points], log_x, px0, px1)
+    sy, y_ticks = _axis([y for _, y in points], log_y, py0, py1)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -140,15 +132,9 @@ def render_svg(
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<rect x="{px0:.2f}" y="{py1:.2f}" width="{px1 - px0:.2f}" height="{py0 - py1:.2f}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
+        f'<text x="{(px0 + px1) / 2:.2f}" y="{top - 12:.2f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{(px0 + px1) / 2:.2f}" y="{top - 12:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
-
-    x_ticks = _ticks_log(x_lo, x_hi) if log_x else _ticks_linear(x_lo, x_hi)
-    y_ticks = _ticks_log(y_lo, y_hi) if log_y else _ticks_linear(y_lo, y_hi)
     for t in x_ticks:
         gx = sx(t)
         parts.append(f'<line x1="{gx:.2f}" y1="{py0:.2f}" x2="{gx:.2f}" y2="{py0 + 5:.2f}" stroke="#333"/>')

@@ -20,13 +20,7 @@ import numpy as np
 
 from ._output import render_csv, render_svg, write_text_atomic
 from .config import RunConfig, dump_config, load_run_config
-from .errors import (
-    ConfigError,
-    DomainError,
-    EstimatorUndefinedError,
-    UnphysicalStateError,
-    ValidationError,
-)
+from .errors import ConfigError, EstimatorUndefinedError, FlqkdError
 # holevo_bound is not called here; perfbench/tracing.py patches this name
 from .eve import chernoff_ber_passive, holevo_bound  # noqa: F401
 from .monitor import SweepRow, sweep_injection
@@ -48,8 +42,7 @@ def _sweep_grid(cfg: RunConfig) -> np.ndarray:
 
 
 # Each command returns its table, column name -> values in CSV order, and
-# its chart: render_svg's arguments, with each series given as (label, x, y)
-# where x and y name a column or hold the values themselves.
+# its chart: render_svg's arguments, each series (label, x values, y values).
 
 
 def _cmd_rate_curve(cfg: RunConfig):
@@ -63,7 +56,7 @@ def _cmd_rate_curve(cfg: RunConfig):
         "skr_active": active.skr, "skr_passive": passive.skr,
     }
     chart = dict(
-        series=[("skr_active", "ppb", "skr_active"), ("skr_passive", "ppb", "skr_passive")],
+        series=[(name, table["ppb"], table[name]) for name in ("skr_active", "skr_passive")],
         x_label="photons per bit",
         y_label="secret key rate (bit/s)",
         log_x=cfg.sweep.log_scale,
@@ -85,7 +78,7 @@ def _cmd_optimize(cfg: RunConfig):
         "positive_key": [r.positive_key for r in results],
     }
     chart = dict(
-        series=[("skr", "n_sigma", "skr")],
+        series=[("skr", table["n_sigma"], table["skr"])],
         x_label="confidence multiplier n_sigma",
         y_label="secret key rate (bit/s)",
         title="optimized key rate vs confidence level",
@@ -101,10 +94,7 @@ def _cmd_ber_curve(cfg: RunConfig):
         "ber_eve_qcb": chernoff_ber_passive(cfg.system, grid),
     }
     chart = dict(
-        series=[
-            ("ber_alice_theory", "ppb", "ber_alice_theory"),
-            ("ber_eve_qcb", "ppb", "ber_eve_qcb"),
-        ],
+        series=[(name, table["ppb"], table[name]) for name in ("ber_alice_theory", "ber_eve_qcb")],
         x_label="photons per bit",
         y_label="bit-error rate",
         log_x=cfg.sweep.log_scale,
@@ -120,7 +110,10 @@ def _cmd_monitor_sim(cfg: RunConfig):
     table = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
     table["warnings"] = [";".join(w) for w in table["warnings"]]
     chart = dict(
-        series=[("mean estimate", "f_e_true", "mean_estimate"), ("truth", [0.0, 1.0], [0.0, 1.0])],
+        series=[
+            ("mean estimate", table["f_e_true"], table["mean_estimate"]),
+            ("truth", [0.0, 1.0], [0.0, 1.0]),
+        ],
         x_label="injected fraction",
         y_label="estimated fraction",
         title="intrusion estimator sweep",
@@ -203,11 +196,7 @@ def main(argv=None) -> int:
         if args.out:
             files[args.out] = csv_text
         if args.svg:
-            series = [
-                (label, *(table[v] if isinstance(v, str) else v for v in (x, y)))
-                for label, x, y in chart.pop("series")
-            ]
-            files[args.svg] = render_svg(series, **chart)
+            files[args.svg] = render_svg(**chart)
         _write(files)
         if not args.out:
             sys.stdout.write(csv_text)
@@ -218,7 +207,7 @@ def main(argv=None) -> int:
     except EstimatorUndefinedError as exc:
         print(f"estimator undefined: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, DomainError, UnphysicalStateError, FloatingPointError) as exc:
+    except FlqkdError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

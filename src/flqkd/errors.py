@@ -1,10 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the finiteness rule
+its parameter classes check first.
 
-The CLI maps these onto exit codes: config errors exit 2, numerical/domain
-errors exit 3, an undefined intrusion estimate exits 4.
+The CLI maps these onto exit codes: config errors exit 2, an undefined
+intrusion estimate exits 4, and every other package error (numerical or
+domain) exits 3.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class FlqkdError(Exception):
@@ -29,3 +33,16 @@ class EstimatorUndefinedError(FlqkdError):
 
 class ConfigError(FlqkdError):
     """Run configuration failed to parse or validate."""
+
+
+def require_finite(obj, names) -> None:
+    """Refuse a non-finite value of any named attribute of obj with
+    ValidationError; an int beyond the float range counts as non-finite."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"{name} must be finite, got {value!r}")

@@ -11,11 +11,11 @@ entropy routines to bound the Holevo information per channel use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_finite
 from .gaussian import Covariance3Mode, elementwise, scalar_or_array, von_neumann_entropy
 
 
@@ -49,6 +49,7 @@ class SystemParams:
         return self.N_B / self.G_B
 
     def __post_init__(self) -> None:
+        require_finite(self, (f.name for f in fields(self)))
         if self.W <= 0 or self.R <= 0:
             raise ValidationError("W and R must be positive")
         if self.M < 1:

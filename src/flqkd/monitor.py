@@ -76,11 +76,11 @@ come from more trials (sweep_injection), not from longer ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import EstimatorUndefinedError, ValidationError
+from .errors import EstimatorUndefinedError, ValidationError, require_finite
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,7 @@ class MonitorSimConfig:
     rng_seed: int
 
     def __post_init__(self) -> None:
+        require_finite(self, (f.name for f in fields(self) if f.name != "rng_seed"))
         if self.pair_rate < 0 or self.ase_rate_at_source < 0:
             raise ValidationError("rates must be >= 0")
         if not 0.0 < self.kappa < 1.0:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_finite
 from .eve import SystemParams, check_brightness, holevo_bound
 from .gaussian import elementwise, scalar_or_array
 
@@ -86,20 +86,12 @@ class ConfidenceSpec:
     n_sigma: int
 
     def __post_init__(self) -> None:
-        for name in ("f_e_hat", "sigma", "n_sigma"):
-            if not _finite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # an int n_sigma beyond the float range would overflow n_sigma * sigma
+        require_finite(self, ("f_e_hat", "sigma", "n_sigma"))
         if self.sigma < 0:
             raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
         if int(self.n_sigma) != self.n_sigma or self.n_sigma < 1:
             raise ValidationError(f"n_sigma must be a positive integer, got {self.n_sigma!r}")
-
-
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range, which n_sigma * sigma cannot take
-        return False
 
 
 @dataclass(frozen=True)

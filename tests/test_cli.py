@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from flqkd.cli import main
-from flqkd.config import load_run_config
+from flqkd.config import MAX_SWEEP_POINTS, load_run_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -439,3 +439,32 @@ def test_committed_outputs_regenerate(tmp_path, capsys, command):
     capsys.readouterr()
     for name in (f"{stem}.csv", f"{stem}.svg"):
         assert (tmp_path / name).read_bytes() == (ROOT / "outputs" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("log_scale", [True, False])
+def test_chart_with_no_placeable_point_is_drawn_empty(tmp_path, capsys, log_scale):
+    # at these brightnesses both BERs underflow to 0, which a log axis cannot place
+    path = _cfg(tmp_path, {"sweep": {"n_s_min": 5, "n_s_max": 10, "log_scale": log_scale}})
+    assert main(["ber-curve", "--config", path]) == 0
+    csv_text = capsys.readouterr().out
+    svg = tmp_path / "b.svg"
+    assert main(["ber-curve", "--config", path, "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == csv_text
+    root = ET.fromstring(svg.read_text())
+    assert root.tag.endswith("svg")
+    assert not any(el.tag.endswith("polyline") for el in root.iter())
+
+
+@pytest.mark.parametrize("points", [10**20, MAX_SWEEP_POINTS + 1], ids=["1e20", "cap+1"])
+def test_sweep_points_beyond_the_cap_are_a_config_error(tmp_path, capsys, points):
+    # 1e20 points once reached numpy, which failed with a traceback
+    path = _cfg(tmp_path, {"sweep": {"points": points}})
+    assert main(["rate-curve", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "sweep.points" in err
+
+
+def test_sweep_at_the_cap_builds(tmp_path):
+    # built only: a run this size takes ~4 GB
+    path = _cfg(tmp_path, {"sweep": {"points": MAX_SWEEP_POINTS}})
+    assert load_run_config(path).sweep.points == MAX_SWEEP_POINTS

@@ -232,6 +232,15 @@ def test_parameter_range_checks():
             SystemParams(**kw)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("field", ["W", "R", "kappa", "eta", "kappa_B", "G_B", "N_B", "beta"])
+def test_parameters_refuse_non_finite_values(field, value):
+    # W = inf once gave a key rate of -6e6 bit/s, and NaN or inf elsewhere
+    # failed later with a message about a BER or a covariance
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        replace(PARAMS, **{field: value})
+
+
 def test_injection_fraction_domain():
     with pytest.raises(DomainError):
         attack_state(PARAMS, 0.01, 1.0)

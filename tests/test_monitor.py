@@ -98,6 +98,18 @@ def test_counts_validation():
         MonitorCounts(5e4, -1.0, 10.0, 8e4, 50.0, 10.0, 30.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("field", [
+    "pair_rate", "ase_rate_at_source", "kappa", "f_e_true", "tap_alice", "tap_bob",
+    "det_eff_idler", "det_eff_alice", "det_eff_bob", "dead_time", "coinc_window",
+    "shift_offset", "duration",
+])
+def test_sim_config_refuses_non_finite_values(field, value):
+    # a NaN dead_time or coinc_window, or an infinite shift_offset, once passed
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        replace(BASE, **{field: value})
+
+
 def test_sim_config_validation():
     for field, bad in [
         ("pair_rate", -1.0),
