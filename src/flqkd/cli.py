@@ -5,7 +5,8 @@ command reads one JSON config (defaults when omitted), writes one CSV table
 (stdout when --out is omitted) and an optional SVG rendering, and is
 deterministic for a fixed config.
 
-Exit codes: 0 success, 2 config error, 3 numerical/domain error,
+Exit codes: 0 success, 2 config error (also an --out or --svg path that
+cannot be written, or the two naming one file), 3 numerical/domain error,
 4 estimator undefined.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -182,6 +184,8 @@ def _write(files: dict[str, str]) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
+            raise ConfigError(f"--out {args.out} and --svg {args.svg} name the same file")
         cfg = load_run_config(args.config)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from functools import cache
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigError, FlqkdError, ValidationError
 from .eve import SystemParams
@@ -28,7 +26,7 @@ DEFAULT_SYSTEM = {
     "N_B": 9.7e3,
     "beta": 0.94,
 }
-DEFAULT_ATTACK = {"f_e_hat": 7e-4, "sigma": 2e-3, "n_sigma": 1}
+DEFAULT_ATTACK = {"f_e_hat": 7e-4, "sigma": 2e-3, "n_sigma": 1, "n_sigma_list": [1, 2, 3, 4, 5]}
 DEFAULT_SWEEP = {"n_s_min": 1e-4, "n_s_max": 0.1, "points": 80, "log_scale": True}
 DEFAULT_MONITOR = {
     "pair_rate": 2e5,
@@ -49,8 +47,6 @@ DEFAULT_MONITOR = {
 DEFAULT_OUTPUT = {"precision": 9}
 
 _SECTIONS = ("system", "attack", "sweep", "monitor", "output")
-# get_type_hints re-resolves the string annotations on every call
-_field_types = cache(get_type_hints)
 
 
 # rate-curve peaks at ~4.2 KB and takes ~80 us per sweep point (measured at
@@ -116,14 +112,14 @@ def _merge(raw: dict, section: str, defaults: dict) -> dict:
 
 
 def _typed(section: str, key: str, value, kind):
-    """value checked against a field type: float (an int widens; NaN and the
-    infinities are refused), int or bool."""
+    """value checked against a field's annotation string: "float" (an int
+    widens; NaN and the infinities are refused), "int" or "bool"."""
     name = f"{section}.{key}"
-    if kind is bool and not isinstance(value, bool):
+    if kind == "bool" and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true/false, got {value!r}")
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+    if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if kind is float:
+    if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
         try:
@@ -138,8 +134,8 @@ def _typed(section: str, key: str, value, kind):
 def _build(cls, section: str, values: dict, **fixed):
     """cls from values, each checked against its field's type, and the fixed
     fields, which no config key sets."""
-    hints = _field_types(cls)
-    checked = {key: _typed(section, key, value, hints[key]) for key, value in values.items()}
+    kinds = {f.name: f.type for f in fields(cls)}
+    checked = {key: _typed(section, key, value, kinds[key]) for key, value in values.items()}
     return cls(**checked, **fixed)
 
 
@@ -185,12 +181,12 @@ def load_run_config(path: str | None = None) -> RunConfig:
 def _parse_attack(raw: dict):
     """The monitor's estimate of f_E and the confidence levels it is taken
     at; a known f_E is {"f_e_hat": x, "sigma": 0}."""
-    merged = _merge(raw, "attack", {**DEFAULT_ATTACK, "n_sigma_list": list(range(1, 6))})
+    merged = _merge(raw, "attack", DEFAULT_ATTACK)
     raw_list = merged.pop("n_sigma_list")
     confidence = _build(ConfidenceSpec, "attack", merged)
     if not isinstance(raw_list, list) or not raw_list:
         raise ConfigError("attack.n_sigma_list must be a non-empty list")
-    n_sigma_list = tuple(_typed("attack", "n_sigma_list", v, int) for v in raw_list)
+    n_sigma_list = tuple(_typed("attack", "n_sigma_list", v, "int") for v in raw_list)
     for n in n_sigma_list:  # the optimize command takes the bound at each level
         try:
             replace(confidence, n_sigma=n)
@@ -204,12 +200,12 @@ def _parse_monitor(raw: dict, kappa: float):
     sweep_injection sets f_e_true for each row."""
     merged = _merge(raw, "monitor", DEFAULT_MONITOR)
     raw_sweep = merged.pop("sweep_f_e")
-    trials = _typed("monitor", "trials", merged.pop("trials"), int)
+    trials = _typed("monitor", "trials", merged.pop("trials"), "int")
     if trials < 2:
         raise ConfigError(f"monitor.trials must be >= 2, got {trials}")
     if not isinstance(raw_sweep, list):
         raise ConfigError("monitor.sweep_f_e must be a list")
-    sweep_f_e = tuple(_typed("monitor", "sweep_f_e", v, float) for v in raw_sweep)
+    sweep_f_e = tuple(_typed("monitor", "sweep_f_e", v, "float") for v in raw_sweep)
     if any(not 0.0 <= v <= 1.0 for v in sweep_f_e):
         raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
     monitor = _build(MonitorSimConfig, "monitor", merged, kappa=kappa, f_e_true=0.0)

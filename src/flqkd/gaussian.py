@@ -21,9 +21,9 @@ PHYSICALITY_TOL = 1e-9
 _SYMMETRY_RTOL = 1e-12
 
 
-# the symplectic form, one 2x2 block [[0, 1], [-1, 0]] per mode
-OMEGA = np.zeros((6, 6))
-OMEGA[[0, 2, 4], [1, 3, 5]], OMEGA[[1, 3, 5], [0, 2, 4]] = 1.0, -1.0
+# the symplectic form, one 2x2 block [[0, 1], [-1, 0]] per mode; + 0.0 turns
+# the -0.0 entries of the product into 0.0
+OMEGA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]) + 0.0
 OMEGA.setflags(write=False)
 
 

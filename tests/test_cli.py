@@ -389,6 +389,27 @@ def test_failed_write_creates_or_replaces_no_file(tmp_path, capsys, existing):
         assert csv.read_bytes() == existing.encode()
 
 
+@pytest.mark.parametrize("existing", [None, "kept,bytes\r\n"], ids=["new", "existing"])
+@pytest.mark.parametrize("svg_name", ["same.csv", "./same.csv"], ids=["verbatim", "dotted"])
+def test_out_and_svg_naming_one_file_is_a_config_error(
+    tmp_path, capsys, monkeypatch, existing, svg_name
+):
+    # the SVG would replace the CSV it was staged beside
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "same.csv"
+    if existing is not None:
+        target.write_bytes(existing.encode())
+    assert main(["limit", "--out", "same.csv", "--svg", svg_name]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "wrote" not in err
+    assert err.startswith("config error: ") and "name the same file" in err
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == existing.encode()
+
+
 NON_FINITE = [
     ("monitor-sim", '{"monitor": {"pair_rate": NaN}}', "monitor.pair_rate"),
     ("monitor-sim", '{"monitor": {"duration": Infinity}}', "monitor.duration"),

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from flqkd import ConfigError
+from flqkd import ConfidenceSpec, ConfigError, MonitorSimConfig, SystemParams
 from flqkd.config import (
     DEFAULT_ATTACK,
     DEFAULT_MONITOR,
     DEFAULT_OUTPUT,
     DEFAULT_SWEEP,
     DEFAULT_SYSTEM,
+    OutputSpec,
+    SweepSpec,
     dump_config,
     effective_dict,
     load_run_config,
@@ -65,6 +68,13 @@ def test_type_guards(tmp_path):
         load_run_config(_write(tmp_path, {"sweep": {"log_scale": 1}}))
 
 
+def test_every_config_field_has_a_checked_kind():
+    # the config checks a value by its field's annotation string; an
+    # annotation evaluated to a type would match none of the checks
+    for cls in (SystemParams, ConfidenceSpec, SweepSpec, MonitorSimConfig, OutputSpec):
+        assert {f.type for f in fields(cls)} <= {"float", "int", "bool"}, cls.__name__
+
+
 def test_semantic_errors_surface_as_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="kappa"):
         load_run_config(_write(tmp_path, {"system": {"kappa": 2.0}}))
@@ -112,7 +122,16 @@ def test_committed_default_config_equals_builtin_defaults():
 def test_dumped_sections_carry_exactly_the_accepted_keys():
     eff = effective_dict(load_run_config(None))
     assert set(eff["system"]) == set(DEFAULT_SYSTEM)
-    assert set(eff["attack"]) == set(DEFAULT_ATTACK) | {"n_sigma_list"}
+    assert set(eff["attack"]) == set(DEFAULT_ATTACK)
     assert set(eff["sweep"]) == set(DEFAULT_SWEEP)
     assert set(eff["monitor"]) == set(DEFAULT_MONITOR)
     assert set(eff["output"]) == set(DEFAULT_OUTPUT)
+
+
+def test_committed_default_config_names_every_key():
+    # the README calls configs/default.json the full schema
+    committed = json.loads(DEFAULT_CONFIG.read_text())
+    eff = effective_dict(load_run_config(None))
+    assert {name: set(keys) for name, keys in committed.items()} == {
+        name: set(keys) for name, keys in eff.items()
+    }

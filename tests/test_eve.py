@@ -152,6 +152,53 @@ def test_array_attack_state_stacks_the_scalar_states():
     assert chi.tolist() == [holevo_bound(PARAMS, x, 0.0027) for x in grid.tolist()]
 
 
+def _layout_terms(params, n_s, f_e):
+    # the six covariance terms of Zhuang et al., PRA 94, 012322 (2016), with
+    # the injected brightness written out rather than taken from eve
+    n_s = np.asarray(n_s, dtype=float)
+    kap, gain = params.kappa, params.G_B * (1.0 - params.kappa_B)
+    n_e = kap * n_s * f_e / ((1.0 - kap) * (1.0 - f_e))
+    a = 1.0 + 2.0 * ((1.0 - kap) * n_s + kap * n_e)
+    e = 1.0 + 2.0 * n_e
+    b = 1.0 + 2.0 * (gain * (kap * n_s + (1.0 - kap) * n_e) + params.N_B)
+    c_ia = 2.0 * np.sqrt(kap * n_e * (n_e + 1.0))
+    c_ab = 2.0 * np.sqrt(gain * kap * (1.0 - kap)) * (n_s - n_e)
+    c_ib = 2.0 * np.sqrt(gain * (1.0 - kap) * n_e * (n_e + 1.0))
+    return a, e, b, c_ia, c_ab, c_ib
+
+
+@pytest.mark.parametrize(
+    "n_s, f_e",
+    [
+        (0.01, 0.0027),
+        (0.01, 0.0),
+        (0.01, 0.95),
+        (np.array([0.0, 1e-4, 0.01, 0.3]), 0.0027),
+        (np.array([[1e-5, 0.01], [0.3, 2.0]]), 0.95),
+    ],
+    ids=["scalar", "no-injection", "c_ab-negative", "array", "2d-c_ab-negative"],
+)
+def test_covariances_have_the_block_layout(n_s, f_e):
+    # every term joins two modes by I or Z = diag(1, -1), so the x-p cross
+    # blocks vanish and the x and p blocks are 3x3 matrices of the terms
+    a, e, b, c_ia, c_ab, c_ib = _layout_terms(PARAMS, n_s, f_e)
+    if f_e == 0.95:
+        assert np.all(c_ab < 0.0)
+    st = attack_state(PARAMS, n_s, f_e)
+    for cov, sign in ((st.cov_k0, 1.0), (st.cov_k1, -1.0), (st.cov_uncond, 0.0)):
+        v = cov.entries
+        assert v.shape == np.shape(n_s) + (6, 6)
+        assert np.all(v[..., 0::2, 1::2] == 0.0) and np.all(v[..., 1::2, 0::2] == 0.0)
+        ab, ib = sign * c_ab, sign * c_ib
+        x = [[a, -c_ia, ab], [-c_ia, e, ib], [ab, ib, b]]
+        p = [[a, c_ia, ab], [c_ia, e, -ib], [ab, -ib, b]]
+        for block, expected in ((v[..., 0::2, 0::2], x), (v[..., 1::2, 1::2], p)):
+            expected = np.moveaxis(np.array(expected), (0, 1), (-2, -1)) / 4.0
+            # atol 0: a zero term (c_ia without injection, the average's
+            # signal correlations) must come out exactly zero
+            assert np.allclose(block, expected, rtol=1e-12, atol=0.0)
+
+
 def test_holevo_matches_entropy_difference_before_clamp():
     st = attack_state(PARAMS, 0.01, 0.0027)
     per_mode = von_neumann_entropy(st.cov_uncond) - 0.5 * (
