@@ -101,6 +101,7 @@ class MonitorCounts:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        require_finite(self, (f.name for f in fields(self) if f.name != "warnings"))
         if self.duration <= 0:
             raise ValidationError(f"duration must be positive, got {self.duration!r}")
         rates = (self.s_a, self.c_ia, self.c_ia_shift, self.s_b, self.c_ib, self.c_ib_shift)

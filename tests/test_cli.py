@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import stat
 import subprocess
-import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 from flqkd.cli import main
-from flqkd.config import MAX_SWEEP_POINTS, load_run_config
+from flqkd.config import MAX_MONITOR_TRIALS, MAX_SWEEP_POINTS, load_run_config
+from cli_cases import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,23 +196,6 @@ def test_seed_override_changes_and_reproduces(tmp_path, capsys):
     assert outs[0] != outs[2]
 
 
-def test_seed_must_fit_64_bits(tmp_path, capsys):
-    for seed in (-1, 2**64):
-        path = _cfg(tmp_path, _with_seed(seed))
-        assert main(["monitor-sim", "--config", path]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "rng_seed" in err
-
-
-@pytest.mark.parametrize("command", ["limit", "rate-curve"])
-def test_seed_flag_is_gone(capsys, command):
-    # the seed is set only by monitor.rng_seed
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--seed", "7"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
-
-
 def test_dump_config_round_trip(tmp_path, capsys):
     path = _cfg(tmp_path, {"system": {"W": 2.0e12}, "monitor": {"rng_seed": 5}})
     assert main(["rate-curve", "--config", path, "--dump-config"]) == 0
@@ -239,23 +224,6 @@ def test_dump_config_holds_only_settable_keys(tmp_path, capsys):
     assert load_run_config(str(path2)) == load_run_config(path)
 
 
-@pytest.mark.parametrize(
-    "section, key, value",
-    [
-        ("monitor", "kappa", 0.1),
-        ("monitor", "f_e_true", 0.7),
-        ("output", "csv_path", "x.csv"),
-        ("output", "svg_path", "x.svg"),
-        ("attack", "f_e", 0.002),
-    ],
-)
-def test_removed_keys_are_unknown(tmp_path, capsys, section, key, value):
-    path = _cfg(tmp_path, {section: {key: value}})
-    assert main(["monitor-sim", "--config", path]) == 2
-    assert capsys.readouterr().err == f"config error: unknown key {section}.{key}\n"
-    assert list(tmp_path.iterdir()) == [Path(path)]
-
-
 def test_monitor_runs_on_the_system_kappa(tmp_path, capsys):
     outs = []
     for kappa in (0.5, 0.3):
@@ -263,66 +231,6 @@ def test_monitor_runs_on_the_system_kappa(tmp_path, capsys):
         assert main(["monitor-sim", "--config", path]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] != outs[1]
-
-
-def test_config_error_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"system": {"kappa": 2.0}}')
-    assert main(["rate-curve", "--config", str(bad)]) == 2
-    assert "config error" in capsys.readouterr().err
-    syntax = tmp_path / "syntax.json"
-    syntax.write_text('{"system": {,}}')
-    assert main(["rate-curve", "--config", str(syntax)]) == 2
-    assert "line" in capsys.readouterr().err
-
-
-def test_one_trial_is_a_config_error(tmp_path, capsys):
-    # the sweep's spread needs two trials
-    payload = dict(FAST_MONITOR, monitor=dict(FAST_MONITOR["monitor"], trials=1))
-    path = _cfg(tmp_path, payload)
-    assert main(["monitor-sim", "--config", path]) == 2
-    assert "config error: monitor.trials" in capsys.readouterr().err
-
-
-def test_noiseless_receiver_is_a_config_error(tmp_path, capsys):
-    path = _cfg(tmp_path, {"system": {"N_B": 0}})
-    for command in ("optimize", "rate-curve", "limit"):
-        assert main([command, "--config", path]) == 2
-        assert capsys.readouterr().err == "config error: N_B must be > 0, got 0.0\n"
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_runtime_validation_exits_3(tmp_path, capsys):
-    # a brightness of 1e300 parses, but its covariance overflows
-    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300, "points": 2}})
-    assert main(["rate-curve", "--config", path]) == 3
-    assert "numerical error" in capsys.readouterr().err
-
-
-def _fresh_cli(*argv):
-    # a fresh interpreter, so numpy warnings would reach stderr as a user sees them
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "flqkd.cli", *argv], env=env).returncode
-
-
-def test_overflow_prints_only_the_error_line(tmp_path, capfd):
-    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})
-    status = _fresh_cli("rate-curve", "--config", path)
-    out, err = capfd.readouterr()
-    assert status == 3
-    assert (out, err) == ("", "numerical error: covariance has non-finite entries\n")
-
-
-def test_ber_curve_overflow_is_silent(tmp_path, capfd):
-    # Eve's Chernoff exponent overflows to inf, and exp(-inf) = 0 is its limit
-    path = _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})
-    status = _fresh_cli("ber-curve", "--config", path)
-    out, err = capfd.readouterr()
-    assert (status, err) == (0, "")
-    header, rows = _rows(out)
-    # n_s * n_s alone overflows above 1.4e154; ppb = 22000 n_s
-    huge = [float(r[header.index("ber_eve_qcb")]) for r in rows if float(r[0]) > 22000 * 1.4e154]
-    assert huge and set(huge) == {0.0}
 
 
 def test_a_bound_of_one_takes_the_total_injection_limit(tmp_path, capsys):
@@ -335,116 +243,6 @@ def test_a_bound_of_one_takes_the_total_injection_limit(tmp_path, capsys):
     assert main(["rate-curve", "--config", path]) == 0
     header, rows = _rows(capsys.readouterr().out)
     assert [float(r[header.index("chi_ub_active")]) for r in rows] == [1.0] * 8
-
-
-def test_estimator_undefined_exits_4(tmp_path, capsys):
-    payload = dict(FAST_MONITOR, monitor=dict(FAST_MONITOR["monitor"], pair_rate=0.0))
-    path = _cfg(tmp_path, payload)
-    assert main(["monitor-sim", "--config", path]) == 4
-    assert "estimator undefined" in capsys.readouterr().err
-
-
-def test_failed_run_leaves_no_output_file(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"system": {"kappa": 2.0}}')
-    target = tmp_path / "never.csv"
-    assert main(["rate-curve", "--config", str(bad), "--out", str(target)]) == 2
-    assert not target.exists()
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("flag", ["--out", "--svg"])
-def test_unwritable_output_path_is_a_config_error(tmp_path, capsys, flag):
-    # a missing directory, and a directory where the file should go
-    for target in (tmp_path / "missing" / "x.out", tmp_path):
-        assert main(["limit", flag, str(target)]) == 2
-        assert f"config error: cannot write {target}: " in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-
-def test_failed_write_prints_nothing(tmp_path, capsys):
-    # the SVG target is a directory: the table must not reach stdout either
-    assert main(["limit", "--svg", str(tmp_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"config error: cannot write {tmp_path}: " in err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("existing", [None, "kept,bytes\r\n"], ids=["new", "existing"])
-def test_failed_write_creates_or_replaces_no_file(tmp_path, capsys, existing):
-    # the CSV target is fine but the SVG target is a directory: the CSV is
-    # neither created nor replaced
-    csv = tmp_path / "keep.csv"
-    if existing is not None:
-        csv.write_bytes(existing.encode())
-    assert main(["limit", "--out", str(csv), "--svg", str(tmp_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "wrote" not in err
-    assert f"config error: cannot write {tmp_path}: " in err
-    if existing is None:
-        assert list(tmp_path.iterdir()) == []
-    else:
-        assert list(tmp_path.iterdir()) == [csv]
-        assert csv.read_bytes() == existing.encode()
-
-
-@pytest.mark.parametrize("existing", [None, "kept,bytes\r\n"], ids=["new", "existing"])
-@pytest.mark.parametrize("svg_name", ["same.csv", "./same.csv"], ids=["verbatim", "dotted"])
-def test_out_and_svg_naming_one_file_is_a_config_error(
-    tmp_path, capsys, monkeypatch, existing, svg_name
-):
-    # the SVG would replace the CSV it was staged beside
-    monkeypatch.chdir(tmp_path)
-    target = tmp_path / "same.csv"
-    if existing is not None:
-        target.write_bytes(existing.encode())
-    assert main(["limit", "--out", "same.csv", "--svg", svg_name]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "wrote" not in err
-    assert err.startswith("config error: ") and "name the same file" in err
-    if existing is None:
-        assert list(tmp_path.iterdir()) == []
-    else:
-        assert list(tmp_path.iterdir()) == [target]
-        assert target.read_bytes() == existing.encode()
-
-
-NON_FINITE = [
-    ("monitor-sim", '{"monitor": {"pair_rate": NaN}}', "monitor.pair_rate"),
-    ("monitor-sim", '{"monitor": {"duration": Infinity}}', "monitor.duration"),
-    ("limit", '{"system": {"W": Infinity}}', "system.W"),
-    ("rate-curve", '{"sweep": {"n_s_max": Infinity}}', "sweep.n_s_max"),
-    # JSON reads a number beyond the float range as infinite, and an integer
-    # that long stays an int that no float can hold
-    ("rate-curve", '{"system": {"N_B": -1e400}}', "system.N_B"),
-    ("rate-curve", '{"system": {"G_B": 1%s}}' % ("0" * 400), "system.G_B"),
-    # a confidence level that long would overflow n_sigma * sigma
-    ("limit", '{"attack": {"n_sigma": 1%s}}' % ("0" * 400), "n_sigma"),
-    ("optimize", '{"attack": {"n_sigma_list": [1%s]}}' % ("0" * 400), "attack.n_sigma_list"),
-]
-
-
-@pytest.mark.parametrize("command,payload,key", NON_FINITE, ids=[key for *_, key in NON_FINITE])
-def test_non_finite_numbers_are_config_errors(tmp_path, capsys, command, payload, key):
-    bad = tmp_path / "bad.json"
-    bad.write_text(payload)
-    assert main([command, "--config", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and key in err and "must be finite" in err
-
-
-@pytest.mark.parametrize(
-    "payload", ['{"monitor": {"duration": 1e20}}', '{"monitor": {"pair_rate": 1e30}}'],
-    ids=["duration", "pair_rate"],
-)
-def test_run_too_large_to_draw_is_a_config_error(tmp_path, capsys, payload):
-    # numpy's Poisson draw fails at these sizes; memory fails long before
-    huge = tmp_path / "huge.json"
-    huge.write_text(payload)
-    assert main(["monitor-sim", "--config", str(huge)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "events" in err
 
 
 @pytest.mark.parametrize("command", ["monitor-sim", "rate-curve", "optimize", "ber-curve", "limit"])
@@ -462,30 +260,124 @@ def test_committed_outputs_regenerate(tmp_path, capsys, command):
         assert (tmp_path / name).read_bytes() == (ROOT / "outputs" / name).read_bytes(), name
 
 
+def test_sweep_at_the_cap_builds(tmp_path):
+    # built only: a run this size takes ~4 GB
+    path = _cfg(tmp_path, {"sweep": {"points": MAX_SWEEP_POINTS}})
+    assert load_run_config(path).sweep.points == MAX_SWEEP_POINTS
+
+
+def test_trials_at_the_cap_build(tmp_path):
+    # built only: a sweep this size takes hours
+    path = _cfg(tmp_path, {"monitor": {"trials": MAX_MONITOR_TRIALS}})
+    assert load_run_config(path).monitor_trials == MAX_MONITOR_TRIALS
+
+
+def test_ber_curve_overflow_gives_eve_a_zero_ber(tmp_path, capsys):
+    # Eve's Chernoff exponent overflows to inf, and exp(-inf) = 0 is its limit
+    main(["ber-curve", "--config", _cfg(tmp_path, {"sweep": {"n_s_max": 1e300}})])
+    header, rows = _rows(capsys.readouterr().out)
+    # n_s * n_s alone overflows above 1.4e154; ppb = 22000 n_s
+    huge = [float(r[header.index("ber_eve_qcb")]) for r in rows if float(r[0]) > 22000 * 1.4e154]
+    assert huge and set(huge) == {0.0}
+
+
 @pytest.mark.parametrize("log_scale", [True, False])
-def test_chart_with_no_placeable_point_is_drawn_empty(tmp_path, capsys, log_scale):
-    # at these brightnesses both BERs underflow to 0, which a log axis cannot place
+def test_empty_chart_has_no_line(tmp_path, capsys, log_scale):
+    # the table's rows check the run; this checks what the chart holds
     path = _cfg(tmp_path, {"sweep": {"n_s_min": 5, "n_s_max": 10, "log_scale": log_scale}})
-    assert main(["ber-curve", "--config", path]) == 0
+    main(["ber-curve", "--config", path])
     csv_text = capsys.readouterr().out
     svg = tmp_path / "b.svg"
-    assert main(["ber-curve", "--config", path, "--svg", str(svg)]) == 0
+    main(["ber-curve", "--config", path, "--svg", str(svg)])
     assert capsys.readouterr().out == csv_text
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
     assert not any(el.tag.endswith("polyline") for el in root.iter())
 
 
-@pytest.mark.parametrize("points", [10**20, MAX_SWEEP_POINTS + 1], ids=["1e20", "cap+1"])
-def test_sweep_points_beyond_the_cap_are_a_config_error(tmp_path, capsys, points):
-    # 1e20 points once reached numpy, which failed with a traceback
-    path = _cfg(tmp_path, {"sweep": {"points": points}})
-    assert main(["rate-curve", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "sweep.points" in err
+def _listing(directory):
+    return tuple(sorted(str(p.relative_to(directory)) for p in directory.rglob("*")))
 
 
-def test_sweep_at_the_cap_builds(tmp_path):
-    # built only: a run this size takes ~4 GB
-    path = _cfg(tmp_path, {"sweep": {"points": MAX_SWEEP_POINTS}})
-    assert load_run_config(path).sweep.points == MAX_SWEEP_POINTS
+def run_case(case, cwd, run):
+    """Run one row of the exit-case table in the fresh directory cwd, with
+    run(argv, cwd) -> (exit code, stdout, stderr), and check every column."""
+    cwd.mkdir(exist_ok=True)
+    if case.config is not None:
+        (cwd / "cfg.json").write_text(case.config)
+    if case.existing is not None:
+        name, data = case.existing
+        (cwd / name).write_bytes(data)
+    before = _listing(cwd)
+    code, out, err = run(case.argv.split(), cwd)
+    assert code == case.exit, err
+    assert (out == "") == case.stdout_empty
+    if case.stderr is not None:
+        assert err == case.stderr
+    if case.stderr_has is not None:
+        assert case.stderr_has in err
+    if case.stderr_lines is not None:
+        assert len(err.splitlines()) == case.stderr_lines
+    assert _listing(cwd) == (before if case.files is None else case.files)
+    if case.existing is not None:
+        assert (cwd / name).read_bytes() == data
+
+
+def _in_process(monkeypatch, capsys):
+    """A runner calling main(); argparse's SystemExit gives its exit code,
+    and any warning fails the row."""
+
+    def run(argv, cwd):
+        monkeypatch.chdir(cwd)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert [str(w.message) for w in caught] == []
+        return (code, *capsys.readouterr())
+
+    return run
+
+
+def _script(argv, cwd):
+    """A runner through the flqkd script on PATH, as installed by pip."""
+    script = shutil.which("flqkd")
+    if script is None:
+        pytest.skip("no flqkd script on PATH")
+    proc = subprocess.run([script, *argv], cwd=cwd, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process_test(name):
+    """The in-process test `name`, over the rows filed under it, or one case
+    per parameter for rows filed under name[parameter]."""
+    groups = {}
+    for case in CASES:
+        base, _, param = case.test.partition("[")
+        if base == name:
+            groups.setdefault(param[:-1], []).append(case)
+
+    def test(tmp_path, monkeypatch, capsys, rows):
+        run = _in_process(monkeypatch, capsys)
+        for n, case in enumerate(rows):
+            run_case(case, tmp_path / str(n), run)
+
+    def plain(tmp_path, monkeypatch, capsys):
+        test(tmp_path, monkeypatch, capsys, groups[""])
+
+    if list(groups) == [""]:
+        return plain
+    return pytest.mark.parametrize("rows", list(groups.values()), ids=list(groups))(test)
+
+
+# each row runs in process under its `test` id, so a case keeps the id it had
+# before the table, and a new case names its own
+for _name in dict.fromkeys(case.test.partition("[")[0] for case in CASES):
+    globals()[_name] = _in_process_test(_name)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.test for case in CASES])
+def test_exit_case_through_the_script(tmp_path, case):
+    run_case(case, tmp_path, _script)

@@ -98,6 +98,14 @@ def test_counts_validation():
         MonitorCounts(5e4, -1.0, 10.0, 8e4, 50.0, 10.0, 30.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["s_a", "c_ia", "c_ia_shift", "s_b", "c_ib", "c_ib_shift", "duration"])
+def test_counts_refuse_non_finite_values(field, value):
+    counts = MonitorCounts(5e4, 1e4, 10.0, 8e4, 50.0, 10.0, 30.0)
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        replace(counts, **{field: value})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
 @pytest.mark.parametrize("field", [
     "pair_rate", "ase_rate_at_source", "kappa", "f_e_true", "tap_alice", "tap_bob",
