@@ -54,9 +54,9 @@ _SECTIONS = ("system", "attack", "sweep", "monitor", "output")
 # ~80 s; numpy refuses an array only near 1e19 points.
 MAX_SWEEP_POINTS = 10**6
 
-# sweep_injection spawns a seed per trial and sweep value before the first
-# trial, at ~11 us and ~470 B each (measured at 1e5 on a 2-vCPU host), and a
-# trial at the default point takes ~8 ms: 1e5 trials are ~47 MB and ~1 s of
+# sweep_injection spawns a seed per trial when a sweep value's row starts,
+# at ~11 us and ~470 B each (measured at 1e5 on a 2-vCPU host), and a trial
+# at the default point takes ~8 ms: 1e5 trials are ~47 MB and ~1 s of
 # seeding and ~13 min of running per value.
 MAX_MONITOR_TRIALS = 10**5
 

@@ -85,32 +85,40 @@ from .errors import EstimatorUndefinedError, ValidationError, require_finite
 
 @dataclass(frozen=True)
 class MonitorCounts:
-    """Measured rates from both monitor arms over one run.
-
-    s_* are post-dead-time singles rates in counts/s; c_* are coincidence
-    rates, time-aligned and shifted by the accidental offset.
+    """What both monitor arms counted over one run: each tap's post-dead-time
+    singles, and its triggers with an idler event in the time-aligned window
+    (coinc_*) and in the window shifted by the accidental offset (shifted_*).
+    The rates s_a ... c_ib_shift, in counts/s, are the counts over duration.
     """
 
-    s_a: float
-    c_ia: float
-    c_ia_shift: float
-    s_b: float
-    c_ib: float
-    c_ib_shift: float
+    singles_a: int
+    coinc_a: int
+    shifted_a: int
+    singles_b: int
+    coinc_b: int
+    shifted_b: int
     duration: float
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        require_finite(self, (f.name for f in fields(self) if f.name != "warnings"))
+        require_finite(self, ("duration",))
         if self.duration <= 0:
             raise ValidationError(f"duration must be positive, got {self.duration!r}")
-        rates = (self.s_a, self.c_ia, self.c_ia_shift, self.s_b, self.c_ib, self.c_ib_shift)
-        if any(r < 0 for r in rates):
-            raise ValidationError("rates must be >= 0")
-        if self.c_ia > self.s_a or self.c_ia_shift > self.s_a:
-            raise ValidationError("Alice coincidence rate exceeds singles rate")
-        if self.c_ib > self.s_b or self.c_ib_shift > self.s_b:
-            raise ValidationError("Bob coincidence rate exceeds singles rate")
+        for f in fields(self)[:6]:
+            n = getattr(self, f.name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+                raise ValidationError(f"{f.name} must be an integer >= 0, got {n!r}")
+        if max(self.coinc_a, self.shifted_a) > self.singles_a:
+            raise ValidationError("Alice coincidence count exceeds singles count")
+        if max(self.coinc_b, self.shifted_b) > self.singles_b:
+            raise ValidationError("Bob coincidence count exceeds singles count")
+
+    s_a = property(lambda self: self.singles_a / self.duration)
+    c_ia = property(lambda self: self.coinc_a / self.duration)
+    c_ia_shift = property(lambda self: self.shifted_a / self.duration)
+    s_b = property(lambda self: self.singles_b / self.duration)
+    c_ib = property(lambda self: self.coinc_b / self.duration)
+    c_ib_shift = property(lambda self: self.shifted_b / self.duration)
 
 
 # The expected events of all categories bound those a run draws (the tap
@@ -185,35 +193,33 @@ class SweepRow:
 
 
 def estimate_fe(counts: MonitorCounts) -> tuple[float, float]:
-    """Injected-fraction estimate and its propagated standard error.
-
-    estimate = 1 - [(c_ib - c_ib_shift)/s_b] / [(c_ia - c_ia_shift)/s_a].
-    The error bar takes each arm's singles count as given and each trigger's
-    aligned and shifted hits as Bernoulli trials, so each ratio has binomial
-    variance; it propagates the two ratios to first order. (Coincidences are
-    a subset of the singles: treating the six rates as independent Poisson
-    counts overstates the spread, 1.6x at f_e = 0 at the acceptance
-    operating point.) Negative estimates are returned as-is; they are
-    expected noise around zero.
+    """Injected-fraction estimate and its propagated standard error, from
+    the counts alone: 1 - ratio_b / ratio_a, each arm's ratio (coinc -
+    shifted) / singles. The error bar takes the singles as given and each
+    trigger's aligned and shifted hits as Bernoulli trials, so a ratio has
+    variance (p(1-p) + q(1-q)) / singles, p and q its coinc and shifted over
+    singles, and propagates the two ratios to first order. (Treating the six
+    counts as independent Poisson counts overstates the spread, 1.6x at f_e =
+    0 at the acceptance operating point.) Negative estimates are returned
+    as-is; they are expected noise around zero.
     """
-    excess_a = counts.c_ia - counts.c_ia_shift
-    if excess_a <= 0 or counts.s_a <= 0:
+    excess_a = counts.coinc_a - counts.shifted_a
+    if excess_a <= 0:
         raise EstimatorUndefinedError(
             "Alice tap shows no excess coincidences; reference arm is dark or unpaired"
         )
-    if counts.s_b <= 0:
+    if counts.singles_b == 0:
         raise EstimatorUndefinedError("Bob tap recorded no counts")
-    excess_b = counts.c_ib - counts.c_ib_shift
-    ratio_a = excess_a / counts.s_a
-    ratio_b = excess_b / counts.s_b
+    ratio_a = excess_a / counts.singles_a
+    ratio_b = (counts.coinc_b - counts.shifted_b) / counts.singles_b
     estimate = 1.0 - ratio_b / ratio_a
 
-    def ratio_variance(coinc: float, shifted: float, singles: float) -> float:
+    def ratio_variance(coinc: int, shifted: int, singles: int) -> float:
         p, q = coinc / singles, shifted / singles
-        return (p * (1.0 - p) + q * (1.0 - q)) / (singles * counts.duration)
+        return (p * (1.0 - p) + q * (1.0 - q)) / singles
 
-    var_ratio_a = ratio_variance(counts.c_ia, counts.c_ia_shift, counts.s_a)
-    var_ratio_b = ratio_variance(counts.c_ib, counts.c_ib_shift, counts.s_b)
+    var_ratio_a = ratio_variance(counts.coinc_a, counts.shifted_a, counts.singles_a)
+    var_ratio_b = ratio_variance(counts.coinc_b, counts.shifted_b, counts.singles_b)
     var_estimate = var_ratio_b / ratio_a**2 + ratio_b**2 * var_ratio_a / ratio_a**4
     return float(estimate), float(math.sqrt(var_estimate))
 
@@ -369,7 +375,7 @@ def count_coincidences(triggers, partners, half_window, offset) -> int:
 
 
 def simulate_monitor(config: MonitorSimConfig) -> MonitorCounts:
-    """Run one seeded end-to-end simulation and return measured rates."""
+    """Run one seeded end-to-end simulation and return its counts."""
     rng = np.random.default_rng(np.random.SeedSequence(int(config.rng_seed)))
     return _simulate(config, rng)
 
@@ -384,16 +390,14 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     lo, hi = _window_hulls((alice_live, bob_live), half_window, shift, cfg.duration)
     bulk = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
     idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired), tau)
-
-    t = cfg.duration
     return MonitorCounts(
-        s_a=alice_live.size / t,
-        c_ia=count_coincidences(alice_live, idler_live, half_window, 0.0) / t,
-        c_ia_shift=count_coincidences(alice_live, idler_live, half_window, shift) / t,
-        s_b=bob_live.size / t,
-        c_ib=count_coincidences(bob_live, idler_live, half_window, 0.0) / t,
-        c_ib_shift=count_coincidences(bob_live, idler_live, half_window, shift) / t,
-        duration=t,
+        singles_a=alice_live.size,
+        coinc_a=count_coincidences(alice_live, idler_live, half_window, 0.0),
+        shifted_a=count_coincidences(alice_live, idler_live, half_window, shift),
+        singles_b=bob_live.size,
+        coinc_b=count_coincidences(bob_live, idler_live, half_window, 0.0),
+        shifted_b=count_coincidences(bob_live, idler_live, half_window, shift),
+        duration=cfg.duration,
         warnings=_saturation_warnings(cfg),
     )
 
@@ -508,18 +512,18 @@ def sweep_injection(
     """Repeat the simulation at each injected fraction with spawned seeds.
 
     Returns one row per value with the sample mean and standard deviation
-    (ddof=1) of the per-trial estimates, in the order given.
+    (ddof=1) of the per-trial estimates, in the order given. A row spawns its
+    trials' seeds when it starts: the seeds one spawn of them all would give.
     """
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials!r}")
-    values = [float(v) for v in f_e_values]
-    children = np.random.SeedSequence(int(base.rng_seed)).spawn(len(values) * trials)
+    root = np.random.SeedSequence(int(base.rng_seed))
     rows = []
-    for j, f_e in enumerate(values):
+    for f_e in (float(v) for v in f_e_values):
         cfg = replace(base, f_e_true=f_e)
         estimates = [
-            estimate_fe(_simulate(cfg, np.random.default_rng(children[j * trials + k])))[0]
-            for k in range(trials)
+            estimate_fe(_simulate(cfg, np.random.default_rng(child)))[0]
+            for child in root.spawn(trials)
         ]
         rows.append(
             SweepRow(

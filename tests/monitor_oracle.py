@@ -3,7 +3,7 @@
 The full-stream simulator draws every idler event of the run, filters each
 detector's whole stream, and counts coincidences with count_coincidences
 directly. The library draws the idler stream only around the coincidence
-windows; both must give the same distribution of the six measured rates.
+windows; both must give the same distribution of the six counts.
 
 frozen_draw_idler and frozen_count_coincidences are an earlier form of the
 library's idler rounds and coincidence count: each round labels the whole
@@ -31,9 +31,9 @@ from flqkd import monitor
 from flqkd.monitor import count_coincidences, dead_time_filter
 
 
-def full_stream_counts(cfg: monitor.MonitorSimConfig, draws) -> list[int]:
-    """(singles_a, c_ia, c_ia_shift, singles_b, c_ib, c_ib_shift) of whole
-    category streams (category -> times; a missing category is empty)."""
+def full_stream_counts(cfg: monitor.MonitorSimConfig, draws) -> monitor.MonitorCounts:
+    """The counts of whole category streams (category -> times; a missing
+    category is empty), with the run's warnings."""
 
     def live(*names):
         stream = np.sort(np.concatenate([np.asarray(draws.get(n, ()), np.float64) for n in names]))
@@ -48,17 +48,17 @@ def full_stream_counts(cfg: monitor.MonitorSimConfig, draws) -> list[int]:
             count_coincidences(taps, idler, half_window, 0.0),
             count_coincidences(taps, idler, half_window, cfg.shift_offset),
         ]
-    return counts
+    return monitor.MonitorCounts(*counts, cfg.duration, monitor._saturation_warnings(cfg))
 
 
-def simulate_full_stream(cfg: monitor.MonitorSimConfig) -> tuple[float, ...]:
-    """(s_a, c_ia, c_ia_shift, s_b, c_ib, c_ib_shift) rates of one seeded run."""
+def simulate_full_stream(cfg: monitor.MonitorSimConfig) -> monitor.MonitorCounts:
+    """The counts of one seeded run."""
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.rng_seed)))
     draws = {
         name: monitor._poisson_times(rng, rate, cfg.duration)
         for name, rate in monitor._category_rates(cfg).items()
     }
-    return tuple(c / cfg.duration for c in full_stream_counts(cfg, draws))
+    return full_stream_counts(cfg, draws)
 
 
 def frozen_poisson_times(rng, rate, t0, t1):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from flqkd import (
     EstimatorUndefinedError,
     MonitorCounts,
     MonitorSimConfig,
+    SweepRow,
     ValidationError,
     estimate_fe,
     monitor,
@@ -40,16 +42,11 @@ BASE = MonitorSimConfig(
 )
 
 
-def _counts(f, ratio_a=0.4, acc_a=0.02, acc_b=0.01, s_a=5e4, s_b=8e4, t=30.0):
-    ratio_b = (1.0 - f) * ratio_a
+def _counts(f, scale=1):
+    # Alice: ratio 0.4 over 1000 accidentals; Bob: ratio (1 - f) * 0.4 over
+    # 800, so the estimate is f exactly for f in quarters
     return MonitorCounts(
-        s_a=s_a,
-        c_ia=(acc_a + ratio_a) * s_a,
-        c_ia_shift=acc_a * s_a,
-        s_b=s_b,
-        c_ib=(acc_b + ratio_b) * s_b,
-        c_ib_shift=acc_b * s_b,
-        duration=t,
+        *(scale * n for n in (50_000, 21_000, 1_000, 80_000, 800 + round((1 - f) * 32_000), 800)), 30.0
     )
 
 
@@ -60,50 +57,93 @@ def test_estimator_round_trip():
         assert se > 0.0
 
 
-@given(
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=1e-3, max_value=0.5),
-    st.floats(min_value=1e3, max_value=1e7),
-    st.floats(min_value=1e3, max_value=1e7),
-)
-def test_estimator_round_trip_property(f, ratio_a, s_a, s_b):
-    est, se = estimate_fe(_counts(f, ratio_a=ratio_a, s_a=s_a, s_b=s_b))
-    assert math.isclose(est, f, rel_tol=0, abs_tol=1e-9)
-    assert np.isfinite(se) and se > 0.0
+@st.composite
+def estimable_counts(draw):
+    """Counts with an Alice excess, each arm's coincidences within its singles."""
+    singles_a, singles_b = draw(st.integers(1, 10**9)), draw(st.integers(1, 10**9))
+    coinc_a = draw(st.integers(1, singles_a))
+    shifted_a = draw(st.integers(0, coinc_a - 1))
+    coinc_b, shifted_b = draw(st.integers(0, singles_b)), draw(st.integers(0, singles_b))
+    return MonitorCounts(singles_a, coinc_a, shifted_a, singles_b, coinc_b, shifted_b, 30.0)
 
 
-def test_estimator_error_scales_with_duration():
-    c1 = _counts(0.5, t=30.0)
-    c4 = _counts(0.5, t=120.0)
-    _, se1 = estimate_fe(c1)
-    _, se4 = estimate_fe(c4)
-    assert math.isclose(se4, se1 / 2.0, rel_tol=1e-12)
+@given(estimable_counts())
+@example(MonitorCounts(10**9, 10**9 - 1, 0, 10**9, 10**9 - 1, 1, 30.0))
+@example(MonitorCounts(10**9 - 7, 4 * 10**8 + 3, 10**5 + 1, 10**9 - 3, 4 * 10**8 + 1, 10**5, 30.0))
+@example(MonitorCounts(1, 1, 0, 1, 1, 1, 30.0))
+def test_estimator_equals_its_exact_rational_value(counts):
+    """estimate_fe against the same formula in exact rationals, u = 2**-53.
+    The int / int divisions and each float operation and sqrt round once,
+    by <= u relative (** by <= 2u). To first order:
+
+    - estimate: ra, rb and rb / ra give Q (1 + 3u), and 1 - Q rounds once,
+      so |est - E| <= u (3.01 |Q| + |E|) with E = 1 - Q: an absolute bound
+      that holds through the cancellation near f = 0, where Q ~ 1.
+    - sigma^2: 1 - p for p = c / n is exact once p >= 1/2, but inherits
+      p's rounding, u / 2 absolute, so its relative error is <= u (1 + rho)
+      / 2, rho = c / (n - c) (c = n is exact). A ratio variance then carries
+      <= u (rho + 5), the two terms u (rho + 10) and u (rho + 17), their sum
+      u (rho + 18), and sqrt and squaring back 2u more. The bound u (rho +
+      22) leaves half the rho term for the second-order terms.
+    """
+    estimate, sigma = estimate_fe(counts)
+    fr = Fraction
+    u = fr(1, 2**53)
+    ra = fr(counts.coinc_a - counts.shifted_a, counts.singles_a)
+    rb = fr(counts.coinc_b - counts.shifted_b, counts.singles_b)
+    exact = 1 - rb / ra
+    assert abs(fr(estimate) - exact) <= u * (fr(301, 100) * abs(rb / ra) + abs(exact))
+
+    arms = [
+        (counts.coinc_a, counts.shifted_a, counts.singles_a),
+        (counts.coinc_b, counts.shifted_b, counts.singles_b),
+    ]
+    var_a, var_b = (sum(fr(c, n) * (1 - fr(c, n)) for c in (coinc, shifted)) / n for coinc, shifted, n in arms)
+    variance = var_b / ra**2 + rb**2 * var_a / ra**4
+    rho = max(fr(c, n - c) for coinc, shifted, n in arms for c in (coinc, shifted) if c < n)
+    assert abs(fr(sigma) ** 2 - variance) <= u * (rho + 22) * variance
+
+
+def test_estimator_error_halves_when_every_count_quadruples():
+    # sigma depends on the counts alone; scaling them by a power of 2 scales
+    # every rounding with them, so the halving is exact
+    _, se1 = estimate_fe(_counts(0.5))
+    _, se4 = estimate_fe(_counts(0.5, scale=4))
+    assert se4 == se1 / 2.0
 
 
 def test_estimator_undefined_cases():
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_fe(MonitorCounts(5e4, 10.0, 10.0, 8e4, 50.0, 10.0, 30.0))
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_fe(MonitorCounts(5e4, 10.0, 40.0, 8e4, 50.0, 10.0, 30.0))
-    with pytest.raises(EstimatorUndefinedError):
-        estimate_fe(MonitorCounts(5e4, 2e4, 100.0, 0.0, 0.0, 0.0, 30.0))
+    with pytest.raises(EstimatorUndefinedError):  # no Alice excess
+        estimate_fe(MonitorCounts(50_000, 10, 10, 80_000, 50, 10, 30.0))
+    with pytest.raises(EstimatorUndefinedError):  # a negative one
+        estimate_fe(MonitorCounts(50_000, 10, 40, 80_000, 50, 10, 30.0))
+    with pytest.raises(EstimatorUndefinedError):  # Bob's tap dark
+        estimate_fe(MonitorCounts(50_000, 20_000, 100, 0, 0, 0, 30.0))
+
+
+COUNT_FIELDS = [f.name for f in fields(MonitorCounts)][:6]
 
 
 def test_counts_validation():
-    with pytest.raises(ValidationError):
-        MonitorCounts(5e4, 6e4, 10.0, 8e4, 50.0, 10.0, 30.0)  # c_ia > s_a
-    with pytest.raises(ValidationError):
-        MonitorCounts(5e4, 1e4, 10.0, 8e4, 50.0, 10.0, 0.0)  # bad duration
-    with pytest.raises(ValidationError):
-        MonitorCounts(5e4, -1.0, 10.0, 8e4, 50.0, 10.0, 30.0)
+    valid = _counts(0.5)
+    for field in COUNT_FIELDS[1:3]:
+        with pytest.raises(ValidationError, match="^Alice coincidence count exceeds"):
+            replace(valid, **{field: valid.singles_a + 1})
+    for field in COUNT_FIELDS[4:6]:
+        with pytest.raises(ValidationError, match="^Bob coincidence count exceeds"):
+            replace(valid, **{field: valid.singles_b + 1})
+    replace(valid, coinc_a=valid.singles_a, shifted_b=valid.singles_b)  # at the bound
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", ["s_a", "c_ia", "c_ia_shift", "s_b", "c_ib", "c_ib_shift", "duration"])
-def test_counts_refuse_non_finite_values(field, value):
-    counts = MonitorCounts(5e4, 1e4, 10.0, 8e4, 50.0, 10.0, 30.0)
-    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
-        replace(counts, **{field: value})
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in COUNT_FIELDS for v in (math.nan, math.inf, 1.5, True, -1)]
+    + [("duration", v) for v in (math.nan, math.inf, 0.0)],
+    ids=lambda v: str(v).lower(),
+)
+def test_counts_refuse_invalid_values(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        replace(_counts(0.5), **{field: value})
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
@@ -223,8 +263,7 @@ def test_shifted_coincidences_match_accidental_scale():
         rng_seed=8128,
     )
     counts = simulate_monitor(cfg)
-    n1 = counts.c_ib * counts.duration
-    n2 = counts.c_ib_shift * counts.duration
+    n1, n2 = counts.coinc_b, counts.shifted_b
     assert n1 > 50 and n2 > 50
     z = abs(n1 - n2) / math.sqrt(n1 + n2)
     assert z < 4.0
@@ -232,7 +271,7 @@ def test_shifted_coincidences_match_accidental_scale():
     r_idler = cfg.pair_rate * cfg.det_eff_idler
     r_live = r_idler / (1.0 + r_idler * cfg.dead_time)
     p_hit = 1.0 - math.exp(-r_live * cfg.coinc_window)
-    predicted = counts.s_b * counts.duration * p_hit
+    predicted = counts.singles_b * p_hit
     assert 0.7 * predicted < n1 < 1.3 * predicted
 
 
@@ -255,6 +294,31 @@ def test_sweep_rows_and_determinism():
         assert np.isfinite(r.mean_estimate)
         assert r.std_dev >= 0.0
     assert rows1[1].mean_estimate > rows1[0].mean_estimate
+
+
+def test_sweep_spawns_each_rows_seeds_when_the_row_starts(monkeypatch):
+    # the rows equal those of every trial's seed spawned before the first
+    # trial runs, and no spawn asks for more than one row's trials
+    base, values, trials = replace(BASE, duration=1.0), [0.0, 0.5, 1.0], 3
+    children = np.random.SeedSequence(base.rng_seed).spawn(len(values) * trials)
+    reference = []
+    for j, f_e in enumerate(values):
+        cfg = replace(base, f_e_true=f_e)
+        rngs = [np.random.default_rng(c) for c in children[j * trials : (j + 1) * trials]]
+        estimates = [estimate_fe(monitor._simulate(cfg, rng))[0] for rng in rngs]
+        reference.append(SweepRow(f_e, float(np.mean(estimates)), float(np.std(estimates, ddof=1)), trials))
+    asks = []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n):
+            asks.append(n)
+            return super().spawn(n)
+
+    monkeypatch.setattr(monitor.np.random, "SeedSequence", Recording)
+    rows = sweep_injection(base, values, trials)
+    monkeypatch.undo()
+    assert rows == reference
+    assert asks == [trials] * len(values)
 
 
 def test_sweep_needs_two_trials():

@@ -5,14 +5,14 @@ rates, and the empirical spread of the estimator; and its edge runs."""
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from flqkd import monitor
 from flqkd.errors import EstimatorUndefinedError
-from flqkd.monitor import MonitorSimConfig, estimate_fe, simulate_monitor
+from flqkd.monitor import MonitorCounts, MonitorSimConfig, estimate_fe, simulate_monitor
 from monitor_oracle import (
     frozen_count_coincidences,
     frozen_draw_idler,
@@ -46,13 +46,7 @@ SATURATED = replace(
     shift_offset=5e-5,
     duration=2.0,
 )
-RATE_NAMES = ("s_a", "c_ia", "c_ia_shift", "s_b", "c_ib", "c_ib_shift")
 TRIALS = 40
-
-
-def _rates(counts):
-    return tuple(getattr(counts, name) for name in RATE_NAMES)
-
 
 ORACLE_CASES = {
     "nominal": BASE,
@@ -83,13 +77,15 @@ ORACLE_CASES = {
 def test_windowed_engine_matches_the_full_stream(case):
     cfg = ORACLE_CASES[case]
     windowed = np.array(
-        [_rates(simulate_monitor(replace(cfg, rng_seed=100 + k))) for k in range(TRIALS)]
+        [astuple(simulate_monitor(replace(cfg, rng_seed=100 + k)))[:6] for k in range(TRIALS)]
     )
-    full = np.array([simulate_full_stream(replace(cfg, rng_seed=900 + k)) for k in range(TRIALS)])
+    full = np.array(
+        [astuple(simulate_full_stream(replace(cfg, rng_seed=900 + k)))[:6] for k in range(TRIALS)]
+    )
     se = np.sqrt((windowed.var(0, ddof=1) + full.var(0, ddof=1)) / TRIALS)
     diff = windowed.mean(0) - full.mean(0)
-    for name, d, s in zip(RATE_NAMES, diff, se):
-        assert abs(d) <= 4.0 * s, f"{case} {name}: {d:.4g} vs se {s:.4g}"
+    for field, d, s in zip(fields(MonitorCounts), diff, se):
+        assert abs(d) <= 4.0 * s, f"{case} {field.name}: {d:.4g} vs se {s:.4g}"
     # the aligned windows see true coincidences on Alice's arm in every case
     assert windowed[:, 1].mean() > windowed[:, 2].mean()
 
@@ -137,7 +133,7 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     assert np.all(hi >= lo) and np.all(lo[1:] >= hi[:-1])
     paired = np.sort(np.concatenate([cut(name, 0.0, cfg.duration)[0] for name in ("i_alice", "i_bob")]))
     assert len(merged) == 1 and merged[0].tolist() == paired.tolist()
-    return [round(r * cfg.duration) for r in _rates(counts)], full_stream_counts(cfg, streams)
+    return counts, full_stream_counts(cfg, streams)
 
 
 def _frozen_counts_on_given_streams(cfg, streams, monkeypatch):
@@ -166,7 +162,7 @@ def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(cfg, monke
     }
     windowed, full = _counts_on_given_streams(cfg, streams, monkeypatch)
     assert windowed == full
-    assert full[1] > 0 and full[4] > 0
+    assert full.coinc_a > 0 and full.coinc_b > 0
 
 
 # no dead time, hand-placed events around T and the start of the run
@@ -214,7 +210,7 @@ def test_windowed_engine_counts_hand_placed_hulls(case, monkeypatch):
     windowed, full = _counts_on_given_streams(HAND_PLACED_RUN, HAND_PLACED[case], monkeypatch)
     assert windowed == full
     assert _frozen_counts_on_given_streams(HAND_PLACED_RUN, HAND_PLACED[case], monkeypatch) == full
-    assert full[2] + full[4] + full[5] > 0
+    assert full.shifted_a + full.coinc_b + full.shifted_b > 0
 
 
 # dead time, hand-placed events around the window [L, L + W2] of an Alice
@@ -338,7 +334,7 @@ DEAD_TIME_PLACED = {
 def test_windowed_engine_counts_hand_placed_dead_time_stretches(case, monkeypatch):
     streams, expected = DEAD_TIME_PLACED[case]
     windowed, full = _counts_on_given_streams(DEAD_TIME_RUN, streams, monkeypatch)
-    assert full == expected
+    assert full == MonitorCounts(*expected, DEAD_TIME_RUN.duration)
     assert windowed == full
     assert _frozen_counts_on_given_streams(DEAD_TIME_RUN, streams, monkeypatch) == full
 
@@ -407,10 +403,10 @@ def test_shifted_accidentals_match_the_live_idler_rate(cfg):
     counts = simulate_monitor(cfg)
     r_idler = cfg.pair_rate * cfg.det_eff_idler
     r_live = r_idler / (1.0 + r_idler * cfg.dead_time)
-    for singles, shifted in ((counts.s_a, counts.c_ia_shift), (counts.s_b, counts.c_ib_shift)):
-        expected = singles * cfg.duration * r_live * cfg.coinc_window
+    for singles, shifted in ((counts.singles_a, counts.shifted_a), (counts.singles_b, counts.shifted_b)):
+        expected = singles * r_live * cfg.coinc_window
         assert expected > 500
-        assert abs(shifted * cfg.duration - expected) < 4.0 * math.sqrt(expected)
+        assert abs(shifted - expected) < 4.0 * math.sqrt(expected)
 
 
 def test_coincidences_follow_the_category_rates_without_dead_time():
@@ -444,7 +440,7 @@ def test_edge_runs(cfg):
     counts = simulate_monitor(cfg)
     if cfg.duration < cfg.dead_time:
         # no detector fires, and the estimator says so
-        assert _rates(counts) == (0.0,) * len(RATE_NAMES)
+        assert counts == MonitorCounts(0, 0, 0, 0, 0, 0, cfg.duration)
         with pytest.raises(EstimatorUndefinedError):
             estimate_fe(counts)
     else:
