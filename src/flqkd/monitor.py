@@ -52,12 +52,14 @@ distribution:
   unless the stretch has met the previous one, so such a stretch always
   settles. A round draws all its spans at once, laid end to end, and each
   event keeps the span it was drawn for (one that rounds onto the next
-  span's start moves to that span). The spans do not overlap, so once the
-  few partnered events are merged in, the events of each busy stretch form
-  one run of the round's events, in time order; one linear pass finds where
-  each run starts and ends and makes the gap tests from new to the first
-  event, between events, and from the last event to the end of the earlier
-  test. Only the stretches still open carry state into the next round.
+  span's start moves to that span). The spans do not overlap, so the
+  events of each stretch form one run of the round's events, in time order,
+  led by those before old. One chunked pass over the round's events tests
+  each such event against its successor in the stretch's stream (the next
+  event, or the end of the earlier test) and a stream's first event against
+  new. The few stretches whose span holds partnered events are tested again
+  on their events with those merged in. Only the stretches still open carry
+  state into the next round.
 - The drawn sample is a subset of the full stream, and in any subset that
   holds it a stretch's head is a head too: its predecessor there is the
   same event or an earlier one. A partnered event outside every stretch is
@@ -68,9 +70,11 @@ distribution:
   window lies after its stretch's head.
 
 A run is one pass over [0, duration], so its peak memory grows with the
-duration: about 0.1 MB per simulated second at the acceptance tests'
-operating point, and 0.3 MB/s with the idler near saturation. Statistics
-come from more trials (sweep_injection), not from longer ones.
+duration: about 0.085 MB per simulated second at the acceptance tests'
+operating point, and 0.15 MB/s with the idler near saturation (traced, for
+36- and 72-s runs). A round holds its draw but no copy of it, and the
+hulls go once the idler is drawn. Statistics come from more trials
+(sweep_injection), not from longer ones.
 """
 
 from __future__ import annotations
@@ -122,10 +126,18 @@ class MonitorCounts:
 
 
 # The expected events of all categories bound those a run draws (the tap
-# streams in full, the idler near the windows only). Measured peak memory is
-# ~0.4 B per expected event at the acceptance point and ~90 B per tap event,
-# so 1e8 events may ask for ~9 GB; numpy's Poisson draw fails only near 1e19.
+# streams in full, the idler near the windows only). Measured peak memory
+# (tracemalloc, runs of up to 72 s and 0.2 s) is ~0.36 B per expected event
+# at the acceptance point and ~75 B per tap event, where _window_hulls
+# peaks, so 1e8 tap events may ask for ~7.5 GB; numpy's Poisson draw fails
+# only near 1e19. It also bounds a run's windows (two per trigger) to
+# ~2e8, so a stretch's index fits an int32.
 MAX_RUN_EVENTS = 1e8
+
+# elements per step of the chunked passes over a round's events and
+# stretches: 64 KB of float64, so that their temporaries stay small next to
+# the arrays they read and below glibc's 128 KiB mmap threshold
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -292,7 +304,9 @@ def _poisson_times(rng: np.random.Generator, rate: float, length: float) -> np.n
 def _draw_spans(rng, rate, t0, t1):
     """Sorted event times of a Poisson process of the given rate on the
     disjoint, nonempty list of spans [t0[k], t1[k]), ordered by start, and
-    the span of each time: np.searchsorted(t0, times, "right") - 1."""
+    the span of each time: np.searchsorted(t0, times, "right") - 1. Besides
+    the two results, it holds the spans' running lengths, and one chunk
+    while it maps the draw back."""
     # one draw over the spans laid end to end, then mapped back; ends[k] is
     # where span k starts in the draw
     ends = np.empty(t0.size + 1)
@@ -300,19 +314,23 @@ def _draw_spans(rng, rate, t0, t1):
     np.cumsum(np.subtract(t1, t0, out=ends[1:]), out=ends[1:])
     times = _poisson_times(rng, rate, ends[-1])
     span = _rank(ends[1:], times)
-    np.minimum(span, t0.size - 1, out=span)
-    times -= ends[span]
-    times += t0[span]
-    del ends
+    last = t0.size - 1
+    np.minimum(span, last, out=span)
     # in order and in their spans already, but for rounding where two spans
     # touch or lie an ulp apart: a time can round onto the next span's start
+    # (never below its own, as u - ends[k] >= 0 for u >= ends[k])
+    buf = np.empty(min(times.size, _CHUNK))
+    for a in range(0, times.size, _CHUNK):
+        t, k = times[a : a + _CHUNK], span[a : a + _CHUNK]
+        gathered = buf[: k.size]
+        t -= ends.take(k, out=gathered)
+        t += t0.take(k, out=gathered)
+        moved = np.flatnonzero((t >= t0.take(k + 1, mode="clip", out=gathered)) & (k < last))
+        k[moved] = np.searchsorted(t0, t[moved], "right") - 1
+    del ends
     if np.any(times[1:] < times[:-1]):
         order = np.argsort(times, kind="stable")
         times, span = times[order], span[order]
-    outside = times < t0[span]
-    outside |= times >= np.append(t0[1:], np.inf)[span]
-    moved = np.flatnonzero(outside)
-    span[moved] = np.searchsorted(t0, times[moved], "right") - 1
     return times, span
 
 
@@ -322,8 +340,8 @@ def _rank(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
     if points.size <= edges.size:
         return np.searchsorted(edges, points, "right")
     # point i ranks above the edges that at most i points lie before
-    below = np.searchsorted(points, edges, "left")
-    return np.repeat(np.arange(edges.size + 1), np.diff(below, prepend=0, append=points.size))
+    rank = np.bincount(np.searchsorted(points, edges, "left"), minlength=points.size + 1)
+    return np.cumsum(rank, out=rank)[: points.size]
 
 
 def _merge_sorted(bulk: np.ndarray, add: np.ndarray) -> np.ndarray:
@@ -338,19 +356,19 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> tuple[np.ndarray, f
     n = times.size
     if n == 0:
         return times.copy(), -math.inf
-    reach = times + dead_time
     # waiting[i]: event i sits in a cluster and is not known to be kept yet;
     # the False at n ends every chase that runs off the end of the stream
     waiting = np.zeros(n + 1, bool)
-    np.less(times[1:], reach[:-1], out=waiting[1:n])
+    for a in range(1, n, _CHUNK):
+        t = times[a : a + _CHUNK]
+        np.less(t, times[a - 1 : a - 1 + t.size] + dead_time, out=waiting[a : a + t.size])
     cur = np.flatnonzero(waiting[1:] & ~waiting[:-1])
     while cur.size:
-        cur = times.searchsorted(reach[cur])
+        cur = times.searchsorted(times[cur] + dead_time)
         # a chase stops on a kept event: the next head, or an earlier one
-        # when reach[cur] rounds to times[cur]
+        # when times[cur] + dead_time rounds to times[cur]
         cur = cur[waiting[cur]]
         waiting[cur] = False
-    del reach  # release it before the output is allocated
     kept = times[~waiting[:-1]]
     return kept, kept[-1] + dead_time
 
@@ -389,7 +407,11 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
     alice_live, bob_live, paired = _tap_streams(rng, rates, tau, cfg.duration)
     lo, hi = _window_hulls((alice_live, bob_live), half_window, shift, cfg.duration)
     bulk = _draw_idler(rng, rates["i_only"], lo, hi, paired, tau)
-    idler_live, _ = dead_time_filter(_merge_sorted(bulk, paired), tau)
+    # the hulls and then the draw go once nothing reads them
+    del lo, hi
+    idler = _merge_sorted(bulk, paired)
+    del bulk
+    idler_live, _ = dead_time_filter(idler, tau)
     return MonitorCounts(
         singles_a=alice_live.size,
         coinc_a=count_coincidences(alice_live, idler_live, half_window, 0.0),
@@ -443,67 +465,103 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
     until the stream it holds shows a gap of at least dead_time before its
     first needed event, or until it meets the previous stretch (or the start
     of the run), which it then continues. paired holds the sorted partnered
-    idler events, part of the stream. A round tests each stretch's new span
-    in one linear pass over its events (module docstring).
+    idler events, part of the stream. Besides its draw, a round holds its
+    events' stretches (int32) and, per stretch, its gap test's result and
+    earliest event, so no round copies its draw; the hulls are read, never
+    written (module docstring).
     """
-    bound = np.concatenate(([0.0], hi[:-1]))
-    # where each stretch's gap test ends: its earliest event found so far,
-    # or its window's start
-    after = lo.copy()
     # a partnered event's hull is the first that ends after it. One in front
-    # of its hull, in [bound[k], lo[k]), waits in the pool until a round's
-    # span reaches it or its stretch settles
+    # of its hull, between the previous hull's end and lo[k], waits in the
+    # pool until a round's span reaches it or its stretch settles
     pool_at = np.searchsorted(hi, paired, "right")
     pool = np.flatnonzero(pool_at < lo.size)
     pool = pool[paired[pool] < lo[pool_at[pool]]]
     pool_at = pool_at[pool]
-    # lo, bound and after hold the open stretches only; old is where each
-    # one's tested stream starts, and top where its next span ends
-    old, top = lo, hi
+    # lo, bound and after hold the open stretches only. A stretch's bound is
+    # where it meets the previous one: the previous hull's end, or 0.0, the
+    # run's start, for the first hull. It is kept as the first open
+    # stretch's, head_bound, and the others', bound, so that round one reads
+    # them from hi. old is where each stretch's tested stream starts, top
+    # where its next span ends, and after where its gap test ends: its
+    # earliest event found so far, or its window's start
+    head_bound, bound = 0.0, hi[:-1]
+    old = after = lo
+    top = hi
     reach = 2.0 * dead_time
     drawn = []
     while lo.size:
         new = lo - reach
-        np.maximum(bound, new, out=new)
+        np.maximum(head_bound, new[:1], out=new[:1])
+        np.maximum(bound, new[1:], out=new[1:])
         events, label = _draw_spans(rng, rate, new, top)
         drawn.append(events)
-        # the stream in [new, old) of each stretch; _draw_spans labels each
-        # event with its stretch, in time order
-        fresh = events < old[label]
-        times, label = events[fresh], label[fresh]
+        label = label.astype(np.int32)
+        done, first = _gap_tests(events, label, new, old, after, dead_time)
+        del label
         near = paired[pool] >= new[pool_at]
-        add = paired[pool[near]]
-        at = np.searchsorted(times, add)
-        times = np.insert(times, at, add)
-        label = np.insert(label, at, pool_at[near])
-        # where the label changes: each busy stretch's first and last event
-        edge = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
-        first, last = edge[:-1], edge[1:] - 1
-        busy = label[first]
-        held = np.zeros(lo.size, bool)
-        held[busy] = True
-        # a gap of dead_time makes the next event a cluster head. A stretch
-        # whose span holds no event has one gap, from new to after; a busy
-        # one has them from new to its first event (the true predecessor of
-        # that event lies before new), between its events, and from its
-        # last event to after
-        done = (new <= bound) | (~held & (after >= new + dead_time))
-        before = np.empty_like(times)
-        before[1:] = times[:-1]
-        before[first] = new[busy]
-        done[label[times >= before + dead_time]] = True
-        done[busy[after[busy] >= times[last] + dead_time]] = True
-        after[busy] = times[first]
+        if near.any():
+            # the stretches whose span holds partnered events are tested
+            # again on their events with those merged in
+            at = pool_at[near]
+            at = at[np.diff(at, prepend=-1) != 0]
+            spans = zip(events.searchsorted(new[at]).tolist(), events.searchsorted(old[at]).tolist())
+            merged = np.sort(np.concatenate([paired[pool[near]]] + [events[s:e] for s, e in spans]))
+            label = np.searchsorted(new[at], merged, "right") - 1
+            done[at], first[at] = _gap_tests(merged, label, new[at], old[at], after[at], dead_time)
+        done[:1] |= new[:1] <= head_bound
+        done[1:] |= new[1:] <= bound
         rest = np.flatnonzero(~done)
         keep = ~near & ~done[pool_at]
         # positions among the next round's open stretches
         pool, pool_at = pool[keep], np.searchsorted(rest, pool_at[keep])
-        lo, bound, after = lo[rest], bound[rest], after[rest]
+        if rest.size and rest[0]:
+            head_bound = bound[rest[0] - 1]
+        lo, bound, after = lo[rest], bound[rest[1:] - 1], first[rest]
         old = top = new[rest]
         reach *= 2.0
     bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
     bulk.sort()
     return bulk
+
+
+def _gap_tests(times, label, new, old, after, dead_time):
+    """Whether each stretch k shows a gap of at least dead_time in its
+    stream in [new[k], old[k]), and its earliest event there (after[k] when
+    it holds none). times is sorted, and label[i] is the stretch whose span
+    [new, next stretch's new) holds times[i]; a stretch's stream is its
+    times before old, and its gaps run from new to the first (whose true
+    predecessor lies before new), between the times, and from the last to
+    after."""
+    # a stretch whose stream is empty has one gap, from new to after
+    done = np.empty(new.size, bool)
+    for a in range(0, new.size, _CHUNK):
+        np.greater_equal(after[a : a + _CHUNK], new[a : a + _CHUNK] + dead_time, out=done[a : a + _CHUNK])
+    first = after.copy()
+    for a in range(0, times.size, _CHUNK):
+        t, k = times[a : a + _CHUNK], label[a : a + _CHUNK]
+        end = old.take(k)
+        stream = t < end
+        reach = t + dead_time
+        # follows[i]: the next time is in the same stretch's stream, so the
+        # gap from t[i] ends there; otherwise it ends at after
+        t_next, k_next = times[a + 1 : a + 1 + t.size], label[a + 1 : a + 1 + t.size]
+        m = t_next.size
+        follows = np.zeros(t.size, bool)
+        np.equal(k_next, k[:m], out=follows[:m])
+        follows[:m] &= t_next < end[:m]
+        gap = follows[:m] & (t_next >= reach[:m])
+        last = stream & ~follows
+        k_last = k[last]
+        # a stream's first time follows new, and its stretch is busy, so this
+        # test replaces the one from new to after
+        prev = label[a - 1 : a - 1 + t.size] if a else np.concatenate(([-1], k[:-1]))
+        lead = stream & (k != prev)
+        k_lead, t_lead = k[lead], t[lead]
+        done[k_lead] = t_lead >= new.take(k_lead) + dead_time
+        first[k_lead] = t_lead
+        done[k[:m][gap]] = True
+        done[k_last[after.take(k_last) >= reach[last]]] = True
+    return done, first
 
 
 def sweep_injection(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -283,6 +284,69 @@ def test_saturation_warning_emitted():
     assert not simulate_monitor(replace(BASE, duration=0.02)).warnings
 
 
+# the benchmark's saturated trial (perfbench/workloads.py): idler rate x
+# dead time ~1.2, 36 s
+BENCH_SATURATED = MonitorSimConfig(
+    pair_rate=2.46e5,
+    ase_rate_at_source=2.46e5,
+    kappa=0.9,
+    f_e_true=0.5,
+    tap_alice=1e-3,
+    tap_bob=1e-3,
+    det_eff_idler=0.95,
+    det_eff_alice=0.95,
+    det_eff_bob=0.95,
+    dead_time=5e-6,
+    coinc_window=1e-9,
+    shift_offset=2e-5,
+    duration=36.0,
+    rng_seed=2024,
+)
+# a bright source: nearly every event is a tap event
+TAP_DOMINATED = replace(
+    BENCH_SATURATED, ase_rate_at_source=5e9, dead_time=5e-8, shift_offset=2e-7, f_e_true=0.0, duration=0.02
+)
+
+
+def _traced_peak(run):
+    """The peak of what run() allocates, in bytes, as tracemalloc counts it
+    (numpy reports its array buffers there)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_trial_peak_memory(monkeypatch):
+    # bounds 17% and 7% above the measured 25.7 B per drawn idler event and
+    # 74.5 B per expected tap event (numpy 2.4); the tap-dominated run peaks
+    # in _window_hulls
+    for cfg in (BENCH_SATURATED, TAP_DOMINATED):  # first use, untraced
+        simulate_monitor(replace(cfg, duration=cfg.duration / 20))
+    drawn = []
+    draw_idler = monitor._draw_idler
+
+    def counted(*args):
+        bulk = draw_idler(*args)
+        drawn.append(bulk.size)
+        return bulk
+
+    monkeypatch.setattr(monitor, "_draw_idler", counted)
+    peak = _traced_peak(lambda: simulate_monitor(BENCH_SATURATED))
+    assert peak / drawn[-1] <= 30.0
+    rates = monitor._category_rates(TAP_DOMINATED)
+    tap_events = (sum(rates.values()) - rates["i_only"]) * TAP_DOMINATED.duration
+    peak = _traced_peak(lambda: simulate_monitor(TAP_DOMINATED))
+    assert peak / tap_events <= 80.0
+
+
 def test_sweep_rows_and_determinism():
     values = [0.0, 0.5, 1.0]
     rows1 = sweep_injection(replace(BASE, duration=3.0), values, trials=3)
@@ -415,13 +479,25 @@ def span_layouts(draw):
     return np.array(t0), np.array(t1)
 
 
+def _touching_spans(n, ulps):
+    """n spans of ulps ulps at 1e6, each touching the next."""
+    t0 = 1e6 + np.arange(n) * ulps * np.spacing(1e6)
+    return t0, t0 + ulps * np.spacing(1e6)
+
+
 @given(span_layouts(), st.sampled_from([0, 1, 40, 400]), st.integers(0, 2**32 - 1))
+# more events than one chunk of the mapping, many rounding onto the next
+# span's start and out of order
+@example(_touching_spans(4, 8), 3 * monitor._CHUNK, 7)
 def test_draw_spans_equals_the_multi_interval_draw(layout, expected_events, seed):
     t0, t1 = layout
+    spans = t0.tobytes(), t1.tobytes()
     rate = expected_events / np.cumsum(t1 - t0)[-1]
     times, span = monitor._draw_spans(np.random.default_rng(seed), rate, t0, t1)
     assert _hex(times) == _hex(frozen_poisson_times(np.random.default_rng(seed), rate, t0, t1))
     assert np.array_equal(span, np.searchsorted(t0, times, "right") - 1)
+    # the draw is mapped back in place, and the spans are only read
+    assert (t0.tobytes(), t1.tobytes()) == spans
 
 
 @st.composite
@@ -448,18 +524,38 @@ def hull_layouts(draw):
     return np.array(lo), np.array(hi), paired, dead_time
 
 
+def _many_hulls(n, dead_time, seed):
+    """n hulls of 1e-3 dead times, 3 dead times apart on average, with one
+    partnered event per 4 hulls anywhere among them."""
+    rng = np.random.default_rng(seed)
+    lo = np.cumsum(rng.exponential(3.0 * dead_time, n)) + dead_time
+    hi = lo + 1e-3 * dead_time
+    return lo, hi, np.sort(rng.uniform(0.0, hi[-1], n // 4)), dead_time
+
+
 @given(hull_layouts(), st.sampled_from([0.0, 0.5, 2.0, 6.0]), st.integers(0, 2**32 - 1))
 def test_draw_idler_draws_the_events_the_frozen_rounds_draw(layout, load, seed):
     # the partnered events steer which stretches settle, so they change the
     # draws, not only the gap tests
     lo, hi, paired, dead_time = layout
     rate = load / (dead_time or 1.0)
-    hulls = _hex(lo), _hex(hi)
+    inputs = _hex(lo), _hex(hi), _hex(paired)
     bulk = monitor._draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
     frozen = frozen_draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
     assert _hex(bulk) == _hex(frozen)
-    # the first round reads the caller's hulls and writes none of them
-    assert (_hex(lo), _hex(hi)) == hulls
+    # the rounds read the caller's hulls and partnered events and write none
+    assert (_hex(lo), _hex(hi), _hex(paired)) == inputs
+
+
+def test_draw_idler_draws_the_frozen_rounds_events_across_chunks():
+    # rounds of more events and stretches than one chunk of their gap tests,
+    # with stretches that span a chunk's end
+    lo, hi, paired, dead_time = _many_hulls(3 * monitor._CHUNK, 0.25, 1)
+    rate = 3.0 / dead_time
+    bulk = monitor._draw_idler(np.random.default_rng(11), rate, lo, hi, paired, dead_time)
+    frozen = frozen_draw_idler(np.random.default_rng(11), rate, lo, hi, paired, dead_time)
+    assert bulk.size > 4 * monitor._CHUNK
+    assert np.array_equal(bulk.view(np.uint64), frozen.view(np.uint64))
 
 
 class _FixedDraw:

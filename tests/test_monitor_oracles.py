@@ -118,8 +118,12 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
         return cut("i_only", t0, t1)
 
     def merge(bulk, add):
+        before = bulk.tobytes(), add.tobytes()
+        out = merge_sorted(bulk, add)
+        # the idler's draw and its partnered events come back unwritten
+        assert (bulk.tobytes(), add.tobytes()) == before
         merged.append(add)
-        return merge_sorted(bulk, add)
+        return out
 
     monkeypatch.setattr(monitor, "_poisson_times", tap)
     monkeypatch.setattr(monitor, "_draw_spans", spans)

@@ -20,11 +20,16 @@ exact rationals. The report gives each side's
 median time, the median paired ratio (this tree over the base) with its
 quartiles, and how many pairs this tree won.
 
-The two trees share one heap here, so a change in how much memory a trial
-maps and unmaps, and in the page faults that follow, shows up on both sides
-or on neither. A claim about the benchmark's metrics still rests on
-interleaved `perfbench/run.py` runs; this tool resolves smaller differences
-in the computation itself, and checks the results on the way.
+It also gives each side's traced peak: the most memory one untimed
+operation on the first input had allocated at once, as tracemalloc counts
+it (numpy reports its array buffers there). An allocation's size does not
+depend on the heap it comes from, so this compares the two code paths'
+memory exactly. The two trees do share one heap here, so a change in the
+resident memory a trial maps and unmaps, and in the page faults that
+follow, shows up on both sides or on neither. A claim about the benchmark's
+metrics still rests on interleaved `perfbench/run.py` runs; this tool
+resolves smaller differences in the computation itself, and checks the
+results on the way.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,6 +86,16 @@ def _trial(pkg, wl):
     return run
 
 
+def _traced_peak(run, item) -> int:
+    """The peak of what run(item) allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        run(item)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _timed(run, item):
     start = time.perf_counter()
     out = run(item)
@@ -103,9 +119,12 @@ def main(argv=None) -> int:
             side: _trial(_load_copy(root / "src" / "flqkd", f"flqkd_ab_{side}", Path(tmp)), wl)
             for side, root in (("base", args.base.resolve()), ("head", ROOT))
         }
-        # one untimed operation each, so that neither side pays for first use
+        # one untimed operation each, so that neither side pays for first
+        # use, then one more each under tracemalloc; numpy's lazy imports
+        # are shared, so the first side would pay for them in its peak
         for run in runs.values():
             run(wl.inputs[0])
+        peaks = {side: _traced_peak(run, wl.inputs[0]) for side, run in runs.items()}
         times = {"base": [], "head": []}
         for k in range(args.trials):
             item = wl.inputs[k % len(wl.inputs)]
@@ -121,6 +140,7 @@ def main(argv=None) -> int:
     ratios = [h / b for b, h in zip(times["base"], times["head"])]
     quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"{args.workload}, seed {args.seed}: {args.trials} pairs, results equal")
+    print(f"traced peak MB: base {peaks['base'] / 1e6:.3f}, head {peaks['head'] / 1e6:.3f}")
     print(
         f"median s: base {statistics.median(times['base']):.5f}, "
         f"head {statistics.median(times['head']):.5f}"
