@@ -155,8 +155,9 @@ def load_run_config(path: str | None = None) -> RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            # exc already carries line/column
+        except (ValueError, RecursionError) as exc:
+            # not JSON (with line/column), not UTF-8, an integer past the
+            # digit limit, or nested past the recursion limit
             raise ConfigError(f"{path}: {exc}") from None
     raw = _require_mapping(raw, "config root")
     for key in raw:

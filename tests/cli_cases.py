@@ -76,6 +76,15 @@ CASES = (
         "cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'")),
     Case("test_failed_run_leaves_no_output_file", RATE + " --out never.csv", 2, '{"system": {"kappa": 2.0}}',
          stderr=_config_error("kappa must be in (0,1), got 2.0")),
+    # a file json cannot read: not UTF-8, an integer past Python's digit
+    # limit, or arrays nested past the recursion limit
+    Case("test_unreadable_json_is_a_config_error[not-utf-8]", RATE, 2, existing=("cfg.json", b"\xff\xfe{}"),
+         stderr=_config_error("cfg.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")),
+    Case("test_unreadable_json_is_a_config_error[digit-limit]", MONITOR, 2,
+         '{"monitor": {"trials": 1' + "0" * 5000 + "}}",
+         stderr_has="config error: cfg.json: Exceeds the limit (4300", stderr_lines=1),
+    Case("test_unreadable_json_is_a_config_error[nesting]", RATE, 2, "[" * 100_000,
+         stderr_has="config error: cfg.json: maximum recursion depth exceeded", stderr_lines=1),
     # the sweep's spread needs two trials, and seeding them all comes first
     Case("test_one_trial_is_a_config_error", MONITOR, 2, '{"monitor": {"trials": 1}}',
          stderr=_config_error("monitor.trials must be >= 2, got 1")),

@@ -17,21 +17,11 @@ from dataclasses import replace
 import numpy as np
 
 import oracle_utils as ou
-from flqkd import (
-    Covariance3Mode,
-    MonitorSimConfig,
-    SystemParams,
-    alice_ber,
-    attack_state,
-    holevo_bound,
-    optimize_brightness,
-    pirandola_limit,
-    q_function,
-    sweep_injection,
-    symplectic_eigenvalues,
-    von_neumann_entropy,
-)
 from flqkd.cli import main
+from flqkd.eve import SystemParams, attack_state, holevo_bound
+from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, von_neumann_entropy
+from flqkd.monitor import MonitorSimConfig, sweep_injection
+from flqkd.rates import alice_ber, optimize_brightness, pirandola_limit, q_function
 
 _COMMON = dict(kappa=0.1, eta=0.9, kappa_B=0.71, G_B=3.8e3, N_B=9.7e3, beta=0.94)
 # W = 2.2 THz reading (M = 22000) and M = 2.0e4 reading (W = 2.0 THz)

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from flqkd import ConfidenceSpec, ConfigError, MonitorSimConfig, SystemParams
 from flqkd.config import (
     DEFAULT_ATTACK,
     DEFAULT_MONITOR,
@@ -21,6 +20,10 @@ from flqkd.config import (
     effective_dict,
     load_run_config,
 )
+from flqkd.errors import ConfigError
+from flqkd.eve import SystemParams
+from flqkd.monitor import MonitorSimConfig
+from flqkd.rates import ConfidenceSpec
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 

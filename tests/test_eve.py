@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 
 import oracle_utils as ou
-from flqkd import (
-    DomainError,
+from flqkd.errors import DomainError, ValidationError
+from flqkd.eve import (
     SystemParams,
-    ValidationError,
     attack_state,
     chernoff_ber_passive,
     eve_injection_brightness,
     holevo_bound,
-    symplectic_eigenvalues,
-    von_neumann_entropy,
 )
+from flqkd.gaussian import symplectic_eigenvalues, thermal_entropy, von_neumann_entropy
 
 PARAMS = SystemParams(
     W=2.0e12,
@@ -222,8 +220,6 @@ def test_no_injection_reduces_to_two_mode_state():
     sub = full[np.ix_(keep, keep)]
     raw = np.linalg.eigvals(np.kron(np.eye(2), ou.OMEGA6[:2, :2]) @ sub)
     nus = np.sort(np.abs(raw.imag[raw.imag > 0]))[::-1]
-    from flqkd import thermal_entropy
-
     s_two = sum(thermal_entropy(max(2 * nu - 0.5, 0.0)) for nu in nus)
     assert math.isclose(von_neumann_entropy(st.cov_k0), s_two, rel_tol=0, abs_tol=1e-9)
 

@@ -10,11 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle_utils as ou
-from flqkd import (
+from flqkd.errors import DomainError, UnphysicalStateError, ValidationError
+from flqkd.gaussian import (
     Covariance3Mode,
-    DomainError,
-    UnphysicalStateError,
-    ValidationError,
     symplectic_eigenvalues,
     thermal_entropy,
     von_neumann_entropy,

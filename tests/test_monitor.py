@@ -12,14 +12,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from flqkd import (
-    EstimatorUndefinedError,
+from flqkd import monitor
+from flqkd.errors import EstimatorUndefinedError, ValidationError
+from flqkd.monitor import (
     MonitorCounts,
     MonitorSimConfig,
     SweepRow,
-    ValidationError,
     estimate_fe,
-    monitor,
     simulate_monitor,
     sweep_injection,
 )

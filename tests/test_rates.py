@@ -16,22 +16,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_utils as ou
-from flqkd import (
+from flqkd import rates
+from flqkd.config import load_run_config
+from flqkd.errors import DomainError, ValidationError
+from flqkd.eve import SystemParams, holevo_bound
+from flqkd.rates import (
     ConfidenceSpec,
-    DomainError,
-    SystemParams,
-    ValidationError,
+    _golden_max,
     alice_ber,
     f_e_upper_bound,
     optimize_brightness,
     pirandola_limit,
     q_function,
+    search_grid,
     shannon_info,
     skr_lower_bound,
 )
-from flqkd import rates
-from flqkd.config import load_run_config
-from flqkd.rates import _golden_max, search_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 PARAMS = SystemParams(
@@ -120,8 +120,6 @@ def test_rate_point_internal_consistency():
 
 
 def test_skr_passive_point_keeps_leakage_term():
-    from flqkd import holevo_bound
-
     pt = skr_lower_bound(0.01, 0.0, PARAMS)
     assert pt.chi_ub > 0.0
     assert pt.chi_ub == holevo_bound(PARAMS, 0.01, 0.0)
