@@ -71,6 +71,17 @@ class SystemParams:
             raise ValidationError(f"N_B must be > 0, got {self.N_B!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ValidationError(f"beta must be in (0,1], got {self.beta!r}")
+        # the return path amplifies with gain G_B*(1 - kappa_B), and a
+        # phase-insensitive amplifier adds at least gain - 1 photons of noise
+        # (Caves, PRD 26, 1817 (1982)); below that Eve's state is unphysical.
+        # The floor is met to 1e-9 of the gain, so that the quantum-limited
+        # N_B = 1101 of the defaults passes: 0.71 is stored below 0.71.
+        gain = self.G_B * (1.0 - self.kappa_B)
+        if self.N_B + 1.0 < gain * (1.0 - 1e-9):
+            raise ValidationError(
+                f"N_B must be >= G_B*(1-kappa_B) - 1 = {gain - 1.0:.12g}, the amplifier's "
+                f"quantum noise floor, got {self.N_B!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,10 @@ CASES = (
     *(Case("test_noiseless_receiver_is_a_config_error", f"{command} --config cfg.json", 2,
            '{"system": {"N_B": 0}}', stderr=_config_error("N_B must be > 0, got 0.0"))
       for command in ("optimize", "rate-curve", "limit")),
+    # an amplifier adds at least G_B*(1-kappa_B) - 1 photons of noise, 1101 at the defaults
+    Case("test_amplifier_below_its_noise_floor_is_a_config_error", "optimize --config cfg.json", 2,
+         '{"system": {"N_B": 1100.9}}', stderr=_config_error(
+             "N_B must be >= G_B*(1-kappa_B) - 1 = 1101, the amplifier's quantum noise floor, got 1100.9")),
     # an overflowing brightness prints only the error line, no numpy warning,
     # except in Eve's BER, whose limit at an overflowing exponent is 0
     Case("test_runtime_validation_exits_3", RATE, 3, '{"sweep": {"n_s_max": 1e300, "points": 2}}',

@@ -245,21 +245,6 @@ def test_a_bound_of_one_takes_the_total_injection_limit(tmp_path, capsys):
     assert [float(r[header.index("chi_ub_active")]) for r in rows] == [1.0] * 8
 
 
-@pytest.mark.parametrize("command", ["monitor-sim", "rate-curve", "optimize", "ber-curve", "limit"])
-def test_committed_outputs_regenerate(tmp_path, capsys, command):
-    stem = command.replace("-", "_")
-    argv = [
-        command,
-        "--config", str(ROOT / "configs" / "default.json"),
-        "--out", str(tmp_path / f"{stem}.csv"),
-        "--svg", str(tmp_path / f"{stem}.svg"),
-    ]
-    assert main(argv) == 0
-    capsys.readouterr()
-    for name in (f"{stem}.csv", f"{stem}.svg"):
-        assert (tmp_path / name).read_bytes() == (ROOT / "outputs" / name).read_bytes(), name
-
-
 def test_sweep_at_the_cap_builds(tmp_path):
     # built only: a run this size takes ~4 GB
     path = _cfg(tmp_path, {"sweep": {"points": MAX_SWEEP_POINTS}})
@@ -348,6 +333,32 @@ def _script(argv, cwd):
         pytest.skip("no flqkd script on PATH")
     proc = subprocess.run([script, *argv], cwd=cwd, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+COMMANDS = ["monitor-sim", "rate-curve", "optimize", "ber-curve", "limit"]
+
+
+def _regenerate(command, cwd, run):
+    """Run command on configs/default.json with run(argv, cwd), once to
+    stdout and once to --out and --svg files, and check each against the
+    committed output."""
+    stem = command.replace("-", "_")
+    argv = [command, "--config", str(ROOT / "configs" / "default.json")]
+    assert run(argv, cwd) == (0, (ROOT / "outputs" / f"{stem}.csv").read_bytes().decode(), "")
+    code, out, err = run([*argv, "--out", f"{stem}.csv", "--svg", f"{stem}.svg"], cwd)
+    assert (code, out) == (0, ""), err
+    for name in (f"{stem}.csv", f"{stem}.svg"):
+        assert (cwd / name).read_bytes() == (ROOT / "outputs" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_committed_outputs_regenerate(tmp_path, monkeypatch, capsys, command):
+    _regenerate(command, tmp_path, _in_process(monkeypatch, capsys))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_committed_outputs_regenerate_through_the_script(tmp_path, command):
+    _regenerate(command, tmp_path, _script)
 
 
 def _in_process_test(name):

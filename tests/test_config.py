@@ -3,27 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from flqkd.config import (
-    DEFAULT_ATTACK,
-    DEFAULT_MONITOR,
-    DEFAULT_OUTPUT,
-    DEFAULT_SWEEP,
-    DEFAULT_SYSTEM,
-    OutputSpec,
-    SweepSpec,
-    dump_config,
-    effective_dict,
-    load_run_config,
-)
+from flqkd.config import DEFAULTS, dump_config, load_run_config
 from flqkd.errors import ConfigError
-from flqkd.eve import SystemParams
-from flqkd.monitor import MonitorSimConfig
-from flqkd.rates import ConfidenceSpec
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
@@ -71,13 +56,6 @@ def test_type_guards(tmp_path):
         load_run_config(_write(tmp_path, {"sweep": {"log_scale": 1}}))
 
 
-def test_every_config_field_has_a_checked_kind():
-    # the config checks a value by its field's annotation string; an
-    # annotation evaluated to a type would match none of the checks
-    for cls in (SystemParams, ConfidenceSpec, SweepSpec, MonitorSimConfig, OutputSpec):
-        assert {f.type for f in fields(cls)} <= {"float", "int", "bool"}, cls.__name__
-
-
 def test_semantic_errors_surface_as_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="kappa"):
         load_run_config(_write(tmp_path, {"system": {"kappa": 2.0}}))
@@ -110,7 +88,11 @@ def test_dump_is_canonical_fixed_point(tmp_path):
     attack = {"f_e_hat": 0.001, "sigma": 0.0, "n_sigma_list": [2, 3]}
     cfg = load_run_config(_write(tmp_path, {"system": {"W": 2.0e12}, "attack": attack}))
     dumped = dump_config(cfg)
-    assert json.loads(dumped) == effective_dict(cfg)
+    # the defaults, with the given keys over them
+    expected = {section: dict(keys) for section, keys in DEFAULTS.items()}
+    expected["system"]["W"] = 2.0e12
+    expected["attack"].update(attack)
+    assert json.loads(dumped) == expected
     p = tmp_path / "dumped.json"
     p.write_text(dumped)
     again = load_run_config(str(p))
@@ -119,22 +101,52 @@ def test_dump_is_canonical_fixed_point(tmp_path):
 
 
 def test_committed_default_config_equals_builtin_defaults():
-    assert load_run_config(str(DEFAULT_CONFIG)) == load_run_config(None)
-
-
-def test_dumped_sections_carry_exactly_the_accepted_keys():
-    eff = effective_dict(load_run_config(None))
-    assert set(eff["system"]) == set(DEFAULT_SYSTEM)
-    assert set(eff["attack"]) == set(DEFAULT_ATTACK)
-    assert set(eff["sweep"]) == set(DEFAULT_SWEEP)
-    assert set(eff["monitor"]) == set(DEFAULT_MONITOR)
-    assert set(eff["output"]) == set(DEFAULT_OUTPUT)
+    # the README calls configs/default.json the full schema: every key, at its default
+    assert json.loads(DEFAULT_CONFIG.read_text()) == DEFAULTS
 
 
 def test_committed_default_config_names_every_key():
-    # the README calls configs/default.json the full schema
+    # every key the loader accepts, and no other, is in configs/default.json
     committed = json.loads(DEFAULT_CONFIG.read_text())
-    eff = effective_dict(load_run_config(None))
+    dumped = json.loads(dump_config(load_run_config(None)))
     assert {name: set(keys) for name, keys in committed.items()} == {
-        name: set(keys) for name, keys in eff.items()
+        name: set(keys) for name, keys in dumped.items()
     }
+
+
+KEYS = [(section, key) for section, keys in DEFAULTS.items() for key in keys]
+FLOAT_KEYS = [(section, key) for section, key in KEYS if isinstance(DEFAULTS[section][key], float)]
+
+
+def _wrong_types(default):
+    """Values of the wrong type for a key whose default is `default`."""
+    if isinstance(default, list):
+        # a non-list, and a list holding an item of the wrong type
+        return [default[0], [default[0], "x"]]
+    if isinstance(default, bool):
+        return [1, 0.5]
+    if isinstance(default, int):
+        return ["1", 1.5, True]
+    return ["1", True, None]
+
+
+@pytest.mark.parametrize("section, key", KEYS, ids=[f"{s}.{k}" for s, k in KEYS])
+def test_every_key_refuses_a_value_of_the_wrong_type(tmp_path, section, key):
+    # generated from DEFAULTS, so a key added there is checked with no new test
+    for value in _wrong_types(DEFAULTS[section][key]):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+            load_run_config(_write(tmp_path, {section: {key: value}}))
+
+
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_every_float_key_takes_an_int_as_its_float(tmp_path, section, key):
+    # an int loads, or fails, exactly as the same number written as a float
+    default = DEFAULTS[section][key]
+    number = int(default) if default.is_integer() else 1
+    outcomes = []
+    for value in (number, float(number)):
+        try:
+            outcomes.append(dump_config(load_run_config(_write(tmp_path, {section: {key: value}}))))
+        except ConfigError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -268,11 +268,15 @@ def test_parameter_range_checks():
     for key, bad in [("kappa", 0.0), ("kappa", 1.0), ("eta", 1.5), ("kappa_B", -0.1),
                      ("G_B", 0.0), ("N_B", -1.0), ("beta", 1.01), ("W", 0.0), ("R", 0.0),
                      # gamma = N_B/G_B divides Alice's BER argument
-                     ("N_B", 0.0), ("N_B", math.nan)]:
+                     ("N_B", 0.0), ("N_B", math.nan),
+                     # below the amplifier's noise floor G_B*(1-kappa_B) - 1 = 1101
+                     ("N_B", 1100.9)]:
         kw = dict(good)
         kw[key] = bad
         with pytest.raises(ValidationError):
             SystemParams(**kw)
+    # the quantum-limited amplifier itself, although its float floor is 1101.0000000000002
+    SystemParams(**dict(good, N_B=1101.0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
