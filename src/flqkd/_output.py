@@ -10,7 +10,6 @@ from __future__ import annotations
 import errno
 import math
 import os
-import tempfile
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -40,19 +39,18 @@ def write_text_atomic(files: dict[str, str]) -> None:
     """Write each text to its path. Every file is staged beside its target
     before any target is replaced, so a failure while staging leaves every
     target as it was; an OSError names the target (filename)."""
-    # mkstemp makes the file owner-only; give it the mode open(path, "w")
-    # would, which os.replace keeps (the umask is read by setting it)
-    umask = os.umask(0o077)
-    os.umask(umask)
     staged = {}
     try:
         for path, text in files.items():
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             # stage in the destination directory so os.replace stays atomic
-            directory = os.path.dirname(os.path.abspath(path)) or "."
-            fd, staged[path] = tempfile.mkstemp(dir=directory, prefix=".flqkd-", suffix=".part")
-            os.chmod(staged[path], 0o666 & ~umask)
+            directory = os.path.dirname(os.path.abspath(path))
+            tmp = os.path.join(directory, f".flqkd-{os.urandom(8).hex()}.part")
+            # the kernel applies the umask to 0o666, as open(path, "w") does;
+            # O_EXCL refuses an existing path, a symlink included
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged[path] = tmp
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         for path, tmp in staged.items():

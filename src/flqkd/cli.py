@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -68,10 +68,10 @@ def _cmd_rate_curve(cfg: RunConfig):
 
 
 def _cmd_optimize(cfg: RunConfig):
-    f_es = [f_e_upper_bound(replace(cfg.confidence, n_sigma=n)) for n in cfg.n_sigma_list]
+    f_es = [f_e_upper_bound(level) for level in cfg.confidence_levels]
     results = [optimize_brightness(f_e, cfg.system) for f_e in f_es]
     table = {
-        "n_sigma": cfg.n_sigma_list,
+        "n_sigma": [level.n_sigma for level in cfg.confidence_levels],
         "f_e_ub": f_es,
         "n_s_opt": [r.n_s_opt for r in results],
         "ppb_opt": [r.point.ppb for r in results],
@@ -125,12 +125,14 @@ def _cmd_monitor_sim(cfg: RunConfig):
 
 def _cmd_limit(cfg: RunConfig):
     limit = pirandola_limit(cfg.system.kappa)
-    ske = optimize_brightness(f_e_upper_bound(cfg.confidence), cfg.system).point.ske
+    best = optimize_brightness(f_e_upper_bound(cfg.confidence), cfg.system)
+    ske = best.point.ske
     table = {
         "kappa": [cfg.system.kappa],
         "limit_bits_per_mode": [limit],
         "ske": [ske],
         "advantage_db": [10.0 * math.log10(ske / limit) if ske > 0 else float("nan")],
+        "positive_key": [best.positive_key],
     }
     chart = dict(
         series=[

@@ -98,7 +98,8 @@ class OutputSpec:
 class RunConfig:
     system: SystemParams
     confidence: ConfidenceSpec
-    n_sigma_list: tuple[int, ...]
+    # the confidence at each attack.n_sigma_list level, in order
+    confidence_levels: tuple[ConfidenceSpec, ...]
     sweep: SweepSpec
     monitor: MonitorSimConfig
     monitor_sweep_f_e: tuple[float, ...]
@@ -193,14 +194,14 @@ def load_run_config(path: str | None = None) -> RunConfig:
         confidence = attack.build(ConfidenceSpec)
         # read before its type check, so that a non-list is told what an
         # empty list is told
-        levels = attack.given["n_sigma_list"]
-        if not isinstance(levels, list) or not levels:
+        given = attack.given["n_sigma_list"]
+        if not isinstance(given, list) or not given:
             raise ConfigError("attack.n_sigma_list must be a non-empty list")
-        for n in attack["n_sigma_list"]:  # the optimize command takes the bound at each level
-            try:
-                replace(confidence, n_sigma=n)
-            except ValidationError as exc:
-                raise ConfigError(f"attack.n_sigma_list: {exc}") from None
+        n_sigmas = attack["n_sigma_list"]
+        try:  # the optimize command takes the bound at each level
+            levels = tuple(replace(confidence, n_sigma=n) for n in n_sigmas)
+        except ValidationError as exc:
+            raise ConfigError(f"attack.n_sigma_list: {exc}") from None
         sweep = _Section(raw, "sweep")
         sweep_spec = sweep.build(SweepSpec)
         monitor = _Section(raw, "monitor")
@@ -224,7 +225,7 @@ def load_run_config(path: str | None = None) -> RunConfig:
     return RunConfig(
         system=params,
         confidence=confidence,
-        n_sigma_list=tuple(attack["n_sigma_list"]),
+        confidence_levels=levels,
         sweep=sweep_spec,
         monitor=monitor_sim,
         monitor_sweep_f_e=tuple(monitor["sweep_f_e"]),

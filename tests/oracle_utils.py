@@ -61,8 +61,7 @@ ERFC_ORACLE = {
 
 # Alice's BER at N_S = 0.01 (200 photons per bit when W = 2e12, R = 1e8)
 # with M = 2e4, kappa = 0.1, eta = 0.9, kappa_B = 0.71, G_B = 3.8e3,
-# N_B = 9.7e3.  BER_ARG is the exact squared Q-function argument.
-BER_ARG = 4.0898969072164948
+# N_B = 9.7e3.
 BER_AT_200PPB = 0.021570136673656913
 
 G_HALF = 1.3774437510817343          # thermal entropy at N = 0.5

@@ -128,10 +128,24 @@ def test_log_sweep_grid_ends_are_exact(tmp_path, capsys, n_s_range):
 def test_limit_table(capsys):
     assert main(["limit"]) == 0
     header, rows = _rows(capsys.readouterr().out)
-    assert header == ["kappa", "limit_bits_per_mode", "ske", "advantage_db"]
+    assert header == ["kappa", "limit_bits_per_mode", "ske", "advantage_db", "positive_key"]
     assert len(rows) == 1
     assert float(rows[0][0]) == 0.1
     assert float(rows[0][3]) > 0.0
+    assert rows[0][4] == "1"
+
+
+def test_limit_flags_an_optimum_with_no_key(tmp_path, capsys):
+    # a known f_E of 0.3 leaves no key at any brightness, as optimize reports
+    path = _cfg(tmp_path, {"system": {"N_B": 9.7e5}, "attack": {"f_e_hat": 0.3, "sigma": 0}})
+    assert main(["limit", "--config", path]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    assert float(rows[0][header.index("ske")]) < 0.0
+    assert rows[0][header.index("advantage_db")] == "nan"
+    assert rows[0][header.index("positive_key")] == "0"
+    assert main(["optimize", "--config", path]) == 0
+    header, rows = _rows(capsys.readouterr().out)
+    assert {r[header.index("positive_key")] for r in rows} == {"0"}
 
 
 def test_monitor_sim_table(tmp_path, capsys):
@@ -172,6 +186,18 @@ def test_output_files_take_the_mode_the_umask_gives(tmp_path, capsys, umask, mod
     capsys.readouterr()
     assert stat.S_IMODE(out.stat().st_mode) == mode
     assert stat.S_IMODE(svg.stat().st_mode) == mode
+
+
+def test_writing_output_files_leaves_the_umask_alone(tmp_path, monkeypatch, capsys):
+    # the umask is process-wide, so a run in process must not set it, even
+    # for a moment
+    calls = []
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or 0o022)
+    out, svg = tmp_path / "l.csv", tmp_path / "l.svg"
+    assert main(["limit", "--out", str(out), "--svg", str(svg)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert out.exists() and svg.exists()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,8 @@ def test_defaults_without_file():
     assert cfg.system.M == pytest.approx(2.2e4, rel=1e-12)
     assert cfg.confidence.f_e_hat == 7e-4
     assert cfg.confidence.sigma == 2e-3
-    assert cfg.n_sigma_list == (1, 2, 3, 4, 5)
+    assert [level.n_sigma for level in cfg.confidence_levels] == [1, 2, 3, 4, 5]
+    assert all(replace(level, n_sigma=1) == cfg.confidence for level in cfg.confidence_levels)
     assert cfg.sweep.points == 80 and cfg.sweep.log_scale
     assert cfg.monitor_trials == 8
     assert cfg.output.precision == 9
@@ -77,7 +79,7 @@ def test_missing_file():
 
 def test_n_sigma_list_validation(tmp_path):
     cfg = load_run_config(_write(tmp_path, {"attack": {"n_sigma_list": [2, 4]}}))
-    assert cfg.n_sigma_list == (2, 4)
+    assert cfg.confidence_levels == tuple(replace(cfg.confidence, n_sigma=n) for n in (2, 4))
     with pytest.raises(ConfigError):
         load_run_config(_write(tmp_path, {"attack": {"n_sigma_list": []}}))
     with pytest.raises(ConfigError):
