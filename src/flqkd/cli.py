@@ -6,8 +6,8 @@ command reads one JSON config (defaults when omitted), writes one CSV table
 deterministic for a fixed config.
 
 Exit codes: 0 success, 2 config error (also an --out or --svg path that
-cannot be written, or the two naming one file), 3 numerical/domain error,
-4 estimator undefined.
+cannot be written, or the two naming one file), 3 numerical error (an
+argument the model refuses, or an unphysical state), 4 estimator undefined.
 """
 
 from __future__ import annotations
@@ -90,8 +90,11 @@ def _cmd_optimize(cfg: RunConfig):
 
 def _cmd_ber_curve(cfg: RunConfig):
     grid = _sweep_grid(cfg)
+    # a brightness too large for floats gives ppb = inf, which the table prints
+    with np.errstate(over="ignore"):
+        ppb = cfg.system.M * grid
     table = {
-        "ppb": cfg.system.M * grid,
+        "ppb": ppb,
         "ber_alice_theory": alice_ber(grid, cfg.system),
         "ber_eve_qcb": chernoff_ber_passive(cfg.system, grid),
     }

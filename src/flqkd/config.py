@@ -141,29 +141,23 @@ def _typed(name: str, value, default):
     return value
 
 
-class _Section:
-    """One section's values, the config's over the defaults. A key is
-    checked against its default's type when first read, so the checks run
-    in the order the loader reads the keys."""
+def _section(raw: dict, name: str) -> dict:
+    """Every key of section name at its type-checked value, the config's
+    over the default's."""
+    given = _require_mapping(raw.get(name, {}), name)
+    for key in given:
+        if key not in DEFAULTS[name]:
+            raise ConfigError(f"unknown key {name}.{key}")
+    return {
+        key: _typed(f"{name}.{key}", given.get(key, default), default)
+        for key, default in DEFAULTS[name].items()
+    }
 
-    def __init__(self, raw: dict, name: str):
-        self.name = name
-        self.given = dict(DEFAULTS[name])
-        for key, value in _require_mapping(raw.get(name, {}), name).items():
-            if key not in self.given:
-                raise ConfigError(f"unknown key {name}.{key}")
-            self.given[key] = value
-        self.checked = {}
 
-    def __getitem__(self, key: str):
-        if key not in self.checked:
-            self.checked[key] = _typed(f"{self.name}.{key}", self.given[key], DEFAULTS[self.name][key])
-        return self.checked[key]
-
-    def build(self, cls, **fixed):
-        """cls from the keys that name its fields, and the fixed fields,
-        which no config key sets."""
-        return cls(**{f.name: self[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
+def _build(cls, values: dict, **fixed):
+    """cls from the values that name its fields, and the fixed fields, which
+    no config key sets."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
 
 
 def load_run_config(path: str | None = None) -> RunConfig:
@@ -185,26 +179,23 @@ def load_run_config(path: str | None = None) -> RunConfig:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config section {key!r}")
 
+    # each section's keys are type-checked before its rules run
     try:
-        system = _Section(raw, "system")
-        params = system.build(SystemParams)
+        system = _section(raw, "system")
+        params = _build(SystemParams, system)
         # the monitor's estimate of f_E and the confidence levels it is
         # taken at; a known f_E is {"f_e_hat": x, "sigma": 0}
-        attack = _Section(raw, "attack")
-        confidence = attack.build(ConfidenceSpec)
-        # read before its type check, so that a non-list is told what an
-        # empty list is told
-        given = attack.given["n_sigma_list"]
-        if not isinstance(given, list) or not given:
+        attack = _section(raw, "attack")
+        confidence = _build(ConfidenceSpec, attack)
+        if not attack["n_sigma_list"]:
             raise ConfigError("attack.n_sigma_list must be a non-empty list")
-        n_sigmas = attack["n_sigma_list"]
         try:  # the optimize command takes the bound at each level
-            levels = tuple(replace(confidence, n_sigma=n) for n in n_sigmas)
+            levels = tuple(replace(confidence, n_sigma=n) for n in attack["n_sigma_list"])
         except ValidationError as exc:
             raise ConfigError(f"attack.n_sigma_list: {exc}") from None
-        sweep = _Section(raw, "sweep")
-        sweep_spec = sweep.build(SweepSpec)
-        monitor = _Section(raw, "monitor")
+        sweep = _section(raw, "sweep")
+        sweep_spec = _build(SweepSpec, sweep)
+        monitor = _section(raw, "monitor")
         trials = monitor["trials"]
         if trials < 2:
             raise ConfigError(f"monitor.trials must be >= 2, got {trials}")
@@ -214,11 +205,9 @@ def load_run_config(path: str | None = None) -> RunConfig:
             raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
         # the monitor runs on the key-rate model's channel (system.kappa), and
         # sweep_injection sets f_e_true for each row
-        monitor_sim = monitor.build(MonitorSimConfig, kappa=params.kappa, f_e_true=0.0)
-        output = _Section(raw, "output")
-        output_spec = output.build(OutputSpec)
-        sections = (system, attack, sweep, monitor, output)
-        settings = {s.name: {key: s[key] for key in DEFAULTS[s.name]} for s in sections}
+        monitor_sim = _build(MonitorSimConfig, monitor, kappa=params.kappa, f_e_true=0.0)
+        output = _section(raw, "output")
+        output_spec = _build(OutputSpec, output)
     except FlqkdError as exc:
         # a library check's message, or a ConfigError's own, as a ConfigError
         raise ConfigError(str(exc)) from None
@@ -231,7 +220,7 @@ def load_run_config(path: str | None = None) -> RunConfig:
         monitor_sweep_f_e=tuple(monitor["sweep_f_e"]),
         monitor_trials=trials,
         output=output_spec,
-        settings=settings,
+        settings={"system": system, "attack": attack, "sweep": sweep, "monitor": monitor, "output": output},
     )
 
 

@@ -2,8 +2,8 @@
 its parameter classes check first.
 
 The CLI maps these onto exit codes: config errors exit 2, an undefined
-intrusion estimate exits 4, and every other package error (numerical or
-domain) exits 3.
+intrusion estimate exits 4, and every other package error (a refused
+argument or an unphysical state) exits 3.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ class FlqkdError(Exception):
 
 
 class ValidationError(FlqkdError, ValueError):
-    """Structured input violates an invariant (shape, symmetry, range)."""
-
-
-class DomainError(FlqkdError, ValueError):
-    """Scalar argument outside the mathematical domain of an operation."""
+    """An argument outside its domain: a range, a shape or an invariant."""
 
 
 class UnphysicalStateError(FlqkdError):

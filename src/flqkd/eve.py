@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite
+from .errors import ValidationError, require_finite
 from .gaussian import Covariance3Mode, elementwise, scalar_or_array, von_neumann_entropy
 
 
@@ -97,26 +97,29 @@ class AttackState:
 
 
 def check_brightness(n_s) -> None:
-    """Raise DomainError unless every source brightness is >= 0 (NaN is not)."""
+    """Raise ValidationError unless every source brightness is >= 0 (NaN is not)."""
     n_s = np.asarray(n_s)
     ok = n_s >= 0.0
     if not ok.all():
-        raise DomainError(f"source brightness must be >= 0, got {float(n_s[~ok][0])!r}")
+        raise ValidationError(f"source brightness must be >= 0, got {float(n_s[~ok][0])!r}")
 
 
 def eve_injection_brightness(f_e: float, n_s, kappa: float):
     """Injected brightness N_E = kappa N_S f_E / [(1-kappa)(1-f_E)].
 
-    The injection replaces a fraction f_E of the light reaching Bob while the
-    total flux is unchanged, which fixes N_E as above. At f_E = 1 (total
-    replacement) N_E is infinite, outside this model's domain. n_s may be
-    an array.
+    Eve's light joins Alice's at a beam splitter of transmissivity kappa:
+    Bob receives Alice's kappa N_S, as with no Eve, plus (1-kappa) N_E of
+    Eve's, kappa N_S / (1-f_E) in all, of which Eve's share is f_E. So Bob's
+    flux grows by 1/(1-f_E). The monitor's intruder (monitor._category_rates)
+    differs: it replaces a fraction f_E of Bob's light and leaves his flux
+    unchanged. At f_E = 1 N_E is infinite, outside this model's domain. n_s
+    may be an array.
     """
     if not 0.0 <= f_e < 1.0:
-        raise DomainError(f"injection fraction must be in [0,1), got {f_e!r}")
+        raise ValidationError(f"injection fraction must be in [0,1), got {f_e!r}")
     check_brightness(n_s)
     if not 0.0 < kappa < 1.0:
-        raise DomainError(f"kappa must be in (0,1), got {kappa!r}")
+        raise ValidationError(f"kappa must be in (0,1), got {kappa!r}")
     return kappa * n_s * f_e / ((1.0 - kappa) * (1.0 - f_e))
 
 

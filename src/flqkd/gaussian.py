@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnphysicalStateError, ValidationError
+from .errors import UnphysicalStateError, ValidationError
 
 VACUUM_EIGENVALUE = 0.25
 # tolerance below the vacuum floor before a state is declared unphysical
@@ -142,7 +142,7 @@ def thermal_entropy(n: float) -> float:
     g(0) = 0 by continuity; N below 1e-12 is treated as 0 to avoid log(0).
     """
     if n < 0:
-        raise DomainError(f"mean photon number must be >= 0, got {n!r}")
+        raise ValidationError(f"mean photon number must be >= 0, got {n!r}")
     return float(_thermal_entropies(np.array([n], dtype=float))[0])
 
 

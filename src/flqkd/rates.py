@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError, require_finite
+from .errors import ValidationError, require_finite
 from .eve import SystemParams, check_brightness, holevo_bound
 from .gaussian import elementwise, scalar_or_array
 
@@ -46,14 +46,17 @@ def alice_ber(n_s, params: SystemParams):
     """
     check_brightness(n_s)
     n_s = np.asarray(n_s, dtype=float)
-    arg = 2.0 * params.M * params.kappa * params.eta * (1.0 - params.kappa_B) * n_s / params.gamma
+    # a brightness too large for floats overflows to an infinite argument,
+    # whose Q is the right limit, 0
+    with np.errstate(over="ignore"):
+        arg = 2.0 * params.M * params.kappa * params.eta * (1.0 - params.kappa_B) * n_s / params.gamma
     return elementwise(q_function, np.sqrt(arg))
 
 
 def shannon_info(ber: float) -> float:
     """Shannon information of a binary symmetric channel with error rate ber."""
     if not 0.0 <= ber <= 1.0:
-        raise DomainError(f"bit-error rate must be in [0,1], got {ber!r}")
+        raise ValidationError(f"bit-error rate must be in [0,1], got {ber!r}")
     p = ber
     total = 1.0
     if 0.0 < p:
@@ -203,9 +206,11 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     front. The ends are exactly lo and hi; logspace alone can miss them by
     an ulp and so step outside the range.
     """
+    if points < 2:
+        raise ValidationError(f"need at least 2 grid points, got {points!r}")
     lo, hi = float(n_s_range[0]), float(n_s_range[1])
     if not 0.0 <= lo < hi:
-        raise DomainError(f"need 0 <= lo < hi, got {n_s_range!r}")
+        raise ValidationError(f"need 0 <= lo < hi, got {n_s_range!r}")
     grid_lo = lo if lo > 0.0 else 1e-12 * hi
     grid = np.logspace(math.log10(grid_lo), math.log10(hi), points)
     grid[0], grid[-1] = grid_lo, hi
@@ -248,7 +253,7 @@ def optimize_brightness(
 def pirandola_limit(kappa: float) -> float:
     """Repeaterless one-way key-rate limit -log2(1 - kappa), bits per mode."""
     if not 0.0 < kappa < 1.0:
-        raise DomainError(f"kappa must be in (0,1), got {kappa!r}")
+        raise ValidationError(f"kappa must be in (0,1), got {kappa!r}")
     return -math.log2(1.0 - kappa)
 
 

@@ -44,6 +44,8 @@ RATE = "rate-curve --config cfg.json"
 # an integer too long for any float
 HUGE = "1" + "0" * 400
 OVERFLOW = '{"sweep": {"n_s_max": 1e300}}'
+# here M n_s, and Alice's BER argument, overflow too
+OVERFLOW_ALL = '{"sweep": {"n_s_max": 1e306, "points": 3}}'
 KEPT = b"kept,bytes\r\n"
 NON_FINITE = "test_non_finite_numbers_are_config_errors[%s]"
 
@@ -104,10 +106,12 @@ CASES = (
     # except in Eve's BER, whose limit at an overflowing exponent is 0
     Case("test_runtime_validation_exits_3", RATE, 3, '{"sweep": {"n_s_max": 1e300, "points": 2}}',
          stderr="numerical error: covariance has non-finite entries\n"),
-    Case("test_overflow_prints_only_the_error_line", RATE, 3, OVERFLOW,
-         stderr="numerical error: covariance has non-finite entries\n"),
-    Case("test_ber_curve_overflow_is_silent", "ber-curve --config cfg.json", 0, OVERFLOW,
-         stdout_empty=False, stderr=""),
+    *(Case("test_overflow_prints_only_the_error_line", RATE, 3, config,
+           stderr="numerical error: covariance has non-finite entries\n")
+      for config in (OVERFLOW, OVERFLOW_ALL)),
+    *(Case("test_ber_curve_overflow_is_silent", "ber-curve --config cfg.json", 0, config,
+           stdout_empty=False, stderr="")
+      for config in (OVERFLOW, OVERFLOW_ALL)),
     Case("test_estimator_undefined_exits_4", MONITOR, 4,
          '{"system": {"kappa": 0.5}, "monitor": {"pair_rate": 0.0, "duration": 1.5, "trials": 2, "sweep_f_e": [0.5]}}',
          stderr="estimator undefined: Alice tap shows no excess coincidences; reference arm is dark or unpaired\n"),

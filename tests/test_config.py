@@ -80,8 +80,10 @@ def test_missing_file():
 def test_n_sigma_list_validation(tmp_path):
     cfg = load_run_config(_write(tmp_path, {"attack": {"n_sigma_list": [2, 4]}}))
     assert cfg.confidence_levels == tuple(replace(cfg.confidence, n_sigma=n) for n in (2, 4))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^attack\.n_sigma_list must be a non-empty list$"):
         load_run_config(_write(tmp_path, {"attack": {"n_sigma_list": []}}))
+    with pytest.raises(ConfigError, match=r"^attack\.n_sigma_list must be a list$"):
+        load_run_config(_write(tmp_path, {"attack": {"n_sigma_list": 1}}))
     with pytest.raises(ConfigError):
         load_run_config(_write(tmp_path, {"attack": {"n_sigma_list": [0]}}))
 
@@ -152,3 +154,31 @@ def test_every_float_key_takes_an_int_as_its_float(tmp_path, section, key):
         except ConfigError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+# one config per rule that a section checks beyond its keys' types, breaking
+# that rule and no type
+RULES = [
+    ("system", {"kappa": 2.0}),
+    ("attack", {"sigma": -1.0}),
+    ("attack", {"n_sigma_list": []}),
+    ("attack", {"n_sigma_list": [0]}),
+    ("sweep", {"points": 1}),
+    ("monitor", {"trials": 1}),
+    ("monitor", {"sweep_f_e": [2.0]}),
+    ("monitor", {"duration": -1.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "section, rule", RULES, ids=[f"{s}.{k}={v}" for s, rule in RULES for k, v in rule.items()]
+)
+def test_a_sections_wrong_type_comes_before_its_rules(tmp_path, section, rule):
+    # generated from DEFAULTS: within one section, a key of the wrong type is
+    # reported before any rule of that section
+    with pytest.raises(ConfigError):
+        load_run_config(_write(tmp_path, {section: rule}))
+    for key in (key for key in DEFAULTS[section] if key not in rule):
+        for value in _wrong_types(DEFAULTS[section][key]):
+            with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be "):
+                load_run_config(_write(tmp_path, {section: {**rule, key: value}}))

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle_utils as ou
-from flqkd.errors import DomainError, UnphysicalStateError, ValidationError
+from flqkd.errors import UnphysicalStateError, ValidationError
 from flqkd.gaussian import (
     Covariance3Mode,
     symplectic_eigenvalues,
@@ -57,7 +57,7 @@ def test_thermal_entropy_values():
 
 
 def test_thermal_entropy_rejects_negative():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         thermal_entropy(-0.01)
 
 

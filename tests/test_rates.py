@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracle_utils as ou
 from flqkd import rates
 from flqkd.config import load_run_config
-from flqkd.errors import DomainError, ValidationError
+from flqkd.errors import ValidationError
 from flqkd.eve import SystemParams, holevo_bound
 from flqkd.rates import (
     ConfidenceSpec,
@@ -106,7 +106,7 @@ def test_shannon_info_values():
 
 def test_shannon_info_domain():
     for p in (-0.01, 1.01):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             shannon_info(p)
 
 
@@ -153,9 +153,9 @@ def test_optimizer_flags_no_positive_key():
 
 
 def test_optimizer_validates_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         optimize_brightness(0.0027, PARAMS, n_s_range=(1.0, 0.5))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         optimize_brightness(0.0027, PARAMS, n_s_range=(-1.0, 0.5))
 
 
@@ -187,7 +187,7 @@ def test_array_rate_point_keeps_its_shape():
 
 @pytest.mark.parametrize("bad", [-1e-3, math.nan])
 def test_array_with_one_bad_brightness_raises_like_the_scalar_call(bad):
-    with pytest.raises(DomainError) as scalar:
+    with pytest.raises(ValidationError) as scalar:
         skr_lower_bound(bad, 0.0027, PARAMS)
     grid = np.array([1e-3, 1e-2, bad, 0.1])
     with pytest.raises(type(scalar.value)):
@@ -327,6 +327,14 @@ def test_search_grid_ends_are_exact():
     assert (zero[0], zero[1], zero[-1], zero.size) == (0.0, 2e-12, 2.0, 65)
 
 
+def test_search_grid_needs_two_points():
+    # a grid holds both ends of its range, so it needs two points
+    for points in (1, 0):
+        with pytest.raises(ValidationError, match=f"^need at least 2 grid points, got {points}$"):
+            search_grid((1e-5, 1.0), points)
+    assert search_grid((1e-5, 1.0), 2).tolist() == [1e-5, 1.0]
+
+
 def test_total_injection_leaves_no_key():
     for n_s in (0.0, 1e-3, 0.0089, 1.0):
         assert not skr_lower_bound(n_s, 1.0, PARAMS).ske > 0.0
@@ -344,7 +352,7 @@ def test_pirandola_examples():
 
 def test_pirandola_domain():
     for kappa in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             pirandola_limit(kappa)
 
 
