@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError, FlqkdError, ValidationError
+from .errors import ConfigError, ValidationError
 from .eve import SystemParams
 from .monitor import MonitorSimConfig
 from .rates import ConfidenceSpec
@@ -154,10 +154,13 @@ def _section(raw: dict, name: str) -> dict:
     }
 
 
-def _build(cls, values: dict, **fixed):
-    """cls from the values that name its fields, and the fixed fields, which
-    no config key sets."""
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
+def _build(cls, where: str, values: dict, **fixed):
+    """cls from the values that name its fields, each fixed field in place of
+    its value; a refusal of cls becomes a ConfigError that names where."""
+    try:
+        return cls(**{f.name: values[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_run_config(path: str | None = None) -> RunConfig:
@@ -180,37 +183,33 @@ def load_run_config(path: str | None = None) -> RunConfig:
             raise ConfigError(f"unknown config section {key!r}")
 
     # each section's keys are type-checked before its rules run
-    try:
-        system = _section(raw, "system")
-        params = _build(SystemParams, system)
-        # the monitor's estimate of f_E and the confidence levels it is
-        # taken at; a known f_E is {"f_e_hat": x, "sigma": 0}
-        attack = _section(raw, "attack")
-        confidence = _build(ConfidenceSpec, attack)
-        if not attack["n_sigma_list"]:
-            raise ConfigError("attack.n_sigma_list must be a non-empty list")
-        try:  # the optimize command takes the bound at each level
-            levels = tuple(replace(confidence, n_sigma=n) for n in attack["n_sigma_list"])
-        except ValidationError as exc:
-            raise ConfigError(f"attack.n_sigma_list: {exc}") from None
-        sweep = _section(raw, "sweep")
-        sweep_spec = _build(SweepSpec, sweep)
-        monitor = _section(raw, "monitor")
-        trials = monitor["trials"]
-        if trials < 2:
-            raise ConfigError(f"monitor.trials must be >= 2, got {trials}")
-        if trials > MAX_MONITOR_TRIALS:
-            raise ConfigError(f"monitor.trials must be <= {MAX_MONITOR_TRIALS}, got {trials}")
-        if any(not 0.0 <= v <= 1.0 for v in monitor["sweep_f_e"]):
-            raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
-        # the monitor runs on the key-rate model's channel (system.kappa), and
-        # sweep_injection sets f_e_true for each row
-        monitor_sim = _build(MonitorSimConfig, monitor, kappa=params.kappa, f_e_true=0.0)
-        output = _section(raw, "output")
-        output_spec = _build(OutputSpec, output)
-    except FlqkdError as exc:
-        # a library check's message, or a ConfigError's own, as a ConfigError
-        raise ConfigError(str(exc)) from None
+    system = _section(raw, "system")
+    params = _build(SystemParams, "system", system)
+    # the monitor's estimate of f_E and the confidence levels it is taken
+    # at; a known f_E is {"f_e_hat": x, "sigma": 0}
+    attack = _section(raw, "attack")
+    confidence = _build(ConfidenceSpec, "attack", attack)
+    if not attack["n_sigma_list"]:
+        raise ConfigError("attack.n_sigma_list must be a non-empty list")
+    # the optimize command takes the bound at each level
+    levels = tuple(
+        _build(ConfidenceSpec, "attack.n_sigma_list", attack, n_sigma=n) for n in attack["n_sigma_list"]
+    )
+    sweep = _section(raw, "sweep")
+    sweep_spec = _build(SweepSpec, "sweep", sweep)
+    monitor = _section(raw, "monitor")
+    trials = monitor["trials"]
+    if trials < 2:
+        raise ConfigError(f"monitor.trials must be >= 2, got {trials}")
+    if trials > MAX_MONITOR_TRIALS:
+        raise ConfigError(f"monitor.trials must be <= {MAX_MONITOR_TRIALS}, got {trials}")
+    if any(not 0.0 <= v <= 1.0 for v in monitor["sweep_f_e"]):
+        raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
+    # the monitor runs on the key-rate model's channel (system.kappa), and
+    # sweep_injection sets f_e_true for each row
+    monitor_sim = _build(MonitorSimConfig, "monitor", monitor, kappa=params.kappa, f_e_true=0.0)
+    output = _section(raw, "output")
+    output_spec = _build(OutputSpec, "output", output)
     return RunConfig(
         system=params,
         confidence=confidence,

@@ -8,10 +8,11 @@ brightness N_S.
 
 The maximizer makes few rate calls, each over many points: one call scans
 its 64-point grid, and the golden-section steps go in batches. Each batch
-holds every point the next three steps could ask for, whichever way their
-comparisons go, and the steps read their values from it. An array call
-gives each point the value of the scalar call, so the iterates, and the
-optimum, are those of the one-point search bit for bit.
+holds every point the next three steps could ask for, the lookahead
+following the bracket alone, both ways at each step; the steps read their
+values from it. An array call gives each point the value of the scalar
+call, so the iterates, and the optimum, are those of the one-point search
+bit for bit.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class ConfidenceSpec:
         require_finite(self, ("f_e_hat", "sigma", "n_sigma"))
         if self.sigma < 0:
             raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
-        if int(self.n_sigma) != self.n_sigma or self.n_sigma < 1:
-            raise ValidationError(f"n_sigma must be a positive integer, got {self.n_sigma!r}")
+        n = self.n_sigma
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n_sigma must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -130,25 +132,25 @@ def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
     )
 
 
-def _points_ahead(lo, hi, h, c, d, yc, yd, steps: int) -> list[float]:
-    """Every point that the next `steps` golden steps from the state
-    (lo, hi, h, c, d, yc, yd) could ask for, in the one-point arithmetic.
+def _golden_step(lo, hi, h, c, d, c_wins):
+    """The state (lo, hi, h, c, d) one golden step on: the bracket keeps
+    c's side when c_wins, else d's, and its new point is c or d in turn."""
+    h *= _INV_PHI
+    if c_wins:
+        return lo, d, h, lo + _INV_PHI2 * h, c
+    return c, hi, h, d, c + _INV_PHI * h
 
-    A value not yet known is None; a comparison that reads one is followed
-    both ways, so each step ahead doubles the points it may need.
-    """
+
+def _points_ahead(lo, hi, h, c, d, steps: int) -> list[float]:
+    """Every point that the next `steps` golden steps from the bracket
+    (lo, hi, h, c, d) could ask for: each step is followed both ways, so
+    each step ahead doubles the points it may need."""
     if steps == 0 or not h > _TOL * max(abs(lo), abs(hi)):
         return []
-    h *= _INV_PHI
-    c_wins = (True, False) if yc is None or yd is None else (yc > yd,)
     points = []
-    for wins in c_wins:
-        if wins:
-            x = lo + _INV_PHI2 * h
-            points += [x, *_points_ahead(lo, d, h, x, c, None, yc, steps - 1)]
-        else:
-            x = c + _INV_PHI * h
-            points += [x, *_points_ahead(c, hi, h, d, x, yd, None, steps - 1)]
+    for c_wins in (True, False):
+        state = _golden_step(lo, hi, h, c, d, c_wins)
+        points += [state[3] if c_wins else state[4], *_points_ahead(*state, steps - 1)]
     return points
 
 
@@ -160,42 +162,29 @@ def _golden_max(fun, lo: float, hi: float) -> float:
     those of the one-point search, which asks for one new point per step.
     When a step asks for a point not yet known, one call evaluates it
     together with every point that the next _LOOKAHEAD - 1 steps could ask
-    for, whichever way their comparisons go (1 + 2 + 4 points; the first
-    call takes both starting points and two steps ahead); the steps then
-    read their values from that batch. fun must give each point the
-    value it gives that point alone, so every comparison, and the returned
-    midpoint, is the one-point search's bit for bit.
+    for; the lookahead follows the bracket alone, both ways at each step
+    (1 + 2 + 4 points; the first call takes both starting points and two
+    steps ahead). The steps then read their values from that batch. fun
+    must give each point the value it gives that point alone, so every
+    comparison, and the returned midpoint, is the one-point search's bit
+    for bit.
     """
     known = {}
-
-    def fill(need, *state):
-        ahead = [*need, *_points_ahead(*state, _LOOKAHEAD - 1)]
-        known.update(zip(ahead, fun(np.array(ahead)).tolist()))
-
     h = hi - lo
     c = lo + _INV_PHI2 * h
     d = lo + _INV_PHI * h
-    fill((c, d), lo, hi, h, c, d, None, None)
-    yc, yd = known[c], known[d]
     # closing in on 0 the relative test never ends the search, so it also
     # ends once a step no longer narrows the bracket in float
     width = math.inf
-    while h > _TOL * max(abs(lo), abs(hi)) and hi - lo < width:
+    while True:
+        need = [x for x in (c, d) if x not in known]
+        if need:
+            ahead = [*need, *_points_ahead(lo, hi, h, c, d, _LOOKAHEAD - 1)]
+            known.update(zip(ahead, fun(np.array(ahead)).tolist()))
+        if not (h > _TOL * max(abs(lo), abs(hi)) and hi - lo < width):
+            return 0.5 * (lo + hi)
         width = hi - lo
-        h *= _INV_PHI
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            c = lo + _INV_PHI2 * h
-            if c not in known:
-                fill((c,), lo, hi, h, c, d, None, yd)
-            yc = known[c]
-        else:
-            lo, c, yc = c, d, yd
-            d = lo + _INV_PHI * h
-            if d not in known:
-                fill((d,), lo, hi, h, c, d, yc, None)
-            yd = known[d]
-    return 0.5 * (lo + hi)
+        lo, hi, h, c, d = _golden_step(lo, hi, h, c, d, known[c] > known[d])
 
 
 def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
@@ -206,6 +195,8 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     front. The ends are exactly lo and hi; logspace alone can miss them by
     an ulp and so step outside the range.
     """
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+        raise ValidationError(f"need an integer number of grid points, got {points!r}")
     if points < 2:
         raise ValidationError(f"need at least 2 grid points, got {points!r}")
     lo, hi = float(n_s_range[0]), float(n_s_range[1])

@@ -14,7 +14,9 @@ and the `existing` file (name and bytes, when set). The run must give:
   before the run), and the `existing` file's bytes unchanged.
 
 `test` is the id of the in-process test that runs the row, so a case keeps
-the id it had before the table; several rows may share one.
+the id it had before the table; several rows may share one. Through the
+script a row's id is its `test` id and its index among the rows under it
+(`-0`, `-1`, ...), so a new row renames no other.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _config_error(message: str) -> str:
 CASES = (
     # the monitor's seed is an unsigned 64-bit integer, set only in the config
     *(Case("test_seed_must_fit_64_bits", MONITOR, 2, '{"monitor": {"rng_seed": %d}}' % seed,
-           stderr=_config_error(f"rng_seed must be an integer in [0, 2**64), got {seed}"))
+           stderr=_config_error(f"monitor: rng_seed must be an integer in [0, 2**64), got {seed}"))
       for seed in (-1, 2**64)),
     *(Case(f"test_seed_flag_is_gone[{command}]", f"{command} --seed 7", 2,
            stderr_has="flqkd: error: unrecognized arguments: --seed 7\n")
@@ -72,12 +74,12 @@ CASES = (
          stderr=_config_error("unknown key attack.f_e")),
     # a config that breaks a range, is not JSON, or is missing
     Case("test_config_error_exits_2", RATE, 2, '{"system": {"kappa": 2.0}}',
-         stderr=_config_error("kappa must be in (0,1), got 2.0")),
+         stderr=_config_error("system: kappa must be in (0,1), got 2.0")),
     Case("test_config_error_exits_2", RATE, 2, '{"system": {,}}', stderr_has="line 1 column 13", stderr_lines=1),
     Case("test_config_error_exits_2", "rate-curve --config missing.json", 2, stderr=_config_error(
         "cannot read config missing.json: [Errno 2] No such file or directory: 'missing.json'")),
     Case("test_failed_run_leaves_no_output_file", RATE + " --out never.csv", 2, '{"system": {"kappa": 2.0}}',
-         stderr=_config_error("kappa must be in (0,1), got 2.0")),
+         stderr=_config_error("system: kappa must be in (0,1), got 2.0")),
     # a file json cannot read: not UTF-8, an integer past Python's digit
     # limit, or arrays nested past the recursion limit
     Case("test_unreadable_json_is_a_config_error[not-utf-8]", RATE, 2, existing=("cfg.json", b"\xff\xfe{}"),
@@ -96,12 +98,12 @@ CASES = (
       for name, trials in (("1e20", 10**20), ("cap+1", MAX_MONITOR_TRIALS + 1))),
     # a noiseless receiver is outside the model
     *(Case("test_noiseless_receiver_is_a_config_error", f"{command} --config cfg.json", 2,
-           '{"system": {"N_B": 0}}', stderr=_config_error("N_B must be > 0, got 0.0"))
+           '{"system": {"N_B": 0}}', stderr=_config_error("system: N_B must be > 0, got 0.0"))
       for command in ("optimize", "rate-curve", "limit")),
     # an amplifier adds at least G_B*(1-kappa_B) - 1 photons of noise, 1101 at the defaults
     Case("test_amplifier_below_its_noise_floor_is_a_config_error", "optimize --config cfg.json", 2,
          '{"system": {"N_B": 1100.9}}', stderr=_config_error(
-             "N_B must be >= G_B*(1-kappa_B) - 1 = 1101, the amplifier's quantum noise floor, got 1100.9")),
+             "system: N_B must be >= G_B*(1-kappa_B) - 1 = 1101, the amplifier's quantum noise floor, got 1100.9")),
     # an overflowing brightness prints only the error line, no numpy warning,
     # except in Eve's BER, whose limit at an overflowing exponent is 0
     Case("test_runtime_validation_exits_3", RATE, 3, '{"sweep": {"n_s_max": 1e300, "points": 2}}',
@@ -142,13 +144,14 @@ CASES = (
           ("rate-curve", '{"sweep": {"n_s_max": Infinity}}', "sweep.n_s_max", "inf"),
           ("rate-curve", '{"system": {"N_B": -1e400}}', "system.N_B", "-inf"),
           ("rate-curve", '{"system": {"G_B": %s}}' % HUGE, "system.G_B", "inf"),
-          ("limit", '{"attack": {"n_sigma": %s}}' % HUGE, "n_sigma", HUGE),
           ("optimize", '{"attack": {"n_sigma_list": [%s]}}' % HUGE, "attack.n_sigma_list: n_sigma", HUGE))),
+    Case(NON_FINITE % "n_sigma", "limit --config cfg.json", 2, '{"attack": {"n_sigma": %s}}' % HUGE,
+         stderr=_config_error(f"attack: n_sigma must be finite, got {HUGE}")),
     # numpy's Poisson draw fails at these sizes; memory fails long before
     Case("test_run_too_large_to_draw_is_a_config_error[duration]", MONITOR, 2, '{"monitor": {"duration": 1e20}}',
-         stderr=_config_error("run expects 1.6e+25 events, over the 1e+08 allowed")),
+         stderr=_config_error("monitor: run expects 1.6e+25 events, over the 1e+08 allowed")),
     Case("test_run_too_large_to_draw_is_a_config_error[pair_rate]", MONITOR, 2, '{"monitor": {"pair_rate": 1e30}}',
-         stderr=_config_error("run expects 4.8e+31 events, over the 1e+08 allowed")),
+         stderr=_config_error("monitor: run expects 4.8e+31 events, over the 1e+08 allowed")),
     *(Case(f"test_sweep_points_beyond_the_cap_are_a_config_error[{name}]", RATE, 2,
            '{"sweep": {"points": %d}}' % points,
            stderr=_config_error(f"sweep.points must be <= {MAX_SWEEP_POINTS}, got {points}"))

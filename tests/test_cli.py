@@ -415,6 +415,12 @@ for _name in dict.fromkeys(case.test.partition("[")[0] for case in CASES):
     globals()[_name] = _in_process_test(_name)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case.test for case in CASES])
+# through the script a row's id is its `test` id and its index among the
+# rows under that id, so appending a row renames none
+_SCRIPT_IDS = [f"{case.test}-{sum(c.test == case.test for c in CASES[:n])}" for n, case in enumerate(CASES)]
+assert len(set(_SCRIPT_IDS)) == len(_SCRIPT_IDS), "exit-case ids must be unique"
+
+
+@pytest.mark.parametrize("case", CASES, ids=_SCRIPT_IDS)
 def test_exit_case_through_the_script(tmp_path, case):
     run_case(case, tmp_path, _script)

@@ -332,6 +332,9 @@ def test_search_grid_needs_two_points():
     for points in (1, 0):
         with pytest.raises(ValidationError, match=f"^need at least 2 grid points, got {points}$"):
             search_grid((1e-5, 1.0), points)
+    for points in (2.5, True):
+        with pytest.raises(ValidationError, match=f"^need an integer number of grid points, got {points}$"):
+            search_grid((1e-5, 1.0), points)
     assert search_grid((1e-5, 1.0), 2).tolist() == [1e-5, 1.0]
 
 
@@ -379,8 +382,9 @@ def test_confidence_spec_validation():
     assert f_e_upper_bound(ConfidenceSpec(-0.01, 0.002, 1)) == 0.0
     with pytest.raises(ValidationError):
         ConfidenceSpec(0.0007, -0.002, 1)
-    with pytest.raises(ValidationError):
-        ConfidenceSpec(0.0007, 0.002, 0)
+    for n_sigma in (0, True, 2.0):
+        with pytest.raises(ValidationError, match="^n_sigma must be a positive integer"):
+            ConfidenceSpec(0.0007, 0.002, n_sigma)
 
 
 @pytest.mark.parametrize(
