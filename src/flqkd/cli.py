@@ -37,10 +37,10 @@ from .rates import (
 
 
 def _sweep_grid(cfg: RunConfig) -> np.ndarray:
-    s = cfg.sweep
-    if s.log_scale:
-        return search_grid((s.n_s_min, s.n_s_max), s.points)
-    return np.linspace(s.n_s_min, s.n_s_max, s.points)
+    s = cfg.settings["sweep"]
+    if s["log_scale"]:
+        return search_grid((s["n_s_min"], s["n_s_max"]), s["points"])
+    return np.linspace(s["n_s_min"], s["n_s_max"], s["points"])
 
 
 # Each command returns its table, column name -> values in CSV order, and
@@ -61,7 +61,7 @@ def _cmd_rate_curve(cfg: RunConfig):
         series=[(name, table["ppb"], table[name]) for name in ("skr_active", "skr_passive")],
         x_label="photons per bit",
         y_label="secret key rate (bit/s)",
-        log_x=cfg.sweep.log_scale,
+        log_x=cfg.settings["sweep"]["log_scale"],
         title="key rate vs brightness",
     )
     return table, chart
@@ -102,7 +102,7 @@ def _cmd_ber_curve(cfg: RunConfig):
         series=[(name, table["ppb"], table[name]) for name in ("ber_alice_theory", "ber_eve_qcb")],
         x_label="photons per bit",
         y_label="bit-error rate",
-        log_x=cfg.sweep.log_scale,
+        log_x=cfg.settings["sweep"]["log_scale"],
         log_y=True,
         title="receiver vs eavesdropper BER",
     )
@@ -110,8 +110,9 @@ def _cmd_ber_curve(cfg: RunConfig):
 
 
 def _cmd_monitor_sim(cfg: RunConfig):
-    values = [0.0] + [v for v in cfg.monitor_sweep_f_e if v != 0.0]
-    rows = sweep_injection(cfg.monitor, values, cfg.monitor_trials)
+    monitor = cfg.settings["monitor"]
+    values = [0.0] + [v for v in monitor["sweep_f_e"] if v != 0.0]
+    rows = sweep_injection(cfg.monitor, values, monitor["trials"])
     table = {f.name: [getattr(r, f.name) for r in rows] for f in fields(SweepRow)}
     table["warnings"] = [";".join(w) for w in table["warnings"]]
     chart = dict(
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
         table = {name: np.asarray(column).tolist() for name, column in table.items()}
         # every text is rendered and every file written before stdout gets
         # the table, so a failed run writes nothing
-        csv_text = render_csv(table, cfg.output.precision)
+        csv_text = render_csv(table, cfg.settings["output"]["precision"])
         files = {}
         if args.out:
             files[args.out] = csv_text

@@ -66,45 +66,13 @@ MAX_MONITOR_TRIALS = 10**5
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    n_s_min: float
-    n_s_max: float
-    points: int
-    log_scale: bool
-
-    def __post_init__(self) -> None:
-        if self.points < 2:
-            raise ConfigError(f"sweep.points must be >= 2, got {self.points}")
-        if self.points > MAX_SWEEP_POINTS:
-            raise ConfigError(f"sweep.points must be <= {MAX_SWEEP_POINTS}, got {self.points}")
-        if not self.n_s_min < self.n_s_max:
-            raise ConfigError("sweep requires n_s_min < n_s_max")
-        if self.log_scale and self.n_s_min <= 0:
-            raise ConfigError("sweep.n_s_min must be positive on a log grid")
-        if self.n_s_min < 0:
-            raise ConfigError("sweep.n_s_min must be >= 0")
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    precision: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.precision <= 17:
-            raise ConfigError(f"output.precision must be in [1,17], got {self.precision}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     system: SystemParams
     confidence: ConfidenceSpec
     # the confidence at each attack.n_sigma_list level, in order
     confidence_levels: tuple[ConfidenceSpec, ...]
-    sweep: SweepSpec
+    # the monitor at f_e_true = 0, the sweep's reference row
     monitor: MonitorSimConfig
-    monitor_sweep_f_e: tuple[float, ...]
-    monitor_trials: int
-    output: OutputSpec
     # every key of DEFAULTS at its checked value, as --dump-config prints it
     settings: dict
 
@@ -196,29 +164,36 @@ def load_run_config(path: str | None = None) -> RunConfig:
         _build(ConfidenceSpec, "attack.n_sigma_list", attack, n_sigma=n) for n in attack["n_sigma_list"]
     )
     sweep = _section(raw, "sweep")
-    sweep_spec = _build(SweepSpec, "sweep", sweep)
+    points, n_s_min = sweep["points"], sweep["n_s_min"]
+    if points < 2:
+        raise ConfigError(f"sweep.points must be >= 2, got {points}")
+    if points > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep.points must be <= {MAX_SWEEP_POINTS}, got {points}")
+    if not n_s_min < sweep["n_s_max"]:
+        raise ConfigError("sweep requires n_s_min < n_s_max")
+    if sweep["log_scale"] and n_s_min <= 0:
+        raise ConfigError("sweep.n_s_min must be positive on a log grid")
+    if n_s_min < 0:
+        raise ConfigError("sweep.n_s_min must be >= 0")
     monitor = _section(raw, "monitor")
     trials = monitor["trials"]
     if trials < 2:
         raise ConfigError(f"monitor.trials must be >= 2, got {trials}")
     if trials > MAX_MONITOR_TRIALS:
         raise ConfigError(f"monitor.trials must be <= {MAX_MONITOR_TRIALS}, got {trials}")
-    if any(not 0.0 <= v <= 1.0 for v in monitor["sweep_f_e"]):
-        raise ConfigError("monitor.sweep_f_e entries must be in [0,1]")
-    # the monitor runs on the key-rate model's channel (system.kappa), and
-    # sweep_injection sets f_e_true for each row
+    # the monitor runs on the key-rate model's channel (system.kappa); each
+    # sweep row is checked as the run sweep_injection will make of it
     monitor_sim = _build(MonitorSimConfig, "monitor", monitor, kappa=params.kappa, f_e_true=0.0)
+    for v in monitor["sweep_f_e"]:
+        _build(MonitorSimConfig, "monitor.sweep_f_e", monitor, kappa=params.kappa, f_e_true=v)
     output = _section(raw, "output")
-    output_spec = _build(OutputSpec, "output", output)
+    if not 1 <= output["precision"] <= 17:
+        raise ConfigError(f"output.precision must be in [1,17], got {output['precision']}")
     return RunConfig(
         system=params,
         confidence=confidence,
         confidence_levels=levels,
-        sweep=sweep_spec,
         monitor=monitor_sim,
-        monitor_sweep_f_e=tuple(monitor["sweep_f_e"]),
-        monitor_trials=trials,
-        output=output_spec,
         settings={"system": system, "attack": attack, "sweep": sweep, "monitor": monitor, "output": output},
     )
 

@@ -190,7 +190,10 @@ class MonitorSimConfig:
             raise ValidationError(f"rng_seed must be an integer in [0, 2**64), got {seed!r}")
         events = sum(_category_rates(self).values()) * self.duration
         if not events <= MAX_RUN_EVENTS:
-            raise ValidationError(f"run expects {events:.3g} events, over the {MAX_RUN_EVENTS:.0e} allowed")
+            shown = f"{events:.3g}"
+            if shown == f"{MAX_RUN_EVENTS:.3g}":  # too near the cap for 3 digits to show the excess
+                shown = f"{events:.12g}"
+            raise ValidationError(f"run expects {shown} events, over the {MAX_RUN_EVENTS:.0e} allowed")
 
 
 @dataclass(frozen=True)
@@ -572,20 +575,23 @@ def sweep_injection(
     Returns one row per value with the sample mean and standard deviation
     (ddof=1) of the per-trial estimates, in the order given. A row spawns its
     trials' seeds when it starts: the seeds one spawn of them all would give.
+    Every row's config is built, and so checked, before the first trial runs.
     """
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValidationError(f"need an integer number of trials, got {trials!r}")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials!r}")
+    cfgs = [replace(base, f_e_true=float(v)) for v in f_e_values]
     root = np.random.SeedSequence(int(base.rng_seed))
     rows = []
-    for f_e in (float(v) for v in f_e_values):
-        cfg = replace(base, f_e_true=f_e)
+    for cfg in cfgs:
         estimates = [
             estimate_fe(_simulate(cfg, np.random.default_rng(child)))[0]
             for child in root.spawn(trials)
         ]
         rows.append(
             SweepRow(
-                f_e_true=f_e,
+                f_e_true=cfg.f_e_true,
                 mean_estimate=float(np.mean(estimates)),
                 std_dev=float(np.std(estimates, ddof=1)),
                 trials=trials,

@@ -200,8 +200,8 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     if points < 2:
         raise ValidationError(f"need at least 2 grid points, got {points!r}")
     lo, hi = float(n_s_range[0]), float(n_s_range[1])
-    if not 0.0 <= lo < hi:
-        raise ValidationError(f"need 0 <= lo < hi, got {n_s_range!r}")
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValidationError(f"need 0 <= lo < hi < inf, got {n_s_range!r}")
     grid_lo = lo if lo > 0.0 else 1e-12 * hi
     grid = np.logspace(math.log10(grid_lo), math.log10(hi), points)
     grid[0], grid[-1] = grid_lo, hi

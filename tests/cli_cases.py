@@ -147,6 +147,9 @@ CASES = (
           ("optimize", '{"attack": {"n_sigma_list": [%s]}}' % HUGE, "attack.n_sigma_list: n_sigma", HUGE))),
     Case(NON_FINITE % "n_sigma", "limit --config cfg.json", 2, '{"attack": {"n_sigma": %s}}' % HUGE,
          stderr=_config_error(f"attack: n_sigma must be finite, got {HUGE}")),
+    # each sweep row is checked at its own f_e_true when the config loads
+    Case("test_sweep_row_out_of_range_is_a_config_error", MONITOR, 2, '{"monitor": {"sweep_f_e": [0.5, 2.0]}}',
+         stderr=_config_error("monitor.sweep_f_e: f_e_true must be in [0,1], got 2.0")),
     # numpy's Poisson draw fails at these sizes; memory fails long before
     Case("test_run_too_large_to_draw_is_a_config_error[duration]", MONITOR, 2, '{"monitor": {"duration": 1e20}}',
          stderr=_config_error("monitor: run expects 1.6e+25 events, over the 1e+08 allowed")),

@@ -274,13 +274,13 @@ def test_a_bound_of_one_takes_the_total_injection_limit(tmp_path, capsys):
 def test_sweep_at_the_cap_builds(tmp_path):
     # built only: a run this size takes ~4 GB
     path = _cfg(tmp_path, {"sweep": {"points": MAX_SWEEP_POINTS}})
-    assert load_run_config(path).sweep.points == MAX_SWEEP_POINTS
+    assert load_run_config(path).settings["sweep"]["points"] == MAX_SWEEP_POINTS
 
 
 def test_trials_at_the_cap_build(tmp_path):
     # built only: a sweep this size takes hours
     path = _cfg(tmp_path, {"monitor": {"trials": MAX_MONITOR_TRIALS}})
-    assert load_run_config(path).monitor_trials == MAX_MONITOR_TRIALS
+    assert load_run_config(path).settings["monitor"]["trials"] == MAX_MONITOR_TRIALS
 
 
 def test_ber_curve_overflow_gives_eve_a_zero_ber(tmp_path, capsys):

@@ -29,9 +29,10 @@ def test_defaults_without_file():
     assert cfg.confidence.sigma == 2e-3
     assert [level.n_sigma for level in cfg.confidence_levels] == [1, 2, 3, 4, 5]
     assert all(replace(level, n_sigma=1) == cfg.confidence for level in cfg.confidence_levels)
-    assert cfg.sweep.points == 80 and cfg.sweep.log_scale
-    assert cfg.monitor_trials == 8
-    assert cfg.output.precision == 9
+    assert cfg.settings["sweep"]["points"] == 80 and cfg.settings["sweep"]["log_scale"]
+    assert cfg.settings["monitor"]["trials"] == 8
+    assert cfg.settings["output"]["precision"] == 9
+    assert cfg.monitor.f_e_true == 0.0
 
 
 def test_partial_override(tmp_path):
@@ -65,6 +66,15 @@ def test_semantic_errors_surface_as_config_errors(tmp_path):
         load_run_config(_write(tmp_path, {"sweep": {"n_s_min": 0.5, "n_s_max": 0.1}}))
     with pytest.raises(ConfigError, match="precision"):
         load_run_config(_write(tmp_path, {"output": {"precision": 0}}))
+
+
+def test_each_sweep_row_is_checked_as_the_run_it_will_make(tmp_path):
+    # the f_e = 0 row is under the event cap and the 0.25 row over it: the
+    # config is refused when it loads, before any row's trials run
+    with pytest.raises(ConfigError, match=r"^monitor\.sweep_f_e: run expects 100001889\.246 events, "):
+        load_run_config(_write(tmp_path, {"monitor": {"duration": 624.1755}}))
+    with pytest.raises(ConfigError, match=r"^monitor\.sweep_f_e: f_e_true must be in \[0,1\], got -0\.5$"):
+        load_run_config(_write(tmp_path, {"monitor": {"sweep_f_e": [0.5, -0.5]}}))
 
 
 def test_malformed_json_reports_position(tmp_path):

@@ -385,8 +385,24 @@ def test_sweep_spawns_each_rows_seeds_when_the_row_starts(monkeypatch):
 
 
 def test_sweep_needs_two_trials():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="need at least 2 trials"):
         sweep_injection(BASE, [0.5], trials=1)
+    for trials in (2.5, np.float64(3.0), "3", True):
+        with pytest.raises(ValidationError, match="need an integer number of trials"):
+            sweep_injection(BASE, [0.5], trials=trials)
+
+
+def test_sweep_refuses_a_bad_row_before_its_first_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(monitor, "_simulate", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match=r"f_e_true must be in \[0,1\], got 2\.0"):
+        sweep_injection(BASE, [0.5, 2.0], trials=2)
+    assert calls == []
+
+
+def test_sweep_takes_a_numpy_integer_trial_count():
+    base = replace(BASE, duration=1.0)
+    assert sweep_injection(base, [0.5], np.int64(2)) == sweep_injection(base, [0.5], 2)
 
 
 @given(st.lists(st.integers(0, 12), max_size=60), st.lists(st.integers(0, 12), max_size=60))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +158,11 @@ def test_optimizer_validates_range():
         optimize_brightness(0.0027, PARAMS, n_s_range=(1.0, 0.5))
     with pytest.raises(ValidationError):
         optimize_brightness(0.0027, PARAMS, n_s_range=(-1.0, 0.5))
+    # an infinite end is refused before logspace runs, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^need 0 <= lo < hi < inf, got "):
+            optimize_brightness(0.0027, PARAMS, n_s_range=(1e-5, math.inf))
 
 
 _RATE_FIELDS = ("n_s", "ppb", "ber", "i_ab", "chi_ub", "ske", "skr")
