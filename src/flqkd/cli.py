@@ -6,8 +6,9 @@ command reads one JSON config (defaults when omitted), writes one CSV table
 deterministic for a fixed config.
 
 Exit codes: 0 success, 2 config error (also an --out or --svg path that
-cannot be written, or the two naming one file), 3 numerical error (an
-argument the model refuses, or an unphysical state), 4 estimator undefined.
+cannot be written, or two of --config, --out and --svg naming one file), 3
+numerical error (an argument the model refuses, or an unphysical state), 4
+estimator undefined.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 
@@ -190,8 +192,11 @@ def _write(files: dict[str, str]) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out and args.svg and os.path.realpath(args.out) == os.path.realpath(args.svg):
-            raise ConfigError(f"--out {args.out} and --svg {args.svg} name the same file")
+        # neither output may overwrite the config file or the other output
+        named = [(f"--{key}", getattr(args, key)) for key in ("config", "out", "svg") if getattr(args, key)]
+        for (flag, path), (other, other_path) in combinations(named, 2):
+            if os.path.realpath(path) == os.path.realpath(other_path):
+                raise ConfigError(f"{flag} {path} and {other} {other_path} name the same file")
         cfg = load_run_config(args.config)
         if args.dump_config:
             sys.stdout.write(dump_config(cfg))

@@ -131,6 +131,16 @@ def _build(cls, where: str, values: dict, **fixed):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_run_config(path: str | None = None) -> RunConfig:
     """Parse a JSON config file (or defaults when path is None)."""
     if path is None:
@@ -138,12 +148,12 @@ def load_run_config(path: str | None = None) -> RunConfig:
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except (ValueError, RecursionError) as exc:
             # not JSON (with line/column), not UTF-8, an integer past the
-            # digit limit, or nested past the recursion limit
+            # digit limit, a repeated key, or nested past the recursion limit
             raise ConfigError(f"{path}: {exc}") from None
     raw = _require_mapping(raw, "config root")
     for key in raw:

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package, and the finiteness rule
 its parameter classes check first.
 
-The CLI maps these onto exit codes: config errors exit 2, an undefined
-intrusion estimate exits 4, and every other package error (a refused
-argument or an unphysical state) exits 3.
+One class per exit code of the CLI: ConfigError exits 2, ValidationError
+(a refused argument, an unphysical state among them) exits 3, and
+EstimatorUndefinedError (an undefined intrusion estimate) exits 4.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ class FlqkdError(Exception):
 
 class ValidationError(FlqkdError, ValueError):
     """An argument outside its domain: a range, a shape or an invariant."""
-
-
-class UnphysicalStateError(FlqkdError):
-    """Covariance matrix violates the uncertainty principle."""
 
 
 class EstimatorUndefinedError(FlqkdError):

@@ -187,7 +187,8 @@ def holevo_bound(params: SystemParams, n_s, f_e: float):
     s_uncond = von_neumann_entropy(state.cov_uncond)
     s_cond = 0.5 * (von_neumann_entropy(state.cov_k0) + von_neumann_entropy(state.cov_k1))
     chi = params.M * (s_uncond - s_cond)
-    # floor absorbs -1e-12-scale noise on the uncond >= cond inequality
+    # the floor hides chi down to ~-6e-7 bits per use (default system, f_e = 0):
+    # the spectrum's float error of ROADMAP item 2, not rounding noise
     return scalar_or_array(np.minimum(np.maximum(chi, 0.0), 1.0))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnphysicalStateError, ValidationError
+from .errors import ValidationError
 
 VACUUM_EIGENVALUE = 0.25
 # tolerance below the vacuum floor before a state is declared unphysical
@@ -81,19 +81,22 @@ class Covariance3Mode:
         return tuple(parts)
 
 
-def _as_cov(cov) -> np.ndarray:
-    if isinstance(cov, Covariance3Mode):
-        return cov.entries
-    return Covariance3Mode(np.asarray(cov)).entries
-
-
-def _symplectic_moduli(entries: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of validated entries, shape (..., 3), ascending.
+def symplectic_eigenvalues(cov) -> np.ndarray:
+    """Symplectic eigenvalues of a validated covariance, shape (3,), or of
+    each matrix in a stack, shape (..., 3); descending.
 
     The eigenvalues of Omega @ cov come in conjugate pairs +/- i nu_j; the
     moduli of the three positive-imaginary-part eigenvalues are the nu_j.
+
+    Raises
+    ------
+    ValidationError
+        If a matrix is not symmetric positive definite 6x6, or if any
+        eigenvalue falls below 1/4 - 1e-9.
     """
-    eig = np.linalg.eigvals(OMEGA @ entries)
+    if not isinstance(cov, Covariance3Mode):
+        cov = Covariance3Mode(cov)
+    eig = np.linalg.eigvals(OMEGA @ cov.entries)
     upper = eig.imag > 0
     # PD symmetric input guarantees pure-imaginary +/- pairs. eigvals returns
     # the complex eigenvalues of a real matrix as exact conjugate pairs, so no
@@ -104,26 +107,8 @@ def _symplectic_moduli(entries: np.ndarray) -> np.ndarray:
     moduli = np.abs(eig[upper]).reshape(eig.shape[:-1] + (3,))
     moduli.sort(axis=-1)
     if moduli.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
-        raise UnphysicalStateError(
-            f"symplectic eigenvalue below vacuum floor: {float(moduli.min())!r}"
-        )
-    return moduli
-
-
-def symplectic_eigenvalues(cov) -> tuple[float, float, float]:
-    """Symplectic eigenvalues of one validated covariance matrix, descending.
-
-    Raises
-    ------
-    ValidationError
-        If the input is not one symmetric positive definite 6x6 matrix.
-    UnphysicalStateError
-        If any eigenvalue falls below 1/4 - 1e-9.
-    """
-    entries = _as_cov(cov)
-    if entries.ndim != 2:
-        raise ValidationError(f"need one 6x6 covariance, got a stack of shape {entries.shape}")
-    return tuple(_symplectic_moduli(entries)[::-1].tolist())
+        raise ValidationError(f"symplectic eigenvalue below vacuum floor: {float(moduli.min())!r}")
+    return moduli[..., ::-1]
 
 
 def _thermal_entropies(n: np.ndarray) -> np.ndarray:
@@ -153,6 +138,6 @@ def von_neumann_entropy(cov):
     array of shape (...), each element equal to the single-matrix call.
     """
     # eigenvalues within PHYSICALITY_TOL below 1/4 map to N = 0
-    g = _thermal_entropies(2.0 * _symplectic_moduli(_as_cov(cov)) - 0.5)
+    g = _thermal_entropies(2.0 * symplectic_eigenvalues(cov) - 0.5)
     # summed from the largest eigenvalue down
-    return scalar_or_array(g[..., 2] + g[..., 1] + g[..., 0])
+    return scalar_or_array(g[..., 0] + g[..., 1] + g[..., 2])

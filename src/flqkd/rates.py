@@ -188,8 +188,8 @@ def _golden_max(fun, lo: float, hi: float) -> float:
 
 
 def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
-    """points values log-spaced from lo to hi: the optimizer's coarse grid,
-    and the CLI's log sweep.
+    """points values log-spaced from lo to hi, or points + 1 when lo is 0:
+    the optimizer's coarse grid, and the CLI's log sweep.
 
     A range starting at 0 starts its log spacing at 1e-12 hi and puts 0 in
     front. The ends are exactly lo and hi; logspace alone can miss them by

@@ -89,6 +89,9 @@ CASES = (
          stderr_has="config error: cfg.json: Exceeds the limit (4300", stderr_lines=1),
     Case("test_unreadable_json_is_a_config_error[nesting]", RATE, 2, "[" * 100_000,
          stderr_has="config error: cfg.json: maximum recursion depth exceeded", stderr_lines=1),
+    # a repeated key would otherwise take its last value silently
+    Case("test_repeated_key_is_a_config_error", RATE, 2, '{"system": {"kappa": 0.1, "kappa": 0.5}}',
+         stderr=_config_error("cfg.json: duplicate key 'kappa'")),
     # the sweep's spread needs two trials, and seeding them all comes first
     Case("test_one_trial_is_a_config_error", MONITOR, 2, '{"monitor": {"trials": 1}}',
          stderr=_config_error("monitor.trials must be >= 2, got 1")),
@@ -133,6 +136,11 @@ CASES = (
            stderr=_config_error(f"--out same.csv and --svg {svg} name the same file"))
       for how, svg in (("verbatim", "same.csv"), ("dotted", "./same.csv"))
       for name, existing in (("new", None), ("existing", ("same.csv", KEPT)))),
+    # an output path that names the config file would overwrite it
+    *(Case(f"test_output_naming_the_config_file_is_a_config_error[{flag}]",
+           f"limit --config cfg.json {flag} cfg.json", 2, existing=("cfg.json", b"{}"),
+           stderr=_config_error(f"--config cfg.json and {flag} cfg.json name the same file"))
+      for flag in ("--out", "--svg")),
     # every number is finite: JSON reads a number beyond the float range as
     # infinite, and a confidence level that long would overflow n_sigma * sigma
     *(Case(NON_FINITE % name.partition(":")[0], f"{command} --config cfg.json", 2, config,

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle_utils as ou
-from flqkd.errors import UnphysicalStateError, ValidationError
+from flqkd.errors import ValidationError
 from flqkd.gaussian import (
     Covariance3Mode,
     symplectic_eigenvalues,
@@ -113,6 +113,18 @@ def test_stacked_entropies_equal_single_matrix_calls():
         assert single == entropies[idx]
 
 
+def test_stacked_spectra_equal_single_matrix_calls():
+    rng = np.random.default_rng(37)
+    stack = np.array([ou.random_physical_covariance(rng)[0] for _ in range(6)]).reshape(2, 3, 6, 6)
+    spectra = symplectic_eigenvalues(stack)
+    assert spectra.shape == (2, 3, 3)
+    for idx in np.ndindex(2, 3):
+        single = symplectic_eigenvalues(Covariance3Mode(stack[idx]))
+        assert single.shape == (3,)
+        assert single[0] >= single[1] >= single[2]
+        assert single.tobytes() == spectra[idx].tobytes()
+
+
 def test_stack_is_rejected_when_one_matrix_is_bad():
     good = np.diag(np.full(6, 0.5))
     asymmetric = good.copy()
@@ -123,7 +135,7 @@ def test_stack_is_rejected_when_one_matrix_is_bad():
     for bad in (asymmetric, indefinite, nonfinite):
         with pytest.raises(ValidationError):
             Covariance3Mode(np.array([good, bad, good]))
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(ValidationError, match="^symplectic eigenvalue below vacuum floor"):
         von_neumann_entropy(np.array([good, np.diag(np.full(6, 0.1))]))
 
 
@@ -133,8 +145,6 @@ def test_unstack_splits_the_leading_axis():
     assert [p.entries[0, 0] for p in parts] == [0.5, 1.5, 2.5]
     with pytest.raises(ValidationError):
         parts[0].unstack()
-    with pytest.raises(ValidationError):
-        symplectic_eigenvalues(stack)
 
 
 def test_rejects_wrong_shape():
@@ -165,7 +175,7 @@ def test_rejects_nonfinite():
 def test_unphysical_spectrum_raises():
     # positive definite but nu < 1/4 violates the uncertainty bound
     cov = Covariance3Mode(np.diag(np.full(6, 0.1)))
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(ValidationError, match=r"^symplectic eigenvalue below vacuum floor: 0\.1"):
         symplectic_eigenvalues(cov)
 
 

@@ -549,6 +549,10 @@ def _many_hulls(n, dead_time, seed):
 
 
 @given(hull_layouts(), st.sampled_from([0.0, 0.5, 2.0, 6.0]), st.integers(0, 2**32 - 1))
+# a gap of exactly one dead time frees the detector (the head rule's >=):
+# at a stream's first event, and between two events of one stream
+@example((np.array([1.0]), np.array([1.5]), np.array([0.75]), 0.25), 0.5, 1)
+@example((np.array([1.0, 3.0]), np.array([1.5, 3.5]), np.array([0.5, 0.75, 2.5]), 0.25), 0.5, 4)
 def test_draw_idler_draws_the_events_the_frozen_rounds_draw(layout, load, seed):
     # the partnered events steer which stretches settle, so they change the
     # draws, not only the gap tests
