@@ -70,7 +70,7 @@ distribution:
   window lies after its stretch's head.
 
 A run is one pass over [0, duration], so its peak memory grows with the
-duration: about 0.085 MB per simulated second at the acceptance tests'
+duration: about 0.072 MB per simulated second at the acceptance tests'
 operating point, and 0.15 MB/s with the idler near saturation (traced, for
 36- and 72-s runs). A round holds its draw but no copy of it, and the
 hulls go once the idler is drawn. Statistics come from more trials
@@ -127,11 +127,11 @@ class MonitorCounts:
 
 # The expected events of all categories bound those a run draws (the tap
 # streams in full, the idler near the windows only). Measured peak memory
-# (tracemalloc, runs of up to 72 s and 0.2 s) is ~0.36 B per expected event
-# at the acceptance point and ~75 B per tap event, where _window_hulls
-# peaks, so 1e8 tap events may ask for ~7.5 GB; numpy's Poisson draw fails
-# only near 1e19. It also bounds a run's windows (two per trigger) to
-# ~2e8, so a stretch's index fits an int32.
+# (tracemalloc, runs of up to 72 s and 0.2 s) is ~0.31 B per expected event
+# at the acceptance point and ~62 B per tap event, where _window_hulls and
+# the idler's first round peak alike, so 1e8 tap events may ask for
+# ~6.2 GB; numpy's Poisson draw fails only near 1e19. It also bounds a run's
+# windows (two per trigger) to ~2e8, so a stretch's index fits an int32.
 MAX_RUN_EVENTS = 1e8
 
 # elements per step of the chunked passes over a round's events and
@@ -348,7 +348,17 @@ def _rank(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _merge_sorted(bulk: np.ndarray, add: np.ndarray) -> np.ndarray:
-    return np.insert(bulk, np.searchsorted(bulk, add), add)
+    """The sorted merge of two sorted streams, as np.insert(bulk,
+    np.searchsorted(bulk, add), add): add[j] lands before the bulk events at
+    or after it, at searchsorted(bulk, add[j]) + j, and bulk fills the rest."""
+    at = np.searchsorted(bulk, add)
+    at += np.arange(add.size)
+    merged = np.empty(bulk.size + add.size)
+    merged[at] = add
+    rest = np.ones(merged.size, bool)
+    rest[at] = False
+    merged[rest] = bulk
+    return merged
 
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> tuple[np.ndarray, float]:
@@ -377,10 +387,12 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> tuple[np.ndarray, f
 
 
 def _window_edges(triggers, half_window, offset):
-    """Each trigger's window [lo, hi], (t - offset) -/+ half_window: the one
-    arithmetic of both the counts and the hulls the idler is drawn on."""
-    d = triggers - offset
-    return d - half_window, d + half_window
+    """Each trigger's window [lo, hi], (t - offset) -/+ half_window: the
+    arithmetic of both the counts and the hulls the idler is drawn on. Two
+    arrays: lo's holds t - offset until hi is taken from it."""
+    lo = np.subtract(triggers, offset)
+    hi = np.add(lo, half_window)
+    return np.subtract(lo, half_window, out=lo), hi
 
 
 def count_coincidences(triggers, partners, half_window, offset) -> int:
@@ -391,8 +403,9 @@ def count_coincidences(triggers, partners, half_window, offset) -> int:
     # the first partner at or after the window's start scores iff it lies at
     # or before the window's end
     first = np.searchsorted(partners, lo, "left")
-    hit = partners.take(first, mode="clip") <= hi
-    return int(np.count_nonzero(hit & (first < partners.size)))
+    hit = np.less_equal(partners.take(first, mode="clip", out=lo), hi)
+    hit &= first < partners.size
+    return int(np.count_nonzero(hit))
 
 
 def simulate_monitor(config: MonitorSimConfig) -> MonitorCounts:
@@ -446,19 +459,37 @@ def _window_hulls(arms, half_window, shift, duration):
     """Sorted, disjoint hulls of the aligned and shifted windows of each
     arm's triggers, clipped to the run (empty ones go). The windows share one
     width, so with their centers sorted their starts and ends are sorted, and
-    a hull starts where a window starts after the previous one ends. A
-    function of its own, so that its temporaries are freed before the rounds."""
-    centers = np.concatenate([triggers - offset for triggers in arms for offset in (0.0, shift)])
+    a hull starts where a window starts after the previous one ends.
+
+    It holds two window-sized float arrays and one bool: the centers are
+    made in one buffer, sorted there, and give the starts to a new array and
+    the ends to their own buffer. Windows are compressed only when one is
+    clipped away or two merge; on both benchmark workloads each window is
+    its own hull, and the two edge arrays are the hulls. A function of its
+    own, so that its temporaries are freed before the rounds."""
+    # the aligned windows' centers, then the shifted ones'
+    centers = np.concatenate(tuple(arms) * 2)
+    centers[centers.size // 2 :] -= shift
     centers.sort()
-    # centers - 0.0 is exact, so each edge has the bits the counts use
-    lo, hi = _window_edges(centers, half_window, 0.0)
-    del centers
+    # the edges of _window_edges(centers, half_window, 0.0), to the bit:
+    # centers - 0.0 is centers
+    lo = np.subtract(centers, half_window)
+    hi = np.add(centers, half_window, out=centers)
     np.maximum(lo, 0.0, out=lo)
     np.minimum(hi, duration, out=hi)
     keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    gap = lo[1:] > hi[:-1]
-    return np.concatenate((lo[:1], lo[1:][gap])), np.concatenate((hi[:-1][gap], hi[-1:]))
+    if not keep.all():
+        lo = lo[keep]
+        hi = hi[keep]
+    # a hull starts at each window that starts after the previous one ends,
+    # and ends where the next one starts; keep's buffer takes the starts
+    start = keep[: lo.size]
+    start[:1] = True
+    np.greater(lo[1:], hi[:-1], out=start[1:])
+    if start.all():
+        return lo, hi
+    lo = lo[start]
+    return lo, hi[np.append(start[1:], True)]
 
 
 def _draw_idler(rng, rate, lo, hi, paired, dead_time):

@@ -301,6 +301,8 @@ BENCH_SATURATED = MonitorSimConfig(
     duration=36.0,
     rng_seed=2024,
 )
+# the benchmark's nominal trial: the acceptance gate's dead time and shift
+BENCH_NOMINAL = replace(BENCH_SATURATED, dead_time=5e-8, shift_offset=2e-7)
 # a bright source: nearly every event is a tap event
 TAP_DOMINATED = replace(
     BENCH_SATURATED, ase_rate_at_source=5e9, dead_time=5e-8, shift_offset=2e-7, f_e_true=0.0, duration=0.02
@@ -325,8 +327,8 @@ def _traced_peak(run):
 
 def test_trial_peak_memory(monkeypatch):
     # bounds 17% and 7% above the measured 25.7 B per drawn idler event and
-    # 74.5 B per expected tap event (numpy 2.4); the tap-dominated run peaks
-    # in _window_hulls
+    # 61.6 B per expected tap event (numpy 2.4); the tap-dominated run peaks
+    # in _window_hulls and in the idler's first round alike
     for cfg in (BENCH_SATURATED, TAP_DOMINATED):  # first use, untraced
         simulate_monitor(replace(cfg, duration=cfg.duration / 20))
     drawn = []
@@ -343,7 +345,26 @@ def test_trial_peak_memory(monkeypatch):
     rates = monitor._category_rates(TAP_DOMINATED)
     tap_events = (sum(rates.values()) - rates["i_only"]) * TAP_DOMINATED.duration
     peak = _traced_peak(lambda: simulate_monitor(TAP_DOMINATED))
-    assert peak / tap_events <= 80.0
+    assert peak / tap_events <= 66.0
+
+
+def test_hull_and_count_peak_memory():
+    # over the nominal tap streams, where every window is its own hull: one
+    # _window_hulls call may hold its two edge arrays and one bool per
+    # window (17 B measured), and one count_coincidences call the edges, the
+    # partner lookup and two bools per trigger (26 B); one more window- or
+    # trigger-sized float array breaks either bound
+    cfg = BENCH_NOMINAL
+    rng = np.random.default_rng(cfg.rng_seed)
+    alice, bob, paired = monitor._tap_streams(rng, monitor._category_rates(cfg), cfg.dead_time, cfg.duration)
+    args = ((alice, bob), 0.5 * cfg.coinc_window, cfg.shift_offset, cfg.duration)
+    lo, hi = monitor._window_hulls(*args)  # first use, untraced
+    windows = 2 * (alice.size + bob.size)
+    assert lo.size == windows
+    del lo, hi
+    assert _traced_peak(lambda: monitor._window_hulls(*args)) / windows <= 18.0
+    peak = _traced_peak(lambda: monitor.count_coincidences(alice, paired, 0.5 * cfg.coinc_window, 0.0))
+    assert peak / alice.size <= 27.0
 
 
 def test_sweep_rows_and_determinism():
@@ -424,12 +445,36 @@ def _hex(times):
     return [float.hex(t) for t in times.tolist()]
 
 
+def _read_only(a):
+    """a, made read-only: a kernel that writes into its input then raises."""
+    a.setflags(write=False)
+    return a
+
+
+_TIES = st.lists(st.sampled_from([-0.0, 0.0, 1.0, 1.5, 2.0]), max_size=40)
+
+
+@given(_TIES, _TIES)
+@example([], [])
+@example([], [-0.0, 0.0])
+@example([0.0, 1.0], [])
+@example([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0])
+def test_merge_sorted_places_events_as_np_insert_does(bulk, add):
+    # -0.0 and 0.0 tie but differ in their bits, so the hex strings show
+    # which stream a tied event came from
+    bulk = _read_only(np.array(sorted(bulk), np.float64))
+    add = _read_only(np.array(sorted(add), np.float64))
+    merged = monitor._merge_sorted(bulk, add)
+    assert merged.dtype == np.float64
+    assert _hex(merged) == _hex(np.insert(bulk, np.searchsorted(bulk, add), add))
+
+
 @st.composite
 def trigger_arms(draw):
     """Two sorted trigger arms in a run, a half window and a shift. Some
     triggers lie within a half window of 0, of the shift or of the run's
     end, so that some aligned and shifted windows are clipped by the run;
-    the second arm may repeat the first."""
+    the second arm may repeat the first. The arms are read-only."""
     duration = draw(st.sampled_from([1.0, 36.0, 1e3]))
     half_window = draw(st.sampled_from([5e-10, 1e-3, 0.25]))
     shift = draw(st.floats(0.0, 1.5 * duration))
@@ -438,14 +483,15 @@ def trigger_arms(draw):
     def arm():
         inner = draw(st.lists(st.floats(0.0, duration), max_size=20))
         edges = [min(max(at + d, 0.0), duration) for at, d in draw(st.lists(near, max_size=6))]
-        return np.sort(np.array(inner + edges, np.float64))
+        return _read_only(np.sort(np.array(inner + edges, np.float64)))
 
     first = arm()
-    return (first, first.copy() if draw(st.booleans()) else arm()), half_window, shift, duration
+    second = _read_only(first.copy()) if draw(st.booleans()) else arm()
+    return (first, second), half_window, shift, duration
 
 
 def _arms(*arms):
-    return tuple(np.array(a, np.float64) for a in arms)
+    return tuple(_read_only(np.array(a, np.float64)) for a in arms)
 
 
 @given(trigger_arms())
