@@ -5,11 +5,17 @@ Covariance matrices use the Wigner convention in which the vacuum diagonal is
 photon number N has diagonal (2N+1)/4, so the entropy of a state with
 symplectic eigenvalues nu_j is sum_j g(2 nu_j - 1/2) with g the usual
 bosonic entropy function in bits.
+
+A validated covariance carries its spectrum: `Covariance3Mode` takes the
+symplectic eigenvalues of its whole stack in one LAPACK batch when it is
+built, and `unstack` hands each part its own read-only slice, so the entropy
+routines read spectra and make no LAPACK call of their own. LAPACK works
+matrix by matrix, so a part's spectrum is the one-matrix call's bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,18 +45,53 @@ def elementwise(fun, values):
     return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
 
 
+def _spectra(arr: np.ndarray) -> np.ndarray:
+    # the moduli of the eigenvalues of Omega @ V in the upper half-plane, one
+    # LAPACK batch for the whole stack; descending and read-only
+    eig = np.linalg.eigvals(OMEGA @ arr)
+    upper = eig.imag > 0
+    # PD symmetric input guarantees pure-imaginary +/- pairs. eigvals returns
+    # the complex eigenvalues of a real matrix as exact conjugate pairs, so no
+    # matrix has more than 3 above the real axis, and the total is 3 per
+    # matrix only if every matrix has 3.
+    if np.count_nonzero(upper) != eig.size // 2:
+        raise ValidationError("eigenvalues of Omega @ cov failed to pair")
+    moduli = np.abs(eig[upper]).reshape(eig.shape[:-1] + (3,))
+    moduli.sort(axis=-1)
+    moduli.setflags(write=False)
+    return moduli[..., ::-1]
+
+
 @dataclass(frozen=True)
 class Covariance3Mode:
-    """Validated 6x6 Wigner covariance matrix, or a stack of them.
+    """Validated 6x6 Wigner covariance matrix, or a stack of them, with its
+    symplectic spectrum.
 
     Parameters
     ----------
     entries : array_like
         Real array of shape (..., 6, 6); each matrix symmetric to within
         1e-12 relative and positive definite. Stored read-only.
+
+    Attributes
+    ----------
+    spectrum : np.ndarray
+        The symplectic eigenvalues of each matrix, shape (..., 3),
+        descending and read-only; derived from `entries` in one
+        `np.linalg.eigvals` call over the stack. It is not checked against
+        the vacuum floor: `symplectic_eigenvalues` does that when a part's
+        spectrum is read.
+
+    Raises
+    ------
+    ValidationError
+        If the shape is not (..., 6, 6), an entry is not finite, a matrix is
+        not symmetric or not positive definite, or the eigenvalues of
+        Omega @ V fail to pair, which the checks before it rule out.
     """
 
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float)
@@ -68,47 +109,47 @@ class Covariance3Mode:
             raise ValidationError("covariance is not positive definite") from None
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "spectrum", _spectra(arr))
 
     def unstack(self) -> tuple[Covariance3Mode, ...]:
-        """The covariances along the leading axis, validated with the stack."""
+        """The covariances along the leading axis, validated with the stack;
+        each part's entries and spectrum are read-only slices of the stack's."""
         if self.entries.ndim < 3:
             raise ValidationError("one 6x6 covariance has no leading axis to split")
         parts = []
-        for view in self.entries:
+        for entries, spectrum in zip(self.entries, self.spectrum):
             part = object.__new__(Covariance3Mode)
-            object.__setattr__(part, "entries", view)
+            object.__setattr__(part, "entries", entries)
+            object.__setattr__(part, "spectrum", spectrum)
             parts.append(part)
         return tuple(parts)
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:
     """Symplectic eigenvalues of a validated covariance, shape (3,), or of
-    each matrix in a stack, shape (..., 3); descending.
+    each matrix in a stack, shape (..., 3); descending and read-only.
 
     The eigenvalues of Omega @ cov come in conjugate pairs +/- i nu_j; the
     moduli of the three positive-imaginary-part eigenvalues are the nu_j.
+    They are the spectrum the covariance took when it was validated: a raw
+    array is validated here, in one LAPACK batch, and a `Covariance3Mode`
+    costs no LAPACK call. The vacuum floor is checked here, over the
+    spectrum read, so a part of a stack is refused for its own eigenvalues
+    and names its own minimum.
 
     Raises
     ------
     ValidationError
-        If a matrix is not symmetric positive definite 6x6, or if any
-        eigenvalue falls below 1/4 - 1e-9.
+        If a raw array is not a stack of symmetric positive definite 6x6
+        matrices or its eigenvalues fail to pair (both when it is validated
+        here), or if any eigenvalue read falls below 1/4 - 1e-9.
     """
     if not isinstance(cov, Covariance3Mode):
         cov = Covariance3Mode(cov)
-    eig = np.linalg.eigvals(OMEGA @ cov.entries)
-    upper = eig.imag > 0
-    # PD symmetric input guarantees pure-imaginary +/- pairs. eigvals returns
-    # the complex eigenvalues of a real matrix as exact conjugate pairs, so no
-    # matrix has more than 3 above the real axis, and the total is 3 per
-    # matrix only if every matrix has 3.
-    if np.count_nonzero(upper) != eig.size // 2:
-        raise ValidationError("eigenvalues of Omega @ cov failed to pair")
-    moduli = np.abs(eig[upper]).reshape(eig.shape[:-1] + (3,))
-    moduli.sort(axis=-1)
-    if moduli.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
-        raise ValidationError(f"symplectic eigenvalue below vacuum floor: {float(moduli.min())!r}")
-    return moduli[..., ::-1]
+    nus = cov.spectrum
+    if nus.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
+        raise ValidationError(f"symplectic eigenvalue below vacuum floor: {float(nus.min())!r}")
+    return nus
 
 
 def _thermal_entropies(n: np.ndarray) -> np.ndarray:

@@ -192,8 +192,10 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     the optimizer's coarse grid, and the CLI's log sweep.
 
     A range starting at 0 starts its log spacing at 1e-12 hi and puts 0 in
-    front. The ends are exactly lo and hi; logspace alone can miss them by
-    an ulp and so step outside the range.
+    front. The ends are exactly lo and hi, and every point lies between them
+    in non-decreasing order: logspace alone can miss the ends by an ulp, and
+    on a range a few ulps wide its inner points can fall outside it and out
+    of order.
     """
     if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
         raise ValidationError(f"need an integer number of grid points, got {points!r}")
@@ -205,6 +207,8 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     grid_lo = lo if lo > 0.0 else 1e-12 * hi
     grid = np.logspace(math.log10(grid_lo), math.log10(hi), points)
     grid[0], grid[-1] = grid_lo, hi
+    np.clip(grid, grid_lo, hi, out=grid)
+    np.maximum.accumulate(grid, out=grid)
     if lo < grid_lo:
         grid = np.concatenate(([lo], grid))
     return grid

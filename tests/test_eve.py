@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracle_utils as ou
+from flqkd import eve
 from flqkd.config import load_run_config
 from flqkd.errors import ValidationError
 from flqkd.eve import (
@@ -164,6 +165,28 @@ def test_array_attack_state_stacks_the_scalar_states():
             assert np.array_equal(getattr(one, name).entries, getattr(batch, name).entries[k])
     chi = holevo_bound(PARAMS, grid, 0.0027)
     assert chi.tolist() == [holevo_bound(PARAMS, x, 0.0027) for x in grid.tolist()]
+
+
+@pytest.mark.parametrize("n_s", [0.01, np.array([0.0, 1e-4, 0.01, 0.3])], ids=["scalar", "array"])
+def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
+    # the three covariances are one validated stack, whose spectra are taken
+    # in one eigvals call; each entropy reads its part's slice
+    eig_calls, entropy_calls = [], []
+    eigvals, entropy = np.linalg.eigvals, eve.von_neumann_entropy
+
+    def counted_eigvals(a):
+        eig_calls.append(a.shape)
+        return eigvals(a)
+
+    def counted_entropy(cov):
+        entropy_calls.append(cov.entries.shape)
+        return entropy(cov)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(eve, "von_neumann_entropy", counted_entropy)
+    holevo_bound(PARAMS, n_s, 0.0027)
+    assert eig_calls == [(3, *np.shape(n_s), 6, 6)]
+    assert entropy_calls == 3 * [(*np.shape(n_s), 6, 6)]
 
 
 def _layout_terms(params, n_s, f_e):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,55 @@ def test_unstack_splits_the_leading_axis():
     assert [p.entries[0, 0] for p in parts] == [0.5, 1.5, 2.5]
     with pytest.raises(ValidationError):
         parts[0].unstack()
+
+
+def test_unstacked_parts_carry_read_only_single_matrix_spectra():
+    rng = np.random.default_rng(41)
+    stack = Covariance3Mode(np.array([ou.random_physical_covariance(rng)[0] for _ in range(4)]))
+    for part in stack.unstack():
+        fresh = symplectic_eigenvalues(np.array(part.entries))
+        assert part.spectrum.shape == (3,)
+        assert part.spectrum.tobytes() == fresh.tobytes()
+        assert symplectic_eigenvalues(part) is part.spectrum
+        for array in (part.entries, part.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+
+
+def test_each_part_is_refused_for_its_own_spectrum():
+    # parts 1 and 2 lie below the vacuum floor at different depths; the floor
+    # is checked when a part is read, so each names its own minimum
+    good = np.diag(np.full(6, 0.5))
+    shallow, deep = np.diag(np.full(6, 0.125)), np.diag(np.full(6, 0.0625))
+    parts = Covariance3Mode(np.array([good, shallow, deep])).unstack()
+    assert von_neumann_entropy(parts[0]) > 0.0
+    for part, alone in ((parts[1], shallow), (parts[2], deep)):
+        depth = re.escape(repr(float(Covariance3Mode(alone).spectrum.min())))
+        with pytest.raises(ValidationError, match=f"^symplectic eigenvalue below vacuum floor: {depth}$"):
+            von_neumann_entropy(part)
+
+
+def test_a_raw_array_costs_one_lapack_batch(monkeypatch):
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rng = np.random.default_rng(43)
+    stack = np.array([ou.random_physical_covariance(rng)[0] for _ in range(6)]).reshape(2, 3, 6, 6)
+    symplectic_eigenvalues(stack)
+    symplectic_eigenvalues(stack[0, 0])
+    assert calls == [(2, 3, 6, 6), (6, 6)]
+    # a validated covariance's spectrum is read, not recomputed
+    cov = Covariance3Mode(stack)
+    calls.clear()
+    symplectic_eigenvalues(cov)
+    von_neumann_entropy(cov)
+    for part in cov.unstack():
+        von_neumann_entropy(part)
+    assert calls == []
 
 
 def test_rejects_wrong_shape():

@@ -333,6 +333,26 @@ def test_search_grid_ends_are_exact():
     assert (zero[0], zero[1], zero[-1], zero.size) == (0.0, 2e-12, 2.0, 65)
 
 
+def _ulps_above(x: float, ulps: int) -> float:
+    # positive floats order as their bit patterns
+    return float((np.array(x).view(np.int64) + ulps).view(np.float64))
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1.0), st.integers(min_value=1, max_value=64))
+@example(1e-5, 7)
+def test_search_grid_and_optimum_stay_inside_a_narrow_range(lo, ulps):
+    # logspace's inner points once fell outside a range a few ulps wide:
+    # (1e-5, 1.0000000000000013e-05) gave 31 points below lo, 31 above hi
+    hi = _ulps_above(lo, ulps)
+    grid = search_grid((lo, hi))
+    assert (grid[0], grid[-1], grid.size) == (lo, hi, 64)
+    assert np.all((grid >= lo) & (grid <= hi))
+    assert np.all(np.diff(grid) >= 0)
+    res = optimize_brightness(0.0027, PARAMS, n_s_range=(lo, hi))
+    assert lo <= res.n_s_opt <= hi
+
+
 def test_search_grid_needs_two_points():
     # a grid holds both ends of its range, so it needs two points
     for points in (1, 0):
