@@ -9,8 +9,11 @@ entropy routines to bound the Holevo information per channel use.
 
 The covariance is six terms (a, e, b, c_ia, c_ab, c_ib), each joining two
 modes, or one mode with itself, by a 2x2 block I or Z = diag(1, -1); so x
-never meets p (the x-p cross blocks are zero), and the two conditional
-states and their average are one linear map of the terms.
+never meets p (the x-p cross blocks are zero), and the bit-0 state and the
+average are one linear map of the terms. Bob encodes his bit as a phase of 0
+or pi on the return light, so the bit-1 state is the bit-0 state with the
+return mode's x and p negated: a symplectic map, under which both
+conditional states have one symplectic spectrum (Williamson's theorem).
 """
 
 from __future__ import annotations
@@ -84,11 +87,13 @@ class SystemParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackState:
     """The eavesdropper's covariances given Bob's bit 0 or 1, and their
     equal-weight average. For an array of brightnesses each is a stack over
-    it.
+    it. cov_k1 is cov_k0 after Bob's pi phase on the return mode, and shares
+    its spectrum array. Compared and hashed by identity, as its covariances
+    are.
     """
 
     cov_k0: Covariance3Mode
@@ -138,15 +143,20 @@ _PATTERNS = np.array(
         for i, j, block in ((0, 0, _I), (1, 1, _I), (2, 2, _I), (0, 1, -_Z), (0, 2, _I), (1, 2, _Z))
     ]
 )
-# the stack (V_0, V_1, (V_0 + V_1)/2): bit k flips the signal correlations
-# c_ab and c_ib by (-1)^k, and the average drops them
-_BASIS = np.array([[1, 1, 1, 1, s, s] for s in (1, -1, 0)])[:, :, None] * _PATTERNS
+# the stack (V_0, (V_0 + V_1)/2): bit k flips the signal correlations c_ab
+# and c_ib by (-1)^k, and the average drops them
+_BASIS = np.array([[1, 1, 1, 1, s, s] for s in (1, 0)])[:, :, None] * _PATTERNS
+# bit 1's phase of pi on the return mode, which takes V_0 to V_1
+_RETURN_PHASE_PI = (1, 1, 1, 1, -1, -1)
 
 
 def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
     """Assemble both conditional covariances and their equal-weight average.
 
-    n_s may be an array; the three covariances are validated as one stack.
+    n_s may be an array. V_0 and the average are validated as one stack, in
+    one LAPACK batch; V_1 is V_0 after the return mode's pi phase, exact
+    sign flips of V_0's entries, and shares V_0's spectrum
+    (`Covariance3Mode.reflected`), so it is exactly as valid as V_0.
     """
     n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
@@ -164,11 +174,12 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
         a = 2.0 * n_ab + 1.0
         e = 2.0 * n_e + 1.0
         b = 2.0 * n_ba + 1.0
-        # one row of terms per brightness, times the basis: shape (3, n, 36);
+        # one row of terms per brightness, times the basis: shape (2, n, 36);
         # a matmul, as einsum's buffered loop was slower and raised peak memory
         terms = np.array([a, e, b, c_ia, c_ab, c_ib]).reshape(6, -1).T / 4.0
-        entries = (terms @ _BASIS).reshape((3, *n_s.shape, 6, 6))
-    return AttackState(*Covariance3Mode(entries).unstack())
+        entries = (terms @ _BASIS).reshape((2, *n_s.shape, 6, 6))
+    cov_k0, cov_uncond = Covariance3Mode(entries).unstack()
+    return AttackState(cov_k0, cov_k0.reflected(_RETURN_PHASE_PI), cov_uncond)
 
 
 def holevo_bound(params: SystemParams, n_s, f_e: float):

@@ -11,6 +11,9 @@ symplectic eigenvalues of its whole stack in one LAPACK batch when it is
 built, and `unstack` hands each part its own read-only slice, so the entropy
 routines read spectra and make no LAPACK call of their own. LAPACK works
 matrix by matrix, so a part's spectrum is the one-matrix call's bit for bit.
+`reflected` derives a covariance from a validated one by a phase of pi on
+some of its modes, a symplectic map, and hands it the same spectrum, so the
+derived covariance costs no validation and no LAPACK call at all.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def _spectra(arr: np.ndarray) -> np.ndarray:
     return moduli[..., ::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covariance3Mode:
     """Validated 6x6 Wigner covariance matrix, or a stack of them, with its
     symplectic spectrum.
@@ -88,10 +91,13 @@ class Covariance3Mode:
         If the shape is not (..., 6, 6), an entry is not finite, a matrix is
         not symmetric or not positive definite, or the eigenvalues of
         Omega @ V fail to pair, which the checks before it rule out.
+
+    Two covariances compare equal only if they are the same object, and hash
+    by identity: their arrays give no single truth value.
     """
 
     entries: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float)
@@ -116,13 +122,42 @@ class Covariance3Mode:
         each part's entries and spectrum are read-only slices of the stack's."""
         if self.entries.ndim < 3:
             raise ValidationError("one 6x6 covariance has no leading axis to split")
-        parts = []
-        for entries, spectrum in zip(self.entries, self.spectrum):
-            part = object.__new__(Covariance3Mode)
-            object.__setattr__(part, "entries", entries)
-            object.__setattr__(part, "spectrum", spectrum)
-            parts.append(part)
-        return tuple(parts)
+        return tuple(map(_validated, self.entries, self.spectrum))
+
+    def reflected(self, signs) -> Covariance3Mode:
+        """This covariance after the quadrature sign flips `signs`, (+/-1) x 6,
+        each mode's x and p flipped together: a phase of pi on the modes
+        flipped.
+
+        Such an S is orthogonal and symplectic, and its entries are exact
+        sign flips, so S V S^T is exactly as symmetric and as positive
+        definite as V, and Omega S V S^T = S (Omega V) S^T is similar to
+        Omega V: the derived covariance shares this one's spectrum, the same
+        read-only array, and no check is skipped. Entries that change sign
+        are negated exactly, and a zero stays 0.0, not -0.0.
+
+        Raises
+        ------
+        ValidationError
+            Unless signs is six values of +/-1 with each mode's x and p
+            signs equal; flipping one quadrature of a mode is not symplectic.
+        """
+        signs = tuple(signs)
+        if len(signs) != 6 or signs[0::2] != signs[1::2] or not set(signs) <= {1, -1}:
+            raise ValidationError(f"signs must flip whole modes, got {signs}")
+        s = np.array(signs, dtype=float)
+        entries = s[:, None] * self.entries * s + 0.0
+        entries.setflags(write=False)
+        return _validated(entries, self.spectrum)
+
+
+def _validated(entries: np.ndarray, spectrum: np.ndarray) -> Covariance3Mode:
+    # a covariance whose read-only entries and spectrum come from one that
+    # was validated, built without validating them again
+    cov = object.__new__(Covariance3Mode)
+    object.__setattr__(cov, "entries", entries)
+    object.__setattr__(cov, "spectrum", spectrum)
+    return cov
 
 
 def symplectic_eigenvalues(cov) -> np.ndarray:

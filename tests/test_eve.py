@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies
 
 import oracle_utils as ou
 from flqkd import eve
@@ -19,7 +21,7 @@ from flqkd.eve import (
     eve_injection_brightness,
     holevo_bound,
 )
-from flqkd.gaussian import symplectic_eigenvalues, thermal_entropy, von_neumann_entropy
+from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, thermal_entropy, von_neumann_entropy
 from flqkd.monitor import _detector_loads
 
 PARAMS = SystemParams(
@@ -112,7 +114,9 @@ def test_bit_symmetry_of_spectra():
         f_e = 10.0 ** rng.uniform(-5, -1)
         st = attack_state(PARAMS, n_s, f_e)
         a = np.asarray(symplectic_eigenvalues(st.cov_k0))
-        b = np.asarray(symplectic_eigenvalues(st.cov_k1))
+        # V_1 shares V_0's spectrum; validating its entries afresh, in a
+        # LAPACK batch of its own, is the independent check
+        b = np.asarray(symplectic_eigenvalues(np.array(st.cov_k1.entries)))
         assert np.max(np.abs(a - b) / b) < 1e-10
 
 
@@ -169,8 +173,8 @@ def test_array_attack_state_stacks_the_scalar_states():
 
 @pytest.mark.parametrize("n_s", [0.01, np.array([0.0, 1e-4, 0.01, 0.3])], ids=["scalar", "array"])
 def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
-    # the three covariances are one validated stack, whose spectra are taken
-    # in one eigvals call; each entropy reads its part's slice
+    # V_0 and the average are one validated stack, whose spectra are taken
+    # in one eigvals call; V_1 shares V_0's, and each entropy reads a slice
     eig_calls, entropy_calls = [], []
     eigvals, entropy = np.linalg.eigvals, eve.von_neumann_entropy
 
@@ -185,8 +189,46 @@ def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     monkeypatch.setattr(eve, "von_neumann_entropy", counted_entropy)
     holevo_bound(PARAMS, n_s, 0.0027)
-    assert eig_calls == [(3, *np.shape(n_s), 6, 6)]
+    assert eig_calls == [(2, *np.shape(n_s), 6, 6)]
     assert entropy_calls == 3 * [(*np.shape(n_s), 6, 6)]
+
+
+def _direct_k1(cov_k0):
+    # V_1 built as V_0 is, from the six terms (each an entry of V_0) times
+    # the basis row of bit 1, which flips the signs of c_ab and c_ib
+    v = cov_k0.entries
+    terms = np.stack([v[..., 0, 0], v[..., 2, 2], v[..., 4, 4], v[..., 1, 3], v[..., 0, 4], v[..., 2, 4]], axis=-1)
+    row = np.array([1, 1, 1, 1, -1, -1])[:, None] * eve._PATTERNS
+    return (terms.reshape(-1, 6) @ row).reshape(v.shape)
+
+
+@settings(deadline=None)
+@given(
+    strategies.floats(min_value=0.0, max_value=10.0),
+    strategies.floats(min_value=0.0, max_value=0.99),
+    strategies.floats(min_value=1e-3, max_value=0.999),
+)
+@example(0.01, 0.0, 0.1)
+@example(0.0, 0.0027, 0.1)
+@example(0.0, 0.0, 0.5)
+def test_bit_one_state_is_bit_zero_after_a_return_phase_of_pi(n_s, f_e, kappa):
+    state = attack_state(replace(PARAMS, kappa=kappa), np.array([n_s, 0.5 * n_s]), f_e)
+    v1 = state.cov_k1.entries
+    # the same bytes as the direct build: exact sign flips, and no -0.0
+    assert v1.tobytes() == _direct_k1(state.cov_k0).tobytes()
+    assert not v1.flags.writeable
+    # a fresh validation of V_1 passes, so deriving it dropped no refusal
+    Covariance3Mode(v1)
+    # the spectrum is V_0's own read-only slice, taken once
+    assert state.cov_k1.spectrum is state.cov_k0.spectrum
+    assert not state.cov_k1.spectrum.flags.writeable
+
+
+def test_attack_state_compares_and_hashes_by_identity():
+    state = attack_state(PARAMS, np.array([0.01, 0.02]), 0.0027)
+    again = attack_state(PARAMS, np.array([0.01, 0.02]), 0.0027)
+    assert state == state and state != again
+    assert len({state, again, state}) == 2
 
 
 def _layout_terms(params, n_s, f_e):

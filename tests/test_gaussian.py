@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -195,6 +196,41 @@ def test_a_raw_array_costs_one_lapack_batch(monkeypatch):
     for part in cov.unstack():
         von_neumann_entropy(part)
     assert calls == []
+
+
+def test_a_phase_of_pi_keeps_the_spectrum():
+    # every whole-mode flip S, on a random stack: S V S exactly, the same
+    # spectrum object, and a fresh validation agreeing with it
+    rng = np.random.default_rng(47)
+    cov = Covariance3Mode(np.array([ou.random_physical_covariance(rng)[0] for _ in range(4)]))
+    for modes in itertools.product((1.0, -1.0), repeat=3):
+        signs = np.repeat(modes, 2)
+        flipped = cov.reflected(signs)
+        assert np.array_equal(flipped.entries, np.diag(signs) @ cov.entries @ np.diag(signs))
+        assert flipped.spectrum is cov.spectrum
+        with pytest.raises(ValueError, match="read-only"):
+            flipped.entries[0, 0, 0] = 9.0
+        fresh = symplectic_eigenvalues(np.array(flipped.entries))
+        assert np.max(np.abs(fresh - cov.spectrum) / fresh) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "signs",
+    [(1, 1, 1, 1, -1, 1), (-1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 2, 2), (1, 1, 1, 1, 0, 0)],
+    ids=["x-of-return", "x-of-tapped", "five-signs", "not-a-sign", "zero"],
+)
+def test_reflection_refuses_all_but_whole_mode_flips(signs):
+    # flipping one quadrature of a mode is not symplectic, and can change
+    # the spectrum of an entangled state
+    with pytest.raises(ValidationError, match="^signs must flip whole modes"):
+        _diag_cov(0.5, 0.5, 0.5).reflected(signs)
+
+
+def test_covariances_compare_and_hash_by_identity():
+    v = np.diag(np.full(6, 0.5))
+    cov, again = Covariance3Mode(v), Covariance3Mode(v)
+    assert cov == cov and cov != again
+    assert len({cov, again, cov}) == 2
 
 
 def test_rejects_wrong_shape():
