@@ -146,17 +146,16 @@ _PATTERNS = np.array(
 # the stack (V_0, (V_0 + V_1)/2): bit k flips the signal correlations c_ab
 # and c_ib by (-1)^k, and the average drops them
 _BASIS = np.array([[1, 1, 1, 1, s, s] for s in (1, 0)])[:, :, None] * _PATTERNS
-# bit 1's phase of pi on the return mode, which takes V_0 to V_1
-_RETURN_PHASE_PI = (1, 1, 1, 1, -1, -1)
 
 
 def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
     """Assemble both conditional covariances and their equal-weight average.
 
     n_s may be an array. V_0 and the average are validated as one stack, in
-    one LAPACK batch; V_1 is V_0 after the return mode's pi phase, exact
+    one LAPACK batch; V_1 is V_0 after a pi phase on the return mode, the
+    third, exact
     sign flips of V_0's entries, and shares V_0's spectrum
-    (`Covariance3Mode.reflected`), so it is exactly as valid as V_0.
+    (`Covariance3Mode.pi_phase_on_mode_3`), so it is exactly as valid as V_0.
     """
     n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
@@ -179,7 +178,7 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
         terms = np.array([a, e, b, c_ia, c_ab, c_ib]).reshape(6, -1).T / 4.0
         entries = (terms @ _BASIS).reshape((2, *n_s.shape, 6, 6))
     cov_k0, cov_uncond = Covariance3Mode(entries).unstack()
-    return AttackState(cov_k0, cov_k0.reflected(_RETURN_PHASE_PI), cov_uncond)
+    return AttackState(cov_k0, cov_k0.pi_phase_on_mode_3(), cov_uncond)
 
 
 def holevo_bound(params: SystemParams, n_s, f_e: float):

@@ -11,9 +11,9 @@ symplectic eigenvalues of its whole stack in one LAPACK batch when it is
 built, and `unstack` hands each part its own read-only slice, so the entropy
 routines read spectra and make no LAPACK call of their own. LAPACK works
 matrix by matrix, so a part's spectrum is the one-matrix call's bit for bit.
-`reflected` derives a covariance from a validated one by a phase of pi on
-some of its modes, a symplectic map, and hands it the same spectrum, so the
-derived covariance costs no validation and no LAPACK call at all.
+`pi_phase_on_mode_3` derives a covariance from a validated one by a phase
+of pi on its third mode, a symplectic map, and hands it the same spectrum,
+so the derived covariance costs no validation and no LAPACK call at all.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ _SYMMETRY_RTOL = 1e-12
 # the -0.0 entries of the product into 0.0
 OMEGA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]) + 0.0
 OMEGA.setflags(write=False)
+# a phase of pi on the third mode: both of its quadratures change sign
+_MODE_3_FLIP = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 
 
 def scalar_or_array(values):
@@ -124,29 +126,18 @@ class Covariance3Mode:
             raise ValidationError("one 6x6 covariance has no leading axis to split")
         return tuple(map(_validated, self.entries, self.spectrum))
 
-    def reflected(self, signs) -> Covariance3Mode:
-        """This covariance after the quadrature sign flips `signs`, (+/-1) x 6,
-        each mode's x and p flipped together: a phase of pi on the modes
-        flipped.
+    def pi_phase_on_mode_3(self) -> Covariance3Mode:
+        """This covariance after a phase of pi on its third mode: S V S^T with
+        S = diag(1, 1, 1, 1, -1, -1).
 
-        Such an S is orthogonal and symplectic, and its entries are exact
-        sign flips, so S V S^T is exactly as symmetric and as positive
-        definite as V, and Omega S V S^T = S (Omega V) S^T is similar to
-        Omega V: the derived covariance shares this one's spectrum, the same
-        read-only array, and no check is skipped. Entries that change sign
-        are negated exactly, and a zero stays 0.0, not -0.0.
-
-        Raises
-        ------
-        ValidationError
-            Unless signs is six values of +/-1 with each mode's x and p
-            signs equal; flipping one quadrature of a mode is not symplectic.
+        S is orthogonal and symplectic, and its entries are exact sign
+        flips, so S V S^T is exactly as symmetric and as positive definite
+        as V, and Omega S V S^T = S (Omega V) S^T is similar to Omega V: the
+        result shares this covariance's spectrum, the same read-only array,
+        and no check is skipped. Entries that change sign are negated
+        exactly, and a zero stays 0.0, not -0.0.
         """
-        signs = tuple(signs)
-        if len(signs) != 6 or signs[0::2] != signs[1::2] or not set(signs) <= {1, -1}:
-            raise ValidationError(f"signs must flip whole modes, got {signs}")
-        s = np.array(signs, dtype=float)
-        entries = s[:, None] * self.entries * s + 0.0
+        entries = _MODE_3_FLIP[:, None] * self.entries * _MODE_3_FLIP + 0.0
         entries.setflags(write=False)
         return _validated(entries, self.spectrum)
 
