@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 import oracle_utils as ou
 from flqkd import eve
@@ -213,6 +214,23 @@ def _layout_terms(params, n_s, f_e):
     return a, e, b, c_ia, c_ab, c_ib
 
 
+def _assert_blocks(v, terms, sign):
+    # every term joins two modes by I or Z = diag(1, -1), so the x-p cross
+    # blocks vanish and the x and p blocks are 3x3 matrices of the terms;
+    # sign multiplies the signal correlations c_ab and c_ib
+    a, e, b, c_ia, c_ab, c_ib = terms
+    assert v.shape == np.shape(a) + (6, 6)
+    assert np.all(v[..., 0::2, 1::2] == 0.0) and np.all(v[..., 1::2, 0::2] == 0.0)
+    ab, ib = sign * c_ab, sign * c_ib
+    x = [[a, -c_ia, ab], [-c_ia, e, ib], [ab, ib, b]]
+    p = [[a, c_ia, ab], [c_ia, e, -ib], [ab, -ib, b]]
+    for block, expected in ((v[..., 0::2, 0::2], x), (v[..., 1::2, 1::2], p)):
+        expected = np.moveaxis(np.array(expected), (0, 1), (-2, -1)) / 4.0
+        # atol 0: a zero term (c_ia without injection, the average's
+        # signal correlations) must come out exactly zero
+        assert np.allclose(block, expected, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "n_s, f_e",
     [
@@ -225,30 +243,36 @@ def _layout_terms(params, n_s, f_e):
     ids=["scalar", "no-injection", "c_ab-negative", "array", "2d-c_ab-negative"],
 )
 def test_covariances_have_the_block_layout(n_s, f_e):
-    # every term joins two modes by I or Z = diag(1, -1), so the x-p cross
-    # blocks vanish and the x and p blocks are 3x3 matrices of the terms
-    a, e, b, c_ia, c_ab, c_ib = _layout_terms(PARAMS, n_s, f_e)
+    terms = _layout_terms(PARAMS, n_s, f_e)
     if f_e == 0.95:
-        assert np.all(c_ab < 0.0)
+        assert np.all(terms[4] < 0.0)  # c_ab
     st = attack_state(PARAMS, n_s, f_e)
     for cov, sign in ((st.cov_k0, 1.0), (st.cov_k1, -1.0), (st.cov_uncond, 0.0)):
-        v = cov.entries
-        assert v.shape == np.shape(n_s) + (6, 6)
-        assert np.all(v[..., 0::2, 1::2] == 0.0) and np.all(v[..., 1::2, 0::2] == 0.0)
-        ab, ib = sign * c_ab, sign * c_ib
-        x = [[a, -c_ia, ab], [-c_ia, e, ib], [ab, ib, b]]
-        p = [[a, c_ia, ab], [c_ia, e, -ib], [ab, -ib, b]]
-        for block, expected in ((v[..., 0::2, 0::2], x), (v[..., 1::2, 1::2], p)):
-            expected = np.moveaxis(np.array(expected), (0, 1), (-2, -1)) / 4.0
-            # atol 0: a zero term (c_ia without injection, the average's
-            # signal correlations) must come out exactly zero
-            assert np.allclose(block, expected, rtol=1e-12, atol=0.0)
-    # V_1 is derived from V_0 by exact sign flips: read-only, no -0.0 where
-    # a term is zero, valid afresh, and carrying V_0's own spectrum
+        _assert_blocks(cov.entries, terms, sign)
+
+
+@settings(deadline=None)
+@given(
+    strategies.floats(min_value=0.0, max_value=10.0),
+    strategies.floats(min_value=0.0, max_value=0.99),
+    strategies.floats(min_value=1e-3, max_value=0.999),
+)
+@example(0.01, 0.0, 0.1)
+@example(0.0, 0.0027, 0.1)
+def test_bit_one_state_is_bit_zero_after_a_return_phase_of_pi(n_s, f_e, kappa):
+    params = replace(PARAMS, kappa=kappa)
+    n_s = np.array([n_s, 0.5 * n_s])
+    st = attack_state(params, n_s, f_e)
     v1 = st.cov_k1.entries
+    # the paper's bit-1 blocks, built from the formulas, not from V_0
+    _assert_blocks(v1, _layout_terms(params, n_s, f_e), -1.0)
+    # exact sign flips of V_0: read-only, and no -0.0 where a term is zero
     assert not v1.flags.writeable and not np.signbit(v1[v1 == 0.0]).any()
+    # a fresh validation passes, so deriving V_1 dropped no refusal
     Covariance3Mode(v1)
+    # the spectrum is V_0's own read-only slice, taken once
     assert st.cov_k1.spectrum is st.cov_k0.spectrum
+    assert not st.cov_k1.spectrum.flags.writeable
 
 
 def test_holevo_matches_entropy_difference_before_clamp():
