@@ -153,9 +153,8 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
 
     n_s may be an array. V_0 and the average are validated as one stack, in
     one LAPACK batch; V_1 is V_0 after a pi phase on the return mode, the
-    third, exact
-    sign flips of V_0's entries, and shares V_0's spectrum
-    (`Covariance3Mode.pi_phase_on_mode_3`), so it is exactly as valid as V_0.
+    third (`Covariance3Mode.pi_phase_on_mode_3`): exact sign flips of V_0's
+    entries that share V_0's spectrum, so V_1 is exactly as valid as V_0.
     """
     n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
