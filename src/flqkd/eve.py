@@ -10,7 +10,9 @@ entropy routines to bound the Holevo information per channel use.
 The covariance is six terms (a, e, b, c_ia, c_ab, c_ib), each joining two
 modes, or one mode with itself, by a 2x2 block I or Z = diag(1, -1); so x
 never meets p (the x-p cross blocks are zero), and the bit-0 state and the
-average are one linear map of the terms. Bob encodes his bit as a phase of 0
+average are one linear map of the terms. `Covariance3Mode` relies on that:
+it takes each spectrum from the 3x3 x and p blocks alone, and refuses a
+covariance that joins x to p. Bob encodes his bit as a phase of 0
 or pi on the return light, so the bit-1 state is the bit-0 state with the
 return mode's x and p negated: a symplectic map, under which both
 conditional states have one symplectic spectrum (Williamson's theorem).
@@ -152,9 +154,10 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
     """Assemble both conditional covariances and their equal-weight average.
 
     n_s may be an array. V_0 and the average are validated as one stack, in
-    one LAPACK batch; V_1 is V_0 after a pi phase on the return mode, the
-    third (`Covariance3Mode.pi_phase_on_mode_3`): exact sign flips of V_0's
-    entries that share V_0's spectrum, so V_1 is exactly as valid as V_0.
+    one LAPACK batch per step; V_1 is V_0 after a pi phase on the return
+    mode, the third (`Covariance3Mode.pi_phase_on_mode_3`): exact sign flips
+    of V_0's entries that share V_0's spectrum, so V_1 is exactly as valid
+    as V_0.
     """
     n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
@@ -196,8 +199,9 @@ def holevo_bound(params: SystemParams, n_s, f_e: float):
     s_uncond = von_neumann_entropy(state.cov_uncond)
     s_cond = 0.5 * (von_neumann_entropy(state.cov_k0) + von_neumann_entropy(state.cov_k1))
     chi = params.M * (s_uncond - s_cond)
-    # the floor hides chi down to ~-6e-7 bits per use (default system, f_e = 0):
-    # the spectrum's float error of ROADMAP item 2, not rounding noise
+    # the floor hides chi down to -6.4e-7 bits per use (default system, f_e = 0,
+    # negative on 127 of 4000 n_s in [1e-6, 1]): the spectra's float error,
+    # magnified by the difference of two ~15-bit entropies (ROADMAP item 2)
     return scalar_or_array(np.minimum(np.maximum(chi, 0.0), 1.0))
 
 

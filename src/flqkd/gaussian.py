@@ -6,16 +6,24 @@ photon number N has diagonal (2N+1)/4, so the entropy of a state with
 symplectic eigenvalues nu_j is sum_j g(2 nu_j - 1/2) with g the usual
 bosonic entropy function in bits.
 
-A validated covariance carries its spectrum: `Covariance3Mode` takes the
-symplectic eigenvalues of its whole stack in one LAPACK batch when it is
-built, and `unstack` hands each part its own read-only slice, so the entropy
-routines read spectra and make no LAPACK call of their own. LAPACK works
-matrix by matrix, so a part's spectrum is the one-matrix call's bit for bit.
-`pi_phase_on_mode_3` derives a covariance from a validated one by a phase
-of pi on its third mode, a symplectic map, and hands it the same spectrum,
-so the derived covariance costs no validation and no LAPACK call at all.
-"""
+Every state the key-rate model builds has zero x-p cross blocks, so a
+covariance is its x block V_x = V[::2, ::2] and its p block V_p = V[1::2, 1::2],
+and the symplectic eigenvalues are the square roots of the eigenvalues of
+V_x V_p. With V_x = L_x L_x^T and V_p = L_p L_p^T (Cholesky), V_x V_p is
+similar to B B^T with B = L_x^T L_p, so the nu_j are the singular values of
+B: no square is taken and no eigenvalue pairing is needed. A covariance
+with a nonzero x-p entry is refused.
 
+A validated covariance carries its spectrum: `Covariance3Mode` takes the
+symplectic eigenvalues of its whole stack in one LAPACK batch per step (two
+Cholesky factors, one SVD) when it is built, and `unstack` hands each part
+its own read-only slice, so the entropy routines read spectra and make no
+LAPACK call of their own. LAPACK works matrix by matrix, so a part's
+spectrum is the one-matrix call's bit for bit. `pi_phase_on_mode_3`
+derives a covariance from a validated one by a phase of pi on its third
+mode, a symplectic map, and hands it the same spectrum, so the derived
+covariance costs no validation and no LAPACK call at all.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -30,10 +38,6 @@ PHYSICALITY_TOL = 1e-9
 _SYMMETRY_RTOL = 1e-12
 
 
-# the symplectic form, one 2x2 block [[0, 1], [-1, 0]] per mode; + 0.0 turns
-# the -0.0 entries of the product into 0.0
-OMEGA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]) + 0.0
-OMEGA.setflags(write=False)
 # a phase of pi on the third mode: both of its quadratures change sign
 _MODE_3_FLIP = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 
@@ -50,23 +54,6 @@ def elementwise(fun, values):
     return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
 
 
-def _spectra(arr: np.ndarray) -> np.ndarray:
-    # the moduli of the eigenvalues of Omega @ V in the upper half-plane, one
-    # LAPACK batch for the whole stack; descending and read-only
-    eig = np.linalg.eigvals(OMEGA @ arr)
-    upper = eig.imag > 0
-    # PD symmetric input guarantees pure-imaginary +/- pairs. eigvals returns
-    # the complex eigenvalues of a real matrix as exact conjugate pairs, so no
-    # matrix has more than 3 above the real axis, and the total is 3 per
-    # matrix only if every matrix has 3.
-    if np.count_nonzero(upper) != eig.size // 2:
-        raise ValidationError("eigenvalues of Omega @ cov failed to pair")
-    moduli = np.abs(eig[upper]).reshape(eig.shape[:-1] + (3,))
-    moduli.sort(axis=-1)
-    moduli.setflags(write=False)
-    return moduli[..., ::-1]
-
-
 @dataclass(frozen=True, eq=False)
 class Covariance3Mode:
     """Validated 6x6 Wigner covariance matrix, or a stack of them, with its
@@ -76,23 +63,27 @@ class Covariance3Mode:
     ----------
     entries : array_like
         Real array of shape (..., 6, 6); each matrix symmetric to within
-        1e-12 relative and positive definite. Stored read-only.
+        1e-12 relative, with zero x-p cross blocks, and positive definite.
+        Stored read-only.
 
     Attributes
     ----------
     spectrum : np.ndarray
         The symplectic eigenvalues of each matrix, shape (..., 3),
-        descending and read-only; derived from `entries` in one
-        `np.linalg.eigvals` call over the stack. It is not checked against
-        the vacuum floor: `symplectic_eigenvalues` does that when a part's
-        spectrum is read.
+        descending and read-only: the singular values of L_x^T L_p, where
+        L_x and L_p are the Cholesky factors of the x block V[..., ::2, ::2]
+        and the p block V[..., 1::2, 1::2], each taken in one
+        `np.linalg.cholesky` call over the stack and followed by one
+        `np.linalg.svd` call. It is not checked against the vacuum floor:
+        `symplectic_eigenvalues` does that when a part's spectrum is read.
 
     Raises
     ------
     ValidationError
         If the shape is not (..., 6, 6), an entry is not finite, a matrix is
-        not symmetric or not positive definite, or the eigenvalues of
-        Omega @ V fail to pair, which the checks before it rule out.
+        not symmetric, has a nonzero entry joining an x to a p quadrature,
+        or is not positive definite (an x or p block that has no Cholesky
+        factor).
 
     Two covariances compare equal only if they are the same object, and hash
     by identity: their arrays give no single truth value.
@@ -107,17 +98,23 @@ class Covariance3Mode:
             raise ValidationError(f"covariance must be 6x6, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("covariance has non-finite entries")
-        transposed = arr.swapaxes(-1, -2)
         scale = np.maximum(np.abs(arr).max(axis=(-2, -1)), 1.0)
-        if (np.abs(arr - transposed).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
+        if (np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
             raise ValidationError("covariance is not symmetric within 1e-12")
+        if arr[..., ::2, 1::2].any() or arr[..., 1::2, ::2].any():
+            raise ValidationError("covariance correlates x with p")
+        # V is positive definite exactly when both blocks are; each factor
+        # reads its block's lower triangle, which the symmetry check bounds
         try:
-            np.linalg.cholesky(0.5 * (arr + transposed))
+            l_x = np.linalg.cholesky(arr[..., ::2, ::2])
+            l_p = np.linalg.cholesky(arr[..., 1::2, 1::2])
         except np.linalg.LinAlgError:
             raise ValidationError("covariance is not positive definite") from None
+        spectrum = np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
         arr.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "spectrum", _spectra(arr))
+        object.__setattr__(self, "spectrum", spectrum)
 
     def unstack(self) -> tuple[Covariance3Mode, ...]:
         """The covariances along the leading axis, validated with the stack;
@@ -132,10 +129,11 @@ class Covariance3Mode:
 
         S is orthogonal and symplectic, and its entries are exact sign
         flips, so S V S^T is exactly as symmetric and as positive definite
-        as V, and Omega S V S^T = S (Omega V) S^T is similar to Omega V: the
-        result shares this covariance's spectrum, the same read-only array,
-        and no check is skipped. Entries that change sign are negated
-        exactly, and a zero stays 0.0, not -0.0.
+        as V, joins x to p nowhere, and its blocks F V_x F and F V_p F, with
+        F = diag(1, 1, -1), have a product similar to V_x V_p: the result
+        shares this covariance's spectrum, the same read-only array, and no
+        check is skipped. Entries that change sign are negated exactly, and
+        a zero stays 0.0, not -0.0.
         """
         entries = _MODE_3_FLIP[:, None] * self.entries * _MODE_3_FLIP + 0.0
         entries.setflags(write=False)
@@ -155,19 +153,17 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
     """Symplectic eigenvalues of a validated covariance, shape (3,), or of
     each matrix in a stack, shape (..., 3); descending and read-only.
 
-    The eigenvalues of Omega @ cov come in conjugate pairs +/- i nu_j; the
-    moduli of the three positive-imaginary-part eigenvalues are the nu_j.
     They are the spectrum the covariance took when it was validated: a raw
-    array is validated here, in one LAPACK batch, and a `Covariance3Mode`
-    costs no LAPACK call. The vacuum floor is checked here, over the
-    spectrum read, so a part of a stack is refused for its own eigenvalues
-    and names its own minimum.
+    array is validated here, in one LAPACK batch per step, and a
+    `Covariance3Mode` costs no LAPACK call. The vacuum floor is checked
+    here, over the spectrum read, so a part of a stack is refused for its
+    own eigenvalues and names its own minimum.
 
     Raises
     ------
     ValidationError
         If a raw array is not a stack of symmetric positive definite 6x6
-        matrices or its eigenvalues fail to pair (both when it is validated
+        matrices without x-p correlations (checked when it is validated
         here), or if any eigenvalue read falls below 1/4 - 1e-9.
     """
     if not isinstance(cov, Covariance3Mode):

@@ -3,8 +3,8 @@
 High-precision reference numbers were frozen from a 60-digit mpmath run;
 tests compare the package's own routines against these constants so the
 suite does not depend on mpmath being importable at collection time.
-The brute-force symplectic solver below *does* use mpmath and is kept
-deliberately independent of the package's numpy eigenvalue route.
+The brute-force symplectic solvers below *do* use mpmath and are kept
+deliberately independent of the package's Cholesky-and-SVD route.
 """
 
 from __future__ import annotations
@@ -77,10 +77,35 @@ OMEGA6 = np.kron(np.eye(3), _OMEGA_BLOCK)
 
 
 def random_physical_covariance(rng, pure=False):
-    """Random 3-mode covariance V = S D S^T with known symplectic spectrum.
+    """Random 3-mode covariance V = S D S^T with known symplectic spectrum
+    and no x-p correlations.
 
-    S = expm(Omega A) for symmetric A is symplectic, so the spectrum of V
-    equals the thermal diagonal by construction.  Returns (V, nus_desc).
+    S = S_x (+) S_x^-T on the (x, p) blocks, with S_x = expm(A) for a random
+    3x3 A, is symplectic and joins no x to a p, so the x block of V is
+    S_x D S_x^T, its p block S_x^-T D S_x^-1, and the spectrum of V equals
+    the thermal diagonal D by construction.  Returns (V, nus_desc).
+    """
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    a = rng.uniform(-0.5, 0.5, (3, 3))
+    s_x = mp.expm(mp.matrix(a.tolist()))
+    s_p = mp.expm(-mp.matrix(a.T.tolist()))
+    nus = (2.0 * _thermal_numbers(rng, pure) + 1.0) / 4.0
+    d = mp.diag([mp.mpf(v) for v in nus])
+    vf = np.zeros((6, 6))
+    for start, s in ((0, s_x), (1, s_p)):
+        block = s * d * s.T
+        vf[start::2, start::2] = [[float(block[i, j]) for j in range(3)] for i in range(3)]
+    vf = 0.5 * (vf + vf.T)
+    return vf, np.sort(nus)[::-1]
+
+
+def random_mixing_covariance(rng, pure=False):
+    """Random 3-mode covariance V = S D S^T whose symplectic S = expm(Omega A),
+    for a random symmetric 6x6 A, mixes x with p.  Physical, but outside
+    the x-p-decoupled domain of `flqkd.gaussian.Covariance3Mode`.  Returns
+    (V, nus_desc).
     """
     import mpmath as mp
 
@@ -88,11 +113,7 @@ def random_physical_covariance(rng, pure=False):
     a = rng.uniform(-0.5, 0.5, (6, 6))
     a = 0.5 * (a + a.T)
     s = mp.expm(mp.matrix(OMEGA6.tolist()) * mp.matrix(a.tolist()))
-    if pure:
-        ns = np.zeros(3)
-    else:
-        ns = rng.uniform(0.0, 2.0, 3)
-    nus = (2.0 * ns + 1.0) / 4.0
+    nus = (2.0 * _thermal_numbers(rng, pure) + 1.0) / 4.0
     d = mp.diag([mp.mpf(v) for v in np.repeat(nus, 2)])
     v = s * d * s.T
     vf = np.array([[float(v[i, j]) for j in range(6)] for i in range(6)])
@@ -100,10 +121,16 @@ def random_physical_covariance(rng, pure=False):
     return vf, np.sort(nus)[::-1]
 
 
+def _thermal_numbers(rng, pure):
+    # each mode's mean photon number: 0 for a pure state, else U(0, 2)
+    return np.zeros(3) if pure else rng.uniform(0.0, 2.0, 3)
+
+
 def brute_force_spectrum(entries, dps=40):
     """Symplectic eigenvalues via mpmath's QR eigensolver on Omega V.
 
-    Independent of the package route (numpy eigvals in double precision).
+    Independent of the package route (Cholesky factors of the x and p
+    blocks and an SVD, in double precision).
     """
     import mpmath as mp
 
@@ -113,6 +140,20 @@ def brute_force_spectrum(entries, dps=40):
     nus = sorted((abs(e) for e in eigs if mp.im(e) > 0), reverse=True)
     assert len(nus) == 3
     return np.array([float(x) for x in nus])
+
+
+def block_spectrum(entries, dps=50):
+    """Symplectic eigenvalues of a covariance with zero x-p blocks, as the
+    square roots of the eigenvalues of V_x V_p, in mpmath at dps digits;
+    descending, as mpf values."""
+    import mpmath as mp
+
+    mp.mp.dps = dps
+    entries = np.asarray(entries)
+    v_x = mp.matrix(entries[::2, ::2].tolist())
+    v_p = mp.matrix(entries[1::2, 1::2].tolist())
+    eigs = mp.eig(v_x * v_p, left=False, right=False)
+    return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)
 
 
 def frozen_golden_max(fun, lo, hi):

@@ -74,18 +74,6 @@ def test_entropy_matches_thermal_sum_for_diagonal():
     assert math.isclose(von_neumann_entropy(cov), expected, rel_tol=1e-10)
 
 
-def test_spectrum_descending_and_eigenvalue_pairing():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        v, _ = ou.random_physical_covariance(rng)
-        cov = Covariance3Mode(v)
-        nus = symplectic_eigenvalues(cov)
-        assert nus[0] >= nus[1] >= nus[2] >= 0.25 - 1e-9
-        # eigenvalues of Omega V come in +-i nu pairs, so they sum to ~0
-        raw = np.linalg.eigvals(ou.OMEGA6 @ v)
-        assert abs(raw.sum()) < 1e-9
-
-
 def test_spectrum_matches_brute_force_sample():
     rng = np.random.default_rng(23)
     for _ in range(8):
@@ -175,18 +163,27 @@ def test_each_part_is_refused_for_its_own_spectrum():
 
 
 def test_a_raw_array_costs_one_lapack_batch(monkeypatch):
-    calls, eigvals = [], np.linalg.eigvals
+    # one Cholesky factor per block and one SVD, each over the whole stack
+    calls, cholesky, svd = [], np.linalg.cholesky, np.linalg.svd
 
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
+    def counted_cholesky(a):
+        calls.append(("cholesky", a.shape))
+        return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    def counted_svd(a, compute_uv):
+        calls.append(("svd", a.shape))
+        return svd(a, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(43)
     stack = np.array([ou.random_physical_covariance(rng)[0] for _ in range(6)]).reshape(2, 3, 6, 6)
     symplectic_eigenvalues(stack)
     symplectic_eigenvalues(stack[0, 0])
-    assert calls == [(2, 3, 6, 6), (6, 6)]
+    assert calls == [
+        *2 * [("cholesky", (2, 3, 3, 3))], ("svd", (2, 3, 3, 3)),
+        *2 * [("cholesky", (3, 3))], ("svd", (3, 3)),
+    ]
     # a validated covariance's spectrum is read, not recomputed
     cov = Covariance3Mode(stack)
     calls.clear()
@@ -195,6 +192,21 @@ def test_a_raw_array_costs_one_lapack_batch(monkeypatch):
     for part in cov.unstack():
         von_neumann_entropy(part)
     assert calls == []
+
+
+def test_a_covariance_that_correlates_x_with_p_is_refused():
+    # a physical state whose symplectic map mixes x with p lies outside the
+    # class's domain, alone or in a stack, however small the correlation
+    rng = np.random.default_rng(53)
+    mixed, _ = ou.random_mixing_covariance(rng)
+    good = np.diag(np.full(6, 0.5))
+    barely = good.copy()
+    barely[0, 5] = barely[5, 0] = 1e-300
+    for bad in (mixed, barely, np.array([good, mixed]), np.array([good, barely])):
+        with pytest.raises(ValidationError, match="^covariance correlates x with p$"):
+            Covariance3Mode(bad)
+        with pytest.raises(ValidationError, match="^covariance correlates x with p$"):
+            symplectic_eigenvalues(bad)
 
 
 def test_a_phase_of_pi_keeps_the_spectrum():
