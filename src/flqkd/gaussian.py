@@ -24,6 +24,7 @@ derives a covariance from a validated one by a phase of pi on its third
 mode, a symplectic map, and hands it the same spectrum, so the derived
 covariance costs no validation and no LAPACK call at all.
 """
+
 from __future__ import annotations
 
 from dataclasses import dataclass, field

@@ -432,15 +432,12 @@ def test_attack_state_spectra_match_a_50_digit_spectrum():
     # 2.9-3.8, in units of eps nu_max.
     rng = np.random.default_rng(3707)
     eps = np.finfo(float).eps
+    systems = list(_systems_at_the_noise_floor())
     scaled = []
-    while len(scaled) < 2 * 3 * 300:
-        g_b, kappa_b = rng.choice([2.0, 1e2, 1e4, 1e5]), rng.choice([0.0, 0.5, 0.9])
-        floor = g_b * (1.0 - kappa_b) - 1.0
-        if floor <= 0.0:
-            continue
-        r, m, kappa = rng.choice([1e6, 1e8, 1e10]), rng.choice([1.0, 1e2, 1e4, 1e6]), rng.choice([0.01, 0.1, 0.5, 0.9])
-        params = SystemParams(W=m * r, R=r, kappa=kappa, eta=0.9, kappa_B=kappa_b, G_B=g_b,
-                              N_B=floor * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0)), beta=0.94)
+    for _ in range(300):
+        params = systems[rng.integers(len(systems))]
+        floor = params.G_B * (1.0 - params.kappa_B) - 1.0
+        params = replace(params, N_B=floor * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0)))
         state = attack_state(params, 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.0, 0.95))
         for cov in (state.cov_k0, state.cov_uncond):
             exact = ou.block_spectrum(cov.entries)
