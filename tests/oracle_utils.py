@@ -91,7 +91,8 @@ def random_physical_covariance(rng, pure=False):
     a = rng.uniform(-0.5, 0.5, (3, 3))
     s_x = mp.expm(mp.matrix(a.tolist()))
     s_p = mp.expm(-mp.matrix(a.T.tolist()))
-    nus = (2.0 * _thermal_numbers(rng, pure) + 1.0) / 4.0
+    ns = np.zeros(3) if pure else rng.uniform(0.0, 2.0, 3)
+    nus = (2.0 * ns + 1.0) / 4.0
     d = mp.diag([mp.mpf(v) for v in nus])
     vf = np.zeros((6, 6))
     for start, s in ((0, s_x), (1, s_p)):
@@ -101,7 +102,7 @@ def random_physical_covariance(rng, pure=False):
     return vf, np.sort(nus)[::-1]
 
 
-def random_mixing_covariance(rng, pure=False):
+def random_mixing_covariance(rng):
     """Random 3-mode covariance V = S D S^T whose symplectic S = expm(Omega A),
     for a random symmetric 6x6 A, mixes x with p.  Physical, but outside
     the x-p-decoupled domain of `flqkd.gaussian.Covariance3Mode`.  Returns
@@ -113,17 +114,12 @@ def random_mixing_covariance(rng, pure=False):
     a = rng.uniform(-0.5, 0.5, (6, 6))
     a = 0.5 * (a + a.T)
     s = mp.expm(mp.matrix(OMEGA6.tolist()) * mp.matrix(a.tolist()))
-    nus = (2.0 * _thermal_numbers(rng, pure) + 1.0) / 4.0
+    nus = (2.0 * rng.uniform(0.0, 2.0, 3) + 1.0) / 4.0
     d = mp.diag([mp.mpf(v) for v in np.repeat(nus, 2)])
     v = s * d * s.T
     vf = np.array([[float(v[i, j]) for j in range(6)] for i in range(6)])
     vf = 0.5 * (vf + vf.T)
     return vf, np.sort(nus)[::-1]
-
-
-def _thermal_numbers(rng, pure):
-    # each mode's mean photon number: 0 for a pure state, else U(0, 2)
-    return np.zeros(3) if pure else rng.uniform(0.0, 2.0, 3)
 
 
 def brute_force_spectrum(entries, dps=40):
