@@ -3,22 +3,14 @@
 The receiver-side chain: Alice's homodyne BER through the Gaussian-noise
 Q-function, Shannon information of the resulting binary symmetric channel,
 secret-key efficiency SKE = beta * I_AB - chi against the collective-attack
-Holevo bound, and a grid-plus-golden-section maximizer over the source
-brightness N_S.
-
-The maximizer makes few rate calls, each over many points: one call scans
-its 64-point grid, and the golden-section steps go in batches. Each batch
-holds every point the next three steps could ask for, the lookahead
-following the bracket alone, both ways at each step; the steps read their
-values from it. An array call gives each point the value of the scalar
-call, so the iterates, and the optimum, are those of the one-point search
-bit for bit.
+Holevo bound, and a maximizer over the source brightness N_S that zooms in
+on the best point by rounds of one rate call each over an even grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,12 +19,10 @@ from .eve import SystemParams, check_brightness, holevo_bound
 from .gaussian import elementwise, scalar_or_array
 
 _SQRT_2 = math.sqrt(2.0)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-# relative width at which the golden-section search stops
+# relative width at which the optimizer's zoom stops
 _TOL = 1e-6
-# golden steps whose points one rate call evaluates
-_LOOKAHEAD = 3
+# evenly spaced points of each zoom round after the first
+_ROUND_POINTS = 32
 
 
 def q_function(x: float) -> float:
@@ -132,61 +122,6 @@ def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
     )
 
 
-def _golden_step(lo, hi, h, c, d, c_wins):
-    """The state (lo, hi, h, c, d) one golden step on: the bracket keeps
-    c's side when c_wins, else d's, and its new point is c or d in turn."""
-    h *= _INV_PHI
-    if c_wins:
-        return lo, d, h, lo + _INV_PHI2 * h, c
-    return c, hi, h, d, c + _INV_PHI * h
-
-
-def _points_ahead(lo, hi, h, c, d, steps: int) -> list[float]:
-    """Every point that the next `steps` golden steps from the bracket
-    (lo, hi, h, c, d) could ask for: each step is followed both ways, so
-    each step ahead doubles the points it may need."""
-    if steps == 0 or not h > _TOL * max(abs(lo), abs(hi)):
-        return []
-    points = []
-    for c_wins in (True, False):
-        state = _golden_step(lo, hi, h, c, d, c_wins)
-        points += [state[3] if c_wins else state[4], *_points_ahead(*state, steps - 1)]
-    return points
-
-
-def _golden_max(fun, lo: float, hi: float) -> float:
-    """Golden-section maximizer of fun over [lo, hi], to a relative _TOL or
-    until the bracket stops narrowing.
-
-    fun takes an array of points and returns their values. The iterates are
-    those of the one-point search, which asks for one new point per step.
-    When a step asks for a point not yet known, one call evaluates it
-    together with every point that the next _LOOKAHEAD - 1 steps could ask
-    for; the lookahead follows the bracket alone, both ways at each step
-    (1 + 2 + 4 points; the first call takes both starting points and two
-    steps ahead). The steps then read their values from that batch. fun
-    must give each point the value it gives that point alone, so every
-    comparison, and the returned midpoint, is the one-point search's bit
-    for bit.
-    """
-    known = {}
-    h = hi - lo
-    c = lo + _INV_PHI2 * h
-    d = lo + _INV_PHI * h
-    # closing in on 0 the relative test never ends the search, so it also
-    # ends once a step no longer narrows the bracket in float
-    width = math.inf
-    while True:
-        need = [x for x in (c, d) if x not in known]
-        if need:
-            ahead = [*need, *_points_ahead(lo, hi, h, c, d, _LOOKAHEAD - 1)]
-            known.update(zip(ahead, fun(np.array(ahead)).tolist()))
-        if not (h > _TOL * max(abs(lo), abs(hi)) and hi - lo < width):
-            return 0.5 * (lo + hi)
-        width = hi - lo
-        lo, hi, h, c, d = _golden_step(lo, hi, h, c, d, known[c] > known[d])
-
-
 def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     """points values log-spaced from lo to hi, or points + 1 when lo is 0:
     the optimizer's coarse grid, and the CLI's log sweep.
@@ -214,6 +149,38 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     return grid
 
 
+def _zoom_max(rates_at, xs: np.ndarray) -> tuple[RatePoint, int]:
+    """The best point of a zoom that starts from the points xs: the batch
+    and the index in it of the largest rate any round evaluated, the
+    earliest on a tie.
+
+    rates_at takes an array of points and returns a RatePoint of arrays.
+    Each round after the first evaluates _ROUND_POINTS points evenly spaced
+    across the neighbours of the last round's best point, until that bracket
+    is a relative _TOL wide or no longer narrows in float. A round after the
+    first whose best point is an end of xs also ends the zoom: the rate falls
+    from that end across the round's spacing, and narrower rounds there would
+    only pick out the rate's float noise, so an optimum at an end of the
+    range comes back as that end exactly.
+    """
+    ends = (xs[0], xs[-1])
+    best, best_k = None, 0
+    # closing in on 0 the relative test never ends the zoom, so it also ends
+    # once a round no longer narrows the bracket in float
+    width = math.inf
+    while True:
+        batch = rates_at(xs)
+        k = int(np.argmax(batch.skr))
+        if best is None or batch.skr[k] > best.skr[best_k]:
+            best, best_k = batch, k
+        lo, hi = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, xs.size - 1)])
+        at_end = width < math.inf and xs[k] in ends
+        if at_end or not (hi - lo > _TOL * max(abs(lo), abs(hi)) and hi - lo < width):
+            return best, best_k
+        width = hi - lo
+        xs = np.linspace(lo, hi, _ROUND_POINTS)
+
+
 def optimize_brightness(
     f_e: float,
     params: SystemParams,
@@ -221,28 +188,16 @@ def optimize_brightness(
 ) -> OptimizeResult:
     """Maximize the secret key rate over the source brightness.
 
-    A log-spaced coarse grid locates the bracketing interval (the rate is
-    unimodal in N_S: BER improvement against Holevo growth); golden-section
-    search then refines the maximizer to a relative 1e-6. An
-    everywhere-negative range is not an error; the best point is returned
-    flagged.
+    A log-spaced coarse grid locates the optimum (the rate is unimodal in
+    N_S: BER improvement against Holevo growth); rounds of evenly spaced
+    points then zoom in on it to a relative 1e-6, one rate call a round.
+    The result is the best point any round evaluated, read from its round's
+    arrays, which equal the scalar call bit for bit. An everywhere-negative
+    range is not an error; the best point is returned flagged.
     """
-    grid = search_grid(n_s_range)
-
-    def skr_at(x: np.ndarray) -> np.ndarray:
-        return skr_lower_bound(x, f_e, params).skr
-
-    vals = skr_lower_bound(grid, f_e, params).skr
-    best = int(np.argmax(vals))
-    bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, grid.size - 1)]
-    n_s_opt = _golden_max(skr_at, float(bracket_lo), float(bracket_hi))
-    point = skr_lower_bound(n_s_opt, f_e, params)
-    if point.skr < vals[best]:
-        # golden refinement can only improve on the grid seed; keep the seed otherwise
-        n_s_opt = float(grid[best])
-        point = skr_lower_bound(n_s_opt, f_e, params)
-    return OptimizeResult(n_s_opt=n_s_opt, point=point, positive_key=point.skr > 0.0)
+    batch, k = _zoom_max(lambda xs: skr_lower_bound(xs, f_e, params), search_grid(n_s_range))
+    point = RatePoint(**{f.name: getattr(batch, f.name)[k].item() for f in fields(batch)})
+    return OptimizeResult(n_s_opt=point.n_s, point=point, positive_key=point.skr > 0.0)
 
 
 def pirandola_limit(kappa: float) -> float:

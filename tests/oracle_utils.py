@@ -9,8 +9,6 @@ deliberately independent of the package's Cholesky-and-SVD route.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Q(x) = erfc(x/sqrt(2))/2 from x = 0 into the far tail, where Q is
@@ -40,6 +38,13 @@ Q_ORACLE = {
     7.5: 3.1908916729108962e-14,
     8.0: 6.2209605742717841e-16,
 }
+
+# The key-rate optimum at configs/default.json with n_sigma = 1 (f_E =
+# 0.0007 + 0.002), from a 50-digit mpmath model fed the float parameters
+# exactly: Q by erfc, chi from sqrt(eig(V_x V_p)) of both covariances, and a
+# golden-section search on SKE to 1e-22 in N_S.
+OPT_N_S_AT_N_SIGMA_1 = 0.0082437464927250538
+OPT_SKE_AT_N_SIGMA_1 = 0.55767829528622481
 
 ERFC_ORACLE = {
     0.0: 1.0,
@@ -150,29 +155,3 @@ def block_spectrum(entries, dps=50):
     v_p = mp.matrix(entries[1::2, 1::2].tolist())
     eigs = mp.eig(v_x * v_p, left=False, right=False)
     return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)
-
-
-def frozen_golden_max(fun, lo, hi):
-    """The one-point golden-section search the optimizer's batched search
-    must reproduce: fun(x) of one point per step, to a relative 1e-6 or
-    until a step no longer narrows the bracket in float."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    h = hi - lo
-    c = lo + inv_phi2 * h
-    d = lo + inv_phi * h
-    yc = fun(c)
-    yd = fun(d)
-    width = math.inf
-    while h > 1e-6 * max(abs(lo), abs(hi)) and hi - lo < width:
-        width = hi - lo
-        h *= inv_phi
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            c = lo + inv_phi2 * h
-            yc = fun(c)
-        else:
-            lo, c, yc = c, d, yd
-            d = lo + inv_phi * h
-            yd = fun(d)
-    return 0.5 * (lo + hi)
