@@ -3,24 +3,14 @@
 The full-stream simulator draws every idler event of the run, filters each
 detector's whole stream, and counts coincidences with count_coincidences
 directly. The library draws the idler stream only around the coincidence
-windows; both must give the same distribution of the six counts.
-
-frozen_draw_idler and frozen_count_coincidences are an earlier form of the
-library's idler rounds and coincidence count: each round labels the whole
-partnered pool and argsorts the points of every open stretch, and each
-trigger takes two searches. Run in place of the library's, they must give
-the same counts, field for field, on every seed. frozen_draw_idler returns
-only its drawn events, as the library's does; the engine merges every
-partnered event itself.
-frozen_poisson_times is the earlier draw on a list of intervals, which the
-library's _draw_spans must match time for time. frozen_window_hulls builds
-the hulls the idler is drawn on from an argsort of all window starts and a
-running maximum of their ends; the library's _window_hulls, which sorts the
-window centers, must give float-identical hulls.
+windows; both must give the same distribution of the six counts, and the
+same counts on shared draws.
 
 dead_time_sequential and count_coincidences_sequential are the detector
-rules written as one loop over the events; the library's vectorized
-dead_time_filter and count_coincidences must give bit-identical results.
+rules written as one loop over the events, and gap_tests_sequential the
+idler rounds' gap test written as one loop over the stretches; the
+library's vectorized dead_time_filter, count_coincidences and _gap_tests
+must give bit-identical results.
 """
 
 from __future__ import annotations
@@ -61,97 +51,6 @@ def simulate_full_stream(cfg: monitor.MonitorSimConfig) -> monitor.MonitorCounts
     return full_stream_counts(cfg, draws)
 
 
-def frozen_poisson_times(rng, rate, t0, t1):
-    """Sorted event times of a Poisson process of the given rate on the
-    disjoint intervals [t0[k], t1[k]): one draw over the intervals laid end
-    to end, mapped back; scalars give one interval."""
-    t0 = np.atleast_1d(np.asarray(t0, np.float64))
-    t1 = np.atleast_1d(np.asarray(t1, np.float64))
-    if rate <= 0.0 or t0.size == 0:
-        return np.empty(0, np.float64)
-    ends = np.cumsum(t1 - t0)
-    n = rng.poisson(rate * ends[-1])
-    u = rng.uniform(0.0, ends[-1], n)
-    u.sort()
-    k = np.minimum(np.searchsorted(ends, u, "right"), t0.size - 1)
-    times = t0[k] + (u - np.concatenate(([0.0], ends[:-1]))[k])
-    # in order already, but for rounding where two intervals touch
-    times.sort(kind="stable")
-    return times
-
-
-def frozen_draw_idler(rng, rate, lo, hi, paired, dead_time):
-    """The windowed idler rounds, every open stretch in every round; returns
-    the drawn idler events, sorted."""
-    start = lo.copy()
-    bound = np.concatenate(([0.0], hi[:-1]))
-    after = lo.copy()
-    todo = np.arange(lo.size)
-    top = hi
-    reach = 2.0 * dead_time
-    drawn = []
-    while todo.size:
-        new = np.maximum(bound[todo], lo[todo] - reach)
-        events = monitor._draw_spans(rng, rate, new, top)[0]
-        drawn.append(events)
-        old = start[todo]
-        times = np.concatenate((events, paired))
-        label = np.concatenate(
-            (np.searchsorted(new, events, "right"), np.searchsorted(new, paired, "right"))
-        ) - 1
-        inside = (label >= 0) & (times < old[label])
-        own = np.arange(todo.size)
-        points = np.concatenate((new, times[inside], after[todo]))
-        owner = np.concatenate((own, label[inside], own))
-        order = np.argsort(points, kind="stable")
-        points, owner = points[order], owner[order]
-        head = (owner[1:] == owner[:-1]) & (points[1:] >= points[:-1] + dead_time)
-        done = new <= bound[todo]
-        done[owner[1:][head]] = True
-        after[todo] = points[np.searchsorted(owner, own) + 1]
-        start[todo] = new
-        top = new[~done]
-        todo = todo[~done]
-        reach *= 2.0
-    bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
-    bulk.sort()
-    return bulk
-
-
-def frozen_window_hulls(arms, half_window, shift, duration):
-    """The hulls by an argsort of all window starts and a running maximum of
-    their ends: each run of windows clipped to the run, the empty ones
-    dropped, then the union of the four runs."""
-    runs = []
-    for triggers in arms:
-        for offset in (0.0, shift):
-            lo, hi = monitor._window_edges(triggers, half_window, offset)
-            lo, hi = np.maximum(lo, 0.0), np.minimum(hi, duration)
-            keep = hi > lo
-            runs.append((lo[keep], hi[keep]))
-    lo = np.concatenate([lo for lo, _ in runs])
-    hi = np.concatenate([hi for _, hi in runs])
-    if lo.size == 0:
-        return lo, hi
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    reach = np.maximum.accumulate(hi[order])
-    first = np.flatnonzero(np.concatenate(([True], lo[1:] > reach[:-1])))
-    return lo[first], reach[np.append(first[1:] - 1, lo.size - 1)]
-
-
-def frozen_count_coincidences(triggers, partners, half_window, offset):
-    """Triggers with a partner in their window, by two searches each."""
-    triggers = np.ascontiguousarray(triggers, np.float64)
-    partners = np.ascontiguousarray(partners, np.float64)
-    if triggers.size == 0 or partners.size == 0:
-        return 0
-    d = triggers - float(offset)
-    first = np.searchsorted(partners, d - float(half_window), "left")
-    last = np.searchsorted(partners, d + float(half_window), "right")
-    return int(np.count_nonzero(last > first))
-
-
 def dead_time_sequential(times, dead_time):
     # non-paralyzable: accept the first event at or after the free time,
     # then block for dead_time
@@ -182,3 +81,24 @@ def count_coincidences_sequential(triggers, partners, half_window, offset):
         if j < n and partners[j] <= hi:
             count += 1
     return count
+
+
+def gap_tests_sequential(times, label, new, old, after, dead_time):
+    # stretch k's stream is its times before old[k]. It shows a gap when one
+    # of new[k] -> its first time, a time -> the next, and its last time ->
+    # after[k] (new[k] -> after[k] when it holds none) is >= dead_time, and
+    # its first time (or after[k]) comes back with the answer
+    done = np.zeros(new.size, bool)
+    first = np.array(after, np.float64)
+    i = 0
+    for k in range(new.size):
+        edges = [new[k]]
+        while i < times.size and label[i] == k:
+            if times[i] < old[k]:
+                edges.append(times[i])
+            i += 1
+        edges.append(after[k])
+        done[k] = any(b >= a + dead_time for a, b in zip(edges[:-1], edges[1:]))
+        if len(edges) > 2:
+            first[k] = edges[1]
+    return done, first

@@ -18,11 +18,12 @@ from flqkd.monitor import (
     MonitorCounts,
     MonitorSimConfig,
     SweepRow,
+    dead_time_filter,
     estimate_fe,
     simulate_monitor,
     sweep_injection,
 )
-from monitor_oracle import frozen_draw_idler, frozen_poisson_times, frozen_window_hulls
+from monitor_oracle import gap_tests_sequential
 
 BASE = MonitorSimConfig(
     pair_rate=2.0e5,
@@ -503,21 +504,30 @@ def _arms(*arms):
 def test_window_hulls_hold_every_counted_window(case):
     # the idler is drawn only on the hulls, so every window that
     # count_coincidences looks in must lie inside one hull, to the bit; the
-    # hulls are sorted and disjoint, and equal the frozen union's
+    # hulls are sorted and disjoint, and each is the union of the windows
+    # inside it: it starts where one starts, ends where one ends, and they
+    # leave no gap in it
     arms, half_window, shift, duration = case
     lo, hi = monitor._window_hulls(arms, half_window, shift, duration)
-    frozen = frozen_window_hulls(arms, half_window, shift, duration)
-    assert (_hex(lo), _hex(hi)) == (_hex(frozen[0]), _hex(frozen[1]))
     assert np.all(lo[1:] > hi[:-1])
-    for triggers in arms:
-        for offset in (0.0, shift):
-            w_lo, w_hi = monitor._window_edges(triggers, half_window, offset)
-            w_lo, w_hi = np.maximum(w_lo, 0.0), np.minimum(w_hi, duration)
-            counted = w_hi > w_lo
-            w_lo, w_hi = w_lo[counted], w_hi[counted]
-            k = np.searchsorted(lo, w_lo, "right") - 1
-            assert np.all(k >= 0)
-            assert np.all(w_hi <= hi[k])
+    edges = [monitor._window_edges(t, half_window, offset) for t in arms for offset in (0.0, shift)]
+    w_lo = np.maximum(np.concatenate([e[0] for e in edges]), 0.0)
+    w_hi = np.minimum(np.concatenate([e[1] for e in edges]), duration)
+    counted = w_hi > w_lo
+    order = np.argsort(w_lo[counted], kind="stable")
+    w_lo, w_hi = w_lo[counted][order], w_hi[counted][order]
+    k = np.searchsorted(lo, w_lo, "right") - 1
+    assert np.all(k >= 0)
+    assert np.all(w_hi <= hi[k])
+    # every hull holds a window; as the hulls are disjoint, the running
+    # maximum of the ends is each hull's own from its first window on
+    first = np.flatnonzero(np.diff(k, prepend=-1))
+    last = np.flatnonzero(np.diff(k, append=lo.size))
+    reach = np.maximum.accumulate(w_hi)
+    assert np.array_equal(k[first], np.arange(lo.size))
+    assert np.array_equal(w_lo[first], lo) and np.array_equal(reach[last], hi)
+    inner = k[1:] == k[:-1]
+    assert np.all(w_lo[1:][inner] <= reach[:-1][inner])
 
 
 @st.composite
@@ -548,14 +558,19 @@ def _touching_spans(n, ulps):
 
 @given(span_layouts(), st.sampled_from([0, 1, 40, 400]), st.integers(0, 2**32 - 1))
 # more events than one chunk of the mapping, many rounding onto the next
-# span's start and out of order
+# span's start, all still in order
 @example(_touching_spans(4, 8), 3 * monitor._CHUNK, 7)
 def test_draw_spans_equals_the_multi_interval_draw(layout, expected_events, seed):
+    # one Poisson draw over the spans laid end to end, mapped back in order;
+    # a time can round onto its span's end
     t0, t1 = layout
     spans = t0.tobytes(), t1.tobytes()
-    rate = expected_events / np.cumsum(t1 - t0)[-1]
+    total = np.cumsum(t1 - t0)[-1]
+    rate = expected_events / total
     times, span = monitor._draw_spans(np.random.default_rng(seed), rate, t0, t1)
-    assert _hex(times) == _hex(frozen_poisson_times(np.random.default_rng(seed), rate, t0, t1))
+    assert times.size == np.random.default_rng(seed).poisson(rate * total)
+    assert np.all(times[1:] >= times[:-1])
+    assert np.all(t0[span] <= times) and np.all(times <= t1[span])
     assert np.array_equal(span, np.searchsorted(t0, times, "right") - 1)
     # the draw is mapped back in place, and the spans are only read
     assert (t0.tobytes(), t1.tobytes()) == spans
@@ -585,42 +600,89 @@ def hull_layouts(draw):
     return np.array(lo), np.array(hi), paired, dead_time
 
 
-def _many_hulls(n, dead_time, seed):
-    """n hulls of 1e-3 dead times, 3 dead times apart on average, with one
-    partnered event per 4 hulls anywhere among them."""
-    rng = np.random.default_rng(seed)
-    lo = np.cumsum(rng.exponential(3.0 * dead_time, n)) + dead_time
-    hi = lo + 1e-3 * dead_time
-    return lo, hi, np.sort(rng.uniform(0.0, hi[-1], n // 4)), dead_time
-
-
 @given(hull_layouts(), st.sampled_from([0.0, 0.5, 2.0, 6.0]), st.integers(0, 2**32 - 1))
-# a gap of exactly one dead time frees the detector (the head rule's >=):
-# at a stream's first event, and between two events of one stream
-@example((np.array([1.0]), np.array([1.5]), np.array([0.75]), 0.25), 0.5, 1)
-@example((np.array([1.0, 3.0]), np.array([1.5, 3.5]), np.array([0.5, 0.75, 2.5]), 0.25), 0.5, 4)
-def test_draw_idler_draws_the_events_the_frozen_rounds_draw(layout, load, seed):
-    # the partnered events steer which stretches settle, so they change the
-    # draws, not only the gap tests
+def test_draw_idler_keeps_in_every_hull_what_the_full_stream_keeps(layout, load, seed):
+    # the rounds cut their draws from one whole-run idler-only stream; no
+    # span is drawn twice, and with the partnered events merged in, the
+    # dead-time filter keeps in every hull what it keeps in the whole stream.
+    # The rounds read the hulls and partnered events and write none
     lo, hi, paired, dead_time = layout
+    lo, hi, paired = _read_only(lo), _read_only(hi), _read_only(paired)
+    rng = np.random.default_rng(seed)
     rate = load / (dead_time or 1.0)
-    inputs = _hex(lo), _hex(hi), _hex(paired)
-    bulk = monitor._draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
-    frozen = frozen_draw_idler(np.random.default_rng(seed), rate, lo, hi, paired, dead_time)
-    assert _hex(bulk) == _hex(frozen)
-    # the rounds read the caller's hulls and partnered events and write none
-    assert (_hex(lo), _hex(hi), _hex(paired)) == inputs
+    whole = np.sort(rng.uniform(0.0, hi[-1], rng.poisson(rate * hi[-1])))
+    spans = []
+
+    def cut(_rng, _rate, t0, t1):
+        spans.append((t0.copy(), t1.copy()))
+        k = np.searchsorted(t0, whole, "right") - 1
+        inside = (k >= 0) & (whole < t1[np.maximum(k, 0)])
+        return whole[inside], k[inside]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monitor, "_draw_spans", cut)
+        bulk = monitor._draw_idler(None, rate, lo, hi, paired, dead_time)
+    t0, t1 = (np.concatenate(edge) for edge in zip(*spans))
+    order = np.argsort(t0, kind="stable")
+    assert np.all(t0[order][1:] >= t1[order][:-1])
+    kept = dead_time_filter(monitor._merge_sorted(bulk, paired), dead_time)[0]
+    full = dead_time_filter(np.sort(np.concatenate((whole, paired))), dead_time)[0]
+    for a, b in zip(lo, hi):
+        assert _hex(kept[(kept >= a) & (kept <= b)]) == _hex(full[(full >= a) & (full <= b)])
 
 
-def test_draw_idler_draws_the_frozen_rounds_events_across_chunks():
-    # rounds of more events and stretches than one chunk of their gap tests,
-    # with stretches that span a chunk's end
-    lo, hi, paired, dead_time = _many_hulls(3 * monitor._CHUNK, 0.25, 1)
-    rate = 3.0 / dead_time
-    bulk = monitor._draw_idler(np.random.default_rng(11), rate, lo, hi, paired, dead_time)
-    frozen = frozen_draw_idler(np.random.default_rng(11), rate, lo, hi, paired, dead_time)
-    assert bulk.size > 4 * monitor._CHUNK
-    assert np.array_equal(bulk.view(np.uint64), frozen.view(np.uint64))
+@st.composite
+def gap_layouts(draw):
+    """One round's gap-test inputs on a grid of 1/8, read-only: stretches
+    with new <= old <= after, each span [new, next stretch's new) holding
+    sorted times, some at or after old, and a dead time of 0 to 4 ticks, so
+    that gaps of exactly one dead time are common."""
+    new, old, after, times, label = [], [], [], [], []
+    t = draw(st.sampled_from([0, 8000]))
+    for k in range(draw(st.integers(1, 6))):
+        new.append(t)
+        old.append(t + draw(st.integers(0, 6)))
+        after.append(old[-1] + draw(st.integers(0, 3)))
+        span = sorted(draw(st.lists(st.integers(t, after[-1] + 2), max_size=8)))
+        times += span
+        label += [k] * len(span)
+        t = max([after[-1]] + span) + draw(st.integers(1, 3))
+    times, new, old, after = (_read_only(np.array(v, np.float64) / 8.0) for v in (times, new, old, after))
+    return times, _read_only(np.array(label, np.int32)), new, old, after, draw(st.integers(0, 4)) / 8.0
+
+
+def _one_stretch(times, old, after):
+    """The gap-test inputs of one stretch from new = 0, dead time 1/4."""
+    times = np.array(times, np.float64)
+    arrays = times, np.zeros(times.size, np.int32), np.zeros(1), np.array([old]), np.array([after])
+    return *(_read_only(a) for a in arrays), 0.25
+
+
+def _chunk_crossing_round():
+    """_CHUNK stretches 1 apart, each with three times 1/8 apart before old
+    = new + 1/2, after = new + 9/16 and dead time 1/4: every gap is short, so
+    no stretch settles. Of the 3 * _CHUNK times, the first chunk ends on a
+    stretch's second time and the second on a stretch's first."""
+    new = np.arange(monitor._CHUNK, dtype=np.float64)
+    times = (new[:, None] + np.array([0.125, 0.25, 0.375])).ravel()
+    label = np.repeat(np.arange(new.size, dtype=np.int32), 3)
+    return *(_read_only(a) for a in (times, label, new, new + 0.5, new + 0.5625)), 0.25
+
+
+@given(gap_layouts())
+# a gap of exactly one dead time frees the detector (the head rule's >=):
+# from new to a stream's first time, between two times, from its last time
+# to after, and from new to after in an empty stream
+@example(_one_stretch([0.25], 0.375, 0.375))
+@example(_one_stretch([0.125, 0.375], 0.5, 0.5))
+@example(_one_stretch([0.125], 0.375, 0.375))
+@example(_one_stretch([], 0.25, 0.25))
+@example(_chunk_crossing_round())
+def test_gap_tests_equal_the_sequential_rule(case):
+    done, first = monitor._gap_tests(*case)
+    expected_done, expected_first = gap_tests_sequential(*case)
+    assert done.tolist() == expected_done.tolist()
+    assert _hex(first) == _hex(expected_first)
 
 
 class _FixedDraw:
@@ -645,6 +707,19 @@ def test_draw_spans_relabels_a_time_that_rounds_into_the_next_span():
     t1 = t0 + 8 * ulp
     sample = [2.25 * ulp, np.nextafter(8 * ulp, 0.0), 10.25 * ulp]
     times, span = monitor._draw_spans(_FixedDraw(sample), 1.0, t0, t1)
-    assert _hex(times) == _hex(frozen_poisson_times(_FixedDraw(sample), 1.0, t0, t1))
-    assert times[1] == t0[1]
+    assert times.tolist() == [t0[0] + sample[0], t0[1], (sample[2] - 8 * ulp) + t0[1]]
     assert span.tolist() == [0, 1, 1]
+
+
+def test_draw_spans_sorts_a_time_that_rounds_past_the_next_spans_start():
+    # three touching spans [0, a), [a, b), [b, b + 1). b - a falls halfway
+    # between two floats and rounds up, and a plus it, b + ulp/2, rounds up
+    # to b + ulp; so does the running length a + (b - a). The last sample of
+    # [a, b) then maps to b + ulp and moves to [b, b + 1), whose first
+    # sample maps to b, so the mapped times come out of order
+    a, b = float.fromhex("0x1.000000000000cp-1"), float.fromhex("0x1.4000000000001p+2")
+    t0, t1 = np.array([0.0, a, b]), np.array([a, b, b + 1.0])
+    end = a + (b - a)
+    times, span = monitor._draw_spans(_FixedDraw([np.nextafter(end, 0.0), end]), 1.0, t0, t1)
+    assert times.tolist() == [b, np.nextafter(b, np.inf)]
+    assert span.tolist() == [2, 2]
