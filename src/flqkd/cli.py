@@ -137,7 +137,7 @@ def _cmd_limit(cfg: RunConfig):
         "kappa": [cfg.system.kappa],
         "limit_bits_per_mode": [limit],
         "ske": [ske],
-        "advantage_db": [10.0 * math.log10(ske / limit) if ske > 0 else float("nan")],
+        "advantage_db": [10.0 * math.log10(ske / limit) if best.positive_key else float("nan")],
         "positive_key": [best.positive_key],
     }
     chart = dict(

@@ -306,10 +306,10 @@ def _poisson_times(rng: np.random.Generator, rate: float, length: float) -> np.n
 
 def _draw_spans(rng, rate, t0, t1):
     """Sorted event times of a Poisson process of the given rate on the
-    disjoint, nonempty list of spans [t0[k], t1[k]), ordered by start, and
-    the span of each time: np.searchsorted(t0, times, "right") - 1. Besides
-    the two results, it holds the spans' running lengths, and one chunk
-    while it maps the draw back."""
+    disjoint, nonempty list of spans [t0[k], t1[k]], ordered by start, and
+    the span of each time: np.searchsorted(t0, times, "right") - 1; a time
+    can round onto its own span's end. Besides the two results, it holds
+    the spans' running lengths, and one chunk while it maps the draw back."""
     # one draw over the spans laid end to end, then mapped back; ends[k] is
     # where span k starts in the draw
     ends = np.empty(t0.size + 1)
@@ -320,8 +320,10 @@ def _draw_spans(rng, rate, t0, t1):
     last = t0.size - 1
     np.minimum(span, last, out=span)
     # in order and in their spans already, but for rounding where two spans
-    # touch or lie an ulp apart: a time can round onto the next span's start
-    # (never below its own, as u - ends[k] >= 0 for u >= ends[k])
+    # touch or lie an ulp apart: a time can round onto the next span's start,
+    # or, where touching spans' length rounds up at a tie, one ulp past it,
+    # out of order with that span's first times until the re-sort below
+    # (never below its own span's start, as u - ends[k] >= 0 for u >= ends[k])
     buf = np.empty(min(times.size, _CHUNK))
     for a in range(0, times.size, _CHUNK):
         t, k = times[a : a + _CHUNK], span[a : a + _CHUNK]

@@ -11,14 +11,67 @@ rules written as one loop over the events, and gap_tests_sequential the
 idler rounds' gap test written as one loop over the stretches; the
 library's vectorized dead_time_filter, count_coincidences and _gap_tests
 must give bit-identical results.
+
+It also holds the runs and helpers the monitor's tests share: the unit
+tests' base run, the acceptance gate's operating point and its idler-saturated
+twin (which the benchmark's monitor workloads time), the live rate of a
+non-paralyzable detector, and read_only.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from flqkd import monitor
 from flqkd.monitor import count_coincidences, dead_time_filter
+
+# the monitor unit tests' base run: one second of a 2e5/s source
+BASE = monitor.MonitorSimConfig(
+    pair_rate=2.0e5,
+    ase_rate_at_source=2.0e5,
+    kappa=0.5,
+    f_e_true=0.0,
+    tap_alice=1e-3,
+    tap_bob=1e-3,
+    det_eff_idler=0.9,
+    det_eff_alice=0.9,
+    det_eff_bob=0.9,
+    dead_time=5e-8,
+    coinc_window=1e-9,
+    shift_offset=2e-7,
+    duration=1.0,
+    rng_seed=0,
+)
+# the acceptance bias gate's operating point, >= 1e4 expected coincidences
+# on each arm in its 51 s
+NOMINAL_POINT = replace(
+    BASE,
+    pair_rate=2.46e5,
+    ase_rate_at_source=2.46e5,
+    kappa=0.9,
+    det_eff_idler=0.95,
+    det_eff_alice=0.95,
+    det_eff_bob=0.95,
+    duration=51.0,
+    rng_seed=271828,
+)
+# the same source with the idler detector saturated (idler rate x dead time
+# ~1.2) and a shift that clears the dead-time shadow
+SATURATED_POINT = replace(NOMINAL_POINT, dead_time=5e-6, shift_offset=2e-5)
+
+
+def live_rate(rate, dead_time):
+    """The rate a non-paralyzable detector of the given dead time counts
+    when events reach it at the given rate."""
+    return rate / (1.0 + rate * dead_time)
+
+
+def read_only(a):
+    """a, made read-only: a kernel that writes into its input then raises."""
+    a.setflags(write=False)
+    return a
 
 
 def full_stream_counts(cfg: monitor.MonitorSimConfig, draws) -> monitor.MonitorCounts:

@@ -5,11 +5,43 @@ tests compare the package's own routines against these constants so the
 suite does not depend on mpmath being importable at collection time.
 The brute-force symplectic solvers below *do* use mpmath and are kept
 deliberately independent of the package's Cholesky-and-SVD route.
+
+It also holds the inputs that the key-rate and CLI tests share: the M = 2e4
+system the frozen values are computed at, the fast monitor configuration,
+the repository root, and the benchmark's workload definitions.
 """
 
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
+
 import numpy as np
+
+from flqkd.eve import SystemParams
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# a monitor-sim run of two 1.5 s trials at one fraction
+FAST_MONITOR = {
+    "system": {"kappa": 0.5},
+    "monitor": {
+        "pair_rate": 2e5,
+        "ase_rate_at_source": 2e5,
+        "duration": 1.5,
+        "trials": 2,
+        "sweep_f_e": [0.5],
+        "rng_seed": 4242,
+    },
+}
+
+
+def bench_workloads() -> dict:
+    """The globals of perfbench/workloads.py, run from its source: the
+    benchmark's trial length, operating points and strata. The file is only
+    read; no bytecode is written beside it."""
+    return runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+
 
 # Q(x) = erfc(x/sqrt(2))/2 from x = 0 into the far tail, where Q is
 # below 1e-15.
@@ -64,9 +96,20 @@ ERFC_ORACLE = {
     10.0: 2.0884875837625448e-45,
 }
 
-# Alice's BER at N_S = 0.01 (200 photons per bit when W = 2e12, R = 1e8)
-# with M = 2e4, kappa = 0.1, eta = 0.9, kappa_B = 0.71, G_B = 3.8e3,
-# N_B = 9.7e3.
+# configs/default.json's system read at M = 2e4 (W = 2.0 THz, not 2.2);
+# the 200-photons-per-bit anchor below assumes it
+PARAMS = SystemParams(
+    W=2.0e12,
+    R=1e8,
+    kappa=0.1,
+    eta=0.9,
+    kappa_B=0.71,
+    G_B=3.8e3,
+    N_B=9.7e3,
+    beta=0.94,
+)
+
+# Alice's BER at N_S = 0.01 (200 photons per bit).
 BER_AT_200PPB = 0.021570136673656913
 
 G_HALF = 1.3774437510817343          # thermal entropy at N = 0.5

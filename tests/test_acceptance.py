@@ -17,35 +17,15 @@ from dataclasses import replace
 import numpy as np
 
 import oracle_utils as ou
-from flqkd.cli import main
-from flqkd.eve import SystemParams, attack_state, holevo_bound
+from flqkd.cli import _IMPL, main
+from flqkd.eve import attack_state, holevo_bound
 from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, von_neumann_entropy
-from flqkd.monitor import MonitorSimConfig, sweep_injection
+from flqkd.monitor import sweep_injection
 from flqkd.rates import alice_ber, optimize_brightness, pirandola_limit, q_function
+from monitor_oracle import NOMINAL_POINT
 
-_COMMON = dict(kappa=0.1, eta=0.9, kappa_B=0.71, G_B=3.8e3, N_B=9.7e3, beta=0.94)
 # W = 2.2 THz reading (M = 22000) and M = 2.0e4 reading (W = 2.0 THz)
-PARAM_SETS = {
-    "M=22000": SystemParams(W=2.2e12, R=1e8, **_COMMON),
-    "M=20000": SystemParams(W=2.0e12, R=1e8, **_COMMON),
-}
-
-BIAS_CONFIG = MonitorSimConfig(
-    pair_rate=2.46e5,
-    ase_rate_at_source=2.46e5,
-    kappa=0.9,
-    f_e_true=0.0,
-    tap_alice=1e-3,
-    tap_bob=1e-3,
-    det_eff_idler=0.95,
-    det_eff_alice=0.95,
-    det_eff_bob=0.95,
-    dead_time=5e-8,
-    coinc_window=1e-9,
-    shift_offset=2e-7,
-    duration=51.0,
-    rng_seed=271828,
-)
+PARAM_SETS = {"M=22000": replace(ou.PARAMS, W=2.2e12), "M=20000": ou.PARAMS}
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -159,7 +139,7 @@ def test_ber_and_q_function_oracles(capsys):
 
 
 def test_monitor_estimator_bias(capsys):
-    cfg = BIAS_CONFIG
+    cfg = NOMINAL_POINT
     det_i = cfg.pair_rate * cfg.det_eff_idler
     expected_a = det_i * cfg.tap_alice * cfg.det_eff_alice * cfg.duration
     expected_b = (
@@ -181,7 +161,7 @@ def test_monitor_estimator_bias(capsys):
 
 
 def test_monitor_calibration_free(capsys):
-    base = replace(BIAS_CONFIG, duration=30.0, f_e_true=0.5)
+    base = replace(NOMINAL_POINT, duration=30.0, f_e_true=0.5)
 
     def suite(cfg, seed):
         row = sweep_injection(replace(cfg, rng_seed=seed), [0.5], trials=16)[0]
@@ -205,18 +185,10 @@ def test_monitor_calibration_free(capsys):
 
 
 def test_cli_determinism(capsys, tmp_path):
-    cfg = {
-        "system": {"kappa": 0.5},
-        "sweep": {"points": 16},
-        "monitor": {
-            "pair_rate": 2e5, "ase_rate_at_source": 2e5,
-            "duration": 1.5, "trials": 2, "sweep_f_e": [0.5], "rng_seed": 4242,
-        },
-    }
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(dict(ou.FAST_MONITOR, sweep={"points": 16})))
     ok = True
-    for command in ("rate-curve", "optimize", "ber-curve", "monitor-sim", "limit"):
+    for command in _IMPL:
         pair = []
         for tag in ("a", "b"):
             out = tmp_path / f"{command}-{tag}.csv"
@@ -225,5 +197,5 @@ def test_cli_determinism(capsys, tmp_path):
             pair.append(out.read_bytes())
         ok = ok and pair[0] == pair[1]
     capsys.readouterr()
-    _report(capsys, "determinism (all 5 commands byte-identical on re-run)", ok,
-            "rate-curve/optimize/ber-curve/monitor-sim/limit re-run compared")
+    _report(capsys, f"determinism (all {len(_IMPL)} commands byte-identical on re-run)", ok,
+            "/".join(_IMPL) + " re-run compared")

@@ -9,27 +9,13 @@ import stat
 import subprocess
 import warnings
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import pytest
 
-from flqkd.cli import main
+from flqkd.cli import _IMPL, main
 from flqkd.config import MAX_MONITOR_TRIALS, MAX_SWEEP_POINTS, load_run_config
 from cli_cases import CASES
-
-ROOT = Path(__file__).resolve().parents[1]
-
-FAST_MONITOR = {
-    "system": {"kappa": 0.5},
-    "monitor": {
-        "pair_rate": 2e5,
-        "ase_rate_at_source": 2e5,
-        "duration": 1.5,
-        "trials": 2,
-        "sweep_f_e": [0.5],
-        "rng_seed": 4242,
-    }
-}
+from oracle_utils import FAST_MONITOR, ROOT
 
 
 def _cfg(tmp_path, payload, name="cfg.json"):
@@ -361,9 +347,6 @@ def _script(argv, cwd):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-COMMANDS = ["monitor-sim", "rate-curve", "optimize", "ber-curve", "limit"]
-
-
 def _regenerate(command, cwd, run):
     """Run command on configs/default.json with run(argv, cwd), once to
     stdout and once to --out and --svg files, and check each against the
@@ -377,12 +360,12 @@ def _regenerate(command, cwd, run):
         assert (cwd / name).read_bytes() == (ROOT / "outputs" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", list(_IMPL))
 def test_committed_outputs_regenerate(tmp_path, monkeypatch, capsys, command):
     _regenerate(command, tmp_path, _in_process(monkeypatch, capsys))
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", list(_IMPL))
 def test_committed_outputs_regenerate_through_the_script(tmp_path, command):
     _regenerate(command, tmp_path, _script)
 

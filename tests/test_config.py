@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from flqkd.config import DEFAULTS, dump_config, load_run_config
 from flqkd.errors import ConfigError
+from oracle_utils import ROOT
 
-DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+DEFAULT_CONFIG = ROOT / "configs" / "default.json"
 
 
 def _write(tmp_path, payload):

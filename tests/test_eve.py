@@ -23,17 +23,7 @@ from flqkd.eve import (
 )
 from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, thermal_entropy, von_neumann_entropy
 from flqkd.monitor import _detector_loads
-
-PARAMS = SystemParams(
-    W=2.0e12,
-    R=1e8,
-    kappa=0.1,
-    eta=0.9,
-    kappa_B=0.71,
-    G_B=3.8e3,
-    N_B=9.7e3,
-    beta=0.94,
-)
+from oracle_utils import PARAMS
 
 # index pairs carrying the Alice<->Bob and idler<->Bob correlations
 _C_AB_POS = [(0, 4), (4, 0), (1, 5), (5, 1)]
@@ -349,20 +339,16 @@ def test_modes_and_gain_noise_are_derived():
 
 
 def test_parameter_range_checks():
-    good = dict(W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
-                G_B=3.8e3, N_B=9.7e3, beta=0.94)
     for key, bad in [("kappa", 0.0), ("kappa", 1.0), ("eta", 1.5), ("kappa_B", -0.1),
                      ("G_B", 0.0), ("N_B", -1.0), ("beta", 1.01), ("W", 0.0), ("R", 0.0),
                      # gamma = N_B/G_B divides Alice's BER argument
                      ("N_B", 0.0), ("N_B", math.nan),
                      # below the amplifier's noise floor G_B*(1-kappa_B) - 1 = 1101
                      ("N_B", 1100.9)]:
-        kw = dict(good)
-        kw[key] = bad
         with pytest.raises(ValidationError):
-            SystemParams(**kw)
+            replace(PARAMS, **{key: bad})
     # the quantum-limited amplifier itself, although its float floor is 1101.0000000000002
-    SystemParams(**dict(good, N_B=1101.0))
+    replace(PARAMS, N_B=1101.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])

@@ -9,18 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flqkd.monitor import count_coincidences, dead_time_filter
-from monitor_oracle import count_coincidences_sequential, dead_time_sequential
-
-
-def _read_only(*arrays):
-    # a kernel that writes into its input then raises
-    for a in arrays:
-        a.setflags(write=False)
+from monitor_oracle import count_coincidences_sequential, dead_time_sequential, read_only
 
 
 def _assert_matches_oracle(times, dead_time):
     # the chunked short-gap mask and the chase only read times
-    _read_only(times)
+    read_only(times)
     ks, fs = dead_time_sequential(times, dead_time)
     kv, fv = dead_time_filter(times, dead_time)
     assert np.array_equal(ks, kv) and fs == fv
@@ -138,9 +132,8 @@ def test_coincidence_count_equals_sequential_on_a_grid(trigger_ticks, partner_ti
     # dyadic ticks make d - half_window and d + half_window exact, so
     # partners on a window edge and duplicates are common
     tick = 0.125
-    triggers = np.sort(np.array(trigger_ticks, np.float64)) * tick
-    partners = np.sort(np.array(partner_ticks, np.float64)) * tick
-    _read_only(triggers, partners)
+    triggers = read_only(np.sort(np.array(trigger_ticks, np.float64)) * tick)
+    partners = read_only(np.sort(np.array(partner_ticks, np.float64)) * tick)
     args = (triggers, partners, half_ticks * tick, offset_ticks * tick)
     assert count_coincidences(*args) == count_coincidences_sequential(*args)
 
@@ -151,9 +144,8 @@ def test_paths_agree_on_random_streams():
         n = int(rng.integers(0, 400))
         m = int(rng.integers(0, 400))
         scale = 10.0 ** rng.uniform(-3, 0)
-        trig = np.sort(rng.uniform(0.0, 1.0, n)) * scale
-        part = np.sort(rng.uniform(0.0, 1.0, m)) * scale
-        _read_only(trig, part)
+        trig = read_only(np.sort(rng.uniform(0.0, 1.0, n)) * scale)
+        part = read_only(np.sort(rng.uniform(0.0, 1.0, m)) * scale)
         dead = float(rng.uniform(0.0, 0.01)) * scale
         hw = float(rng.uniform(1e-5, 1e-2)) * scale
         off = float(rng.uniform(0.0, 0.1)) * scale

@@ -12,35 +12,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import monitor_oracle
+import oracle_utils as ou
 from flqkd import monitor
 from flqkd.errors import EstimatorUndefinedError, ValidationError
 from flqkd.monitor import (
     MonitorCounts,
-    MonitorSimConfig,
     SweepRow,
     dead_time_filter,
     estimate_fe,
     simulate_monitor,
     sweep_injection,
 )
-from monitor_oracle import gap_tests_sequential
+from monitor_oracle import NOMINAL_POINT, SATURATED_POINT, gap_tests_sequential, live_rate, read_only
 
-BASE = MonitorSimConfig(
-    pair_rate=2.0e5,
-    ase_rate_at_source=2.0e5,
-    kappa=0.5,
-    f_e_true=0.0,
-    tap_alice=1e-3,
-    tap_bob=1e-3,
-    det_eff_idler=0.9,
-    det_eff_alice=0.9,
-    det_eff_bob=0.9,
-    dead_time=5e-8,
-    coinc_window=1e-9,
-    shift_offset=2e-7,
-    duration=10.0,
-    rng_seed=90125,
-)
+# ten seconds of the unit tests' base run
+BASE = replace(monitor_oracle.BASE, duration=10.0, rng_seed=90125)
 
 
 def _counts(f, scale=1):
@@ -269,8 +256,7 @@ def test_shifted_coincidences_match_accidental_scale():
     z = abs(n1 - n2) / math.sqrt(n1 + n2)
     assert z < 4.0
     # and sit near the analytic accidental rate for a dead-time-limited idler
-    r_idler = cfg.pair_rate * cfg.det_eff_idler
-    r_live = r_idler / (1.0 + r_idler * cfg.dead_time)
+    r_live = live_rate(cfg.pair_rate * cfg.det_eff_idler, cfg.dead_time)
     p_hit = 1.0 - math.exp(-r_live * cfg.coinc_window)
     predicted = counts.singles_b * p_hit
     assert 0.7 * predicted < n1 < 1.3 * predicted
@@ -284,30 +270,12 @@ def test_saturation_warning_emitted():
     assert not simulate_monitor(replace(BASE, duration=0.02)).warnings
 
 
-# the benchmark's saturated trial (perfbench/workloads.py): idler rate x
-# dead time ~1.2, 36 s
-BENCH_SATURATED = MonitorSimConfig(
-    pair_rate=2.46e5,
-    ase_rate_at_source=2.46e5,
-    kappa=0.9,
-    f_e_true=0.5,
-    tap_alice=1e-3,
-    tap_bob=1e-3,
-    det_eff_idler=0.95,
-    det_eff_alice=0.95,
-    det_eff_bob=0.95,
-    dead_time=5e-6,
-    coinc_window=1e-9,
-    shift_offset=2e-5,
-    duration=36.0,
-    rng_seed=2024,
-)
-# the benchmark's nominal trial: the acceptance gate's dead time and shift
-BENCH_NOMINAL = replace(BENCH_SATURATED, dead_time=5e-8, shift_offset=2e-7)
+# the benchmark's trials (perfbench/workloads.py) at one f_e_true and seed
+_TRIAL = dict(f_e_true=0.5, duration=ou.bench_workloads()["TRIAL_SECONDS"], rng_seed=2024)
+BENCH_SATURATED = replace(SATURATED_POINT, **_TRIAL)
+BENCH_NOMINAL = replace(NOMINAL_POINT, **_TRIAL)
 # a bright source: nearly every event is a tap event
-TAP_DOMINATED = replace(
-    BENCH_SATURATED, ase_rate_at_source=5e9, dead_time=5e-8, shift_offset=2e-7, f_e_true=0.0, duration=0.02
-)
+TAP_DOMINATED = replace(BENCH_NOMINAL, ase_rate_at_source=5e9, f_e_true=0.0, duration=0.02)
 
 
 def _traced_peak(run):
@@ -446,12 +414,6 @@ def _hex(times):
     return [float.hex(t) for t in times.tolist()]
 
 
-def _read_only(a):
-    """a, made read-only: a kernel that writes into its input then raises."""
-    a.setflags(write=False)
-    return a
-
-
 _TIES = st.lists(st.sampled_from([-0.0, 0.0, 1.0, 1.5, 2.0]), max_size=40)
 
 
@@ -463,8 +425,8 @@ _TIES = st.lists(st.sampled_from([-0.0, 0.0, 1.0, 1.5, 2.0]), max_size=40)
 def test_merge_sorted_places_events_as_np_insert_does(bulk, add):
     # -0.0 and 0.0 tie but differ in their bits, so the hex strings show
     # which stream a tied event came from
-    bulk = _read_only(np.array(sorted(bulk), np.float64))
-    add = _read_only(np.array(sorted(add), np.float64))
+    bulk = read_only(np.array(sorted(bulk), np.float64))
+    add = read_only(np.array(sorted(add), np.float64))
     merged = monitor._merge_sorted(bulk, add)
     assert merged.dtype == np.float64
     assert _hex(merged) == _hex(np.insert(bulk, np.searchsorted(bulk, add), add))
@@ -484,15 +446,15 @@ def trigger_arms(draw):
     def arm():
         inner = draw(st.lists(st.floats(0.0, duration), max_size=20))
         edges = [min(max(at + d, 0.0), duration) for at, d in draw(st.lists(near, max_size=6))]
-        return _read_only(np.sort(np.array(inner + edges, np.float64)))
+        return read_only(np.sort(np.array(inner + edges, np.float64)))
 
     first = arm()
-    second = _read_only(first.copy()) if draw(st.booleans()) else arm()
+    second = read_only(first.copy()) if draw(st.booleans()) else arm()
     return (first, second), half_window, shift, duration
 
 
 def _arms(*arms):
-    return tuple(_read_only(np.array(a, np.float64)) for a in arms)
+    return tuple(read_only(np.array(a, np.float64)) for a in arms)
 
 
 @given(trigger_arms())
@@ -607,7 +569,7 @@ def test_draw_idler_keeps_in_every_hull_what_the_full_stream_keeps(layout, load,
     # dead-time filter keeps in every hull what it keeps in the whole stream.
     # The rounds read the hulls and partnered events and write none
     lo, hi, paired, dead_time = layout
-    lo, hi, paired = _read_only(lo), _read_only(hi), _read_only(paired)
+    lo, hi, paired = read_only(lo), read_only(hi), read_only(paired)
     rng = np.random.default_rng(seed)
     rate = load / (dead_time or 1.0)
     whole = np.sort(rng.uniform(0.0, hi[-1], rng.poisson(rate * hi[-1])))
@@ -647,15 +609,15 @@ def gap_layouts(draw):
         times += span
         label += [k] * len(span)
         t = max([after[-1]] + span) + draw(st.integers(1, 3))
-    times, new, old, after = (_read_only(np.array(v, np.float64) / 8.0) for v in (times, new, old, after))
-    return times, _read_only(np.array(label, np.int32)), new, old, after, draw(st.integers(0, 4)) / 8.0
+    times, new, old, after = (read_only(np.array(v, np.float64) / 8.0) for v in (times, new, old, after))
+    return times, read_only(np.array(label, np.int32)), new, old, after, draw(st.integers(0, 4)) / 8.0
 
 
 def _one_stretch(times, old, after):
     """The gap-test inputs of one stretch from new = 0, dead time 1/4."""
     times = np.array(times, np.float64)
     arrays = times, np.zeros(times.size, np.int32), np.zeros(1), np.array([old]), np.array([after])
-    return *(_read_only(a) for a in arrays), 0.25
+    return *(read_only(a) for a in arrays), 0.25
 
 
 def _chunk_crossing_round():
@@ -666,7 +628,7 @@ def _chunk_crossing_round():
     new = np.arange(monitor._CHUNK, dtype=np.float64)
     times = (new[:, None] + np.array([0.125, 0.25, 0.375])).ravel()
     label = np.repeat(np.arange(new.size, dtype=np.int32), 3)
-    return *(_read_only(a) for a in (times, label, new, new + 0.5, new + 0.5625)), 0.25
+    return *(read_only(a) for a in (times, label, new, new + 0.5, new + 0.5625)), 0.25
 
 
 @given(gap_layouts())

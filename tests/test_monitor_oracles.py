@@ -10,27 +10,19 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
+import oracle_utils as ou
 from flqkd import monitor
 from flqkd.errors import EstimatorUndefinedError
 from flqkd.monitor import MonitorCounts, MonitorSimConfig, estimate_fe, simulate_monitor
-from monitor_oracle import full_stream_counts, simulate_full_stream
-
-BASE = MonitorSimConfig(
-    pair_rate=2.0e5,
-    ase_rate_at_source=2.0e5,
-    kappa=0.5,
-    f_e_true=0.0,
-    tap_alice=1e-3,
-    tap_bob=1e-3,
-    det_eff_idler=0.9,
-    det_eff_alice=0.9,
-    det_eff_bob=0.9,
-    dead_time=5e-8,
-    coinc_window=1e-9,
-    shift_offset=2e-7,
-    duration=1.0,
-    rng_seed=0,
+from monitor_oracle import (
+    BASE,
+    NOMINAL_POINT,
+    SATURATED_POINT,
+    full_stream_counts,
+    live_rate,
+    simulate_full_stream,
 )
+
 # idler rate x dead time ~1.2, with windows wide enough to see accidentals
 SATURATED = replace(
     BASE,
@@ -135,21 +127,6 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     return counts, full_stream_counts(cfg, streams)
 
 
-# the benchmark's operating points: the acceptance bias gate's, and the same
-# source with the idler detector saturated
-NOMINAL_POINT = replace(
-    BASE,
-    pair_rate=2.46e5,
-    ase_rate_at_source=2.46e5,
-    kappa=0.9,
-    det_eff_idler=0.95,
-    det_eff_alice=0.95,
-    det_eff_bob=0.95,
-    duration=4.0,
-)
-SATURATED_POINT = replace(NOMINAL_POINT, dead_time=5e-6, shift_offset=2e-5)
-
-
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -158,8 +135,9 @@ SATURATED_POINT = replace(NOMINAL_POINT, dead_time=5e-6, shift_offset=2e-5)
         # idler rate x dead time ~5: stretches reach back many rounds
         replace(SATURATED, dead_time=2.8e-5, shift_offset=1e-4, duration=0.5),
         replace(BASE, dead_time=0.0, coinc_window=2e-7, shift_offset=2e-5, f_e_true=1.0),
-        NOMINAL_POINT,
-        SATURATED_POINT,
+        # the benchmark's operating points
+        replace(NOMINAL_POINT, duration=4.0, rng_seed=0),
+        replace(SATURATED_POINT, duration=4.0, rng_seed=0),
     ],
     ids=["nominal", "saturated", "load-5", "no-dead-time", "nominal-point", "saturated-point"],
 )
@@ -173,6 +151,19 @@ def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(cfg, monke
     assert windowed == full
     # the aligned windows see true coincidences on Alice's arm
     assert full.coinc_a > full.shifted_a and full.coinc_b > 0
+
+
+def test_benchmark_times_the_shared_operating_points():
+    # a monitor workload's trial is its params at TRIAL_SECONDS with the
+    # fraction and seed of the trial's input: the point's own run, so the
+    # benchmark times the trial these tests and the acceptance gate check
+    bench = ou.bench_workloads()
+    seconds = bench["TRIAL_SECONDS"]
+    for name, point in (("monitor-nominal", NOMINAL_POINT), ("monitor-saturated", SATURATED_POINT)):
+        workload = bench["make_workload"](name, ou.ROOT, 1)
+        f_e, seed = workload.inputs[0]
+        trial = replace(MonitorSimConfig(**workload.params, duration=seconds), f_e_true=f_e, rng_seed=seed)
+        assert trial == replace(point, duration=seconds, f_e_true=f_e, rng_seed=seed), name
 
 
 # no dead time, hand-placed events around T and the start of the run
@@ -358,7 +349,7 @@ def test_tap_singles_follow_the_non_paralyzable_rate(dead_time):
     counts = simulate_monitor(cfg)
     loads = monitor._detector_loads(cfg)
     for measured, rate in ((counts.s_a, loads["alice_tap"]), (counts.s_b, loads["bob_tap"])):
-        expected = rate / (1.0 + rate * dead_time)
+        expected = live_rate(rate, dead_time)
         # variance of a non-paralyzable count: r T / (1 + r tau)^3
         sd = math.sqrt(rate * cfg.duration / (1.0 + rate * dead_time) ** 3) / cfg.duration
         assert abs(measured - expected) < 4.0 * sd
@@ -383,8 +374,7 @@ def test_shifted_accidentals_match_the_live_idler_rate(cfg):
     # a window shorter than the dead time holds at most one live idler event,
     # so a trigger scores a shifted hit with probability r_live * window
     counts = simulate_monitor(cfg)
-    r_idler = cfg.pair_rate * cfg.det_eff_idler
-    r_live = r_idler / (1.0 + r_idler * cfg.dead_time)
+    r_live = live_rate(cfg.pair_rate * cfg.det_eff_idler, cfg.dead_time)
     for singles, shifted in ((counts.singles_a, counts.shifted_a), (counts.singles_b, counts.shifted_b)):
         expected = singles * r_live * cfg.coinc_window
         assert expected > 500
@@ -438,18 +428,16 @@ def _chi2_quantile(df: int, z: float) -> float:
     return df * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
+# the gate's source and channel at the base run's detector efficiencies
+_GATE_SOURCE = replace(BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
-        replace(BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0),
-        replace(
-            BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0,
-            f_e_true=0.5,
-        ),
-        replace(
-            BASE, pair_rate=2.46e5, ase_rate_at_source=2.46e5, kappa=0.9, duration=2.0,
-            f_e_true=0.5, dead_time=5e-6, shift_offset=2e-5,
-        ),
+        _GATE_SOURCE,
+        replace(_GATE_SOURCE, f_e_true=0.5),
+        replace(_GATE_SOURCE, f_e_true=0.5, dead_time=5e-6, shift_offset=2e-5),
     ],
     ids=["f0", "f0.5", "f0.5-idler-saturated"],
 )

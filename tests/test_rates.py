@@ -9,7 +9,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,7 @@ import oracle_utils as ou
 from flqkd import rates
 from flqkd.config import load_run_config
 from flqkd.errors import ValidationError
-from flqkd.eve import SystemParams, holevo_bound
+from flqkd.eve import holevo_bound
 from flqkd.rates import (
     ConfidenceSpec,
     _zoom_max,
@@ -34,18 +33,7 @@ from flqkd.rates import (
     shannon_info,
     skr_lower_bound,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
-PARAMS = SystemParams(
-    W=2.0e12,
-    R=1e8,
-    kappa=0.1,
-    eta=0.9,
-    kappa_B=0.71,
-    G_B=3.8e3,
-    N_B=9.7e3,
-    beta=0.94,
-)
+from oracle_utils import PARAMS, ROOT
 
 
 def _erfc(x):
@@ -146,10 +134,7 @@ def test_optimizer_finds_interior_maximum():
 
 def test_optimizer_flags_no_positive_key():
     # a channel this noisy keeps beta*I below chi everywhere
-    noisy = SystemParams(
-        W=2.0e12, R=1e8, kappa=0.1, eta=0.9, kappa_B=0.71,
-        G_B=3.8e3, N_B=9.7e5, beta=0.94,
-    )
+    noisy = replace(PARAMS, N_B=9.7e5)
     res = optimize_brightness(0.3, noisy, n_s_range=(1e-5, 1.0))
     assert not res.positive_key
     assert res.point.skr <= 0.0
@@ -297,13 +282,15 @@ def test_zoom_closing_in_on_zero_ends():
     assert out["peak at 0"][1] > 200
 
 
+def _centers(lo, hi, n):
+    return [lo + (hi - lo) * (k + 0.5) / n for k in range(n)]
+
+
 def _keyrate_grid_scenarios():
-    """(f_e, params): the centers of the benchmark's keyrate-grid strata,
-    f_e in [0, 0.03) by 6 and kappa in [0.05, 0.3) by 4, on the default
-    configuration."""
+    """(f_e, params): the centers of the benchmark's keyrate-grid strata of
+    f_e and kappa (perfbench/workloads.py), on the default configuration."""
     system = load_run_config(str(ROOT / "configs" / "default.json")).system
-    f_es = [0.03 * (k + 0.5) / 6 for k in range(6)]
-    kappas = [0.05 + 0.25 * (k + 0.5) / 4 for k in range(4)]
+    f_es, kappas = (_centers(*ou.bench_workloads()[name]) for name in ("F_E_STRATA", "KAPPA_STRATA"))
     return [(f_e, replace(system, kappa=kappa)) for f_e in f_es for kappa in kappas]
 
 

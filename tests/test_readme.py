@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from oracle_utils import ROOT
+
+README = ROOT / "README.md"
 
 
 def test_library_examples_run():
