@@ -154,8 +154,8 @@ def test_windowed_engine_counts_equal_the_full_stream_on_shared_draws(cfg, monke
 
 
 def test_benchmark_times_the_shared_operating_points():
-    # a monitor workload's trial is its params at TRIAL_SECONDS with the
-    # fraction and seed of the trial's input: the point's own run, so the
+    # a monitor workload runs its params for TRIAL_SECONDS at each input's
+    # fraction and seed; those runs must be the shared point's, so that the
     # benchmark times the trial these tests and the acceptance gate check
     bench = ou.bench_workloads()
     seconds = bench["TRIAL_SECONDS"]
