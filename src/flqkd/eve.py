@@ -9,13 +9,12 @@ entropy routines to bound the Holevo information per channel use.
 
 The covariance is six terms (a, e, b, c_ia, c_ab, c_ib), each joining two
 modes, or one mode with itself, by a 2x2 block I or Z = diag(1, -1); so x
-never meets p (the x-p cross blocks are zero), and the bit-0 state and the
-average are one linear map of the terms. `Covariance3Mode` relies on that:
-it takes each spectrum from the 3x3 x and p blocks alone, and refuses a
-covariance that joins x to p. Bob encodes his bit as a phase of 0
-or pi on the return light, so the bit-1 state is the bit-0 state with the
-return mode's x and p negated: a symplectic map, under which both
-conditional states have one symplectic spectrum (Williamson's theorem).
+never meets p (the x-p cross blocks are zero) and the p block is the x block
+with the tapped-idler and idler-return entries negated. `Covariance3Mode`
+holds a state as its 3x3 x block and relies on that. Bob encodes his bit as
+a phase of 0 or pi on the return light, so the bit-1 state is the bit-0
+state with the return mode's x and p negated: a symplectic map, under which
+both conditional states have one symplectic spectrum (Williamson's theorem).
 """
 
 from __future__ import annotations
@@ -130,34 +129,14 @@ def eve_injection_brightness(f_e: float, n_s, kappa: float):
     return kappa * n_s * f_e / ((1.0 - kappa) * (1.0 - f_e))
 
 
-def _coupling(i, j, block):
-    # a 2x2 block joining modes i and j of (tapped, idler, return), as a flat 6x6
-    modes = np.zeros((3, 3))
-    modes[i, j] = modes[j, i] = 1.0
-    return np.kron(modes, block).ravel()
-
-
-_I, _Z = np.eye(2), np.diag([1.0, -1.0])
-# 4 V_0 is the sum of each term times its pattern, terms (a, e, b, c_ia, c_ab, c_ib)
-_PATTERNS = np.array(
-    [
-        _coupling(i, j, block)
-        for i, j, block in ((0, 0, _I), (1, 1, _I), (2, 2, _I), (0, 1, -_Z), (0, 2, _I), (1, 2, _Z))
-    ]
-)
-# the stack (V_0, (V_0 + V_1)/2): bit k flips the signal correlations c_ab
-# and c_ib by (-1)^k, and the average drops them
-_BASIS = np.array([[1, 1, 1, 1, s, s] for s in (1, 0)])[:, :, None] * _PATTERNS
-
-
 def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
     """Assemble both conditional covariances and their equal-weight average.
 
-    n_s may be an array. V_0 and the average are validated as one stack, in
-    one LAPACK batch per step; V_1 is V_0 after a pi phase on the return
-    mode, the third (`Covariance3Mode.pi_phase_on_mode_3`): exact sign flips
-    of V_0's entries that share V_0's spectrum, so V_1 is exactly as valid
-    as V_0.
+    n_s may be an array. V_0 and the average are validated as one stack of x
+    blocks, in one LAPACK batch per step; V_1 is V_0 after a pi phase on the
+    return mode, the third (`Covariance3Mode.pi_phase_on_mode_3`): exact
+    sign flips of V_0's entries that share V_0's spectrum, so V_1 is exactly
+    as valid as V_0.
     """
     n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
@@ -175,10 +154,14 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> AttackState:
         a = 2.0 * n_ab + 1.0
         e = 2.0 * n_e + 1.0
         b = 2.0 * n_ba + 1.0
-        # one row of terms per brightness, times the basis: shape (2, n, 36);
-        # a matmul, as einsum's buffered loop was slower and raised peak memory
-        terms = np.array([a, e, b, c_ia, c_ab, c_ib]).reshape(6, -1).T / 4.0
-        entries = (terms @ _BASIS).reshape((2, *n_s.shape, 6, 6))
+    # the x blocks of V_0 and of the average, over (tapped, idler, return):
+    # bit k flips the signal correlations c_ab and c_ib by (-1)^k, and the
+    # average drops them. 0.0 - c_ia is 0.0, not -0.0, without injection.
+    entries = np.zeros((2, *n_s.shape, 3, 3))
+    entries[..., 0, 0], entries[..., 1, 1], entries[..., 2, 2] = a / 4.0, e / 4.0, b / 4.0
+    entries[..., 0, 1] = entries[..., 1, 0] = (0.0 - c_ia) / 4.0
+    entries[0, ..., 0, 2] = entries[0, ..., 2, 0] = c_ab / 4.0
+    entries[0, ..., 1, 2] = entries[0, ..., 2, 1] = c_ib / 4.0
     cov_k0, cov_uncond = Covariance3Mode(entries).unstack()
     return AttackState(cov_k0, cov_k0.pi_phase_on_mode_3(), cov_uncond)
 

@@ -6,17 +6,20 @@ photon number N has diagonal (2N+1)/4, so the entropy of a state with
 symplectic eigenvalues nu_j is sum_j g(2 nu_j - 1/2) with g the usual
 bosonic entropy function in bits.
 
-Every state the key-rate model builds has zero x-p cross blocks, so a
-covariance is its x block V_x = V[::2, ::2] and its p block V_p = V[1::2, 1::2],
-and the symplectic eigenvalues are the square roots of the eigenvalues of
-V_x V_p. With V_x = L_x L_x^T and V_p = L_p L_p^T (Cholesky), V_x V_p is
-similar to B B^T with B = L_x^T L_p, so the nu_j are the singular values of
-B: no square is taken and no eigenvalue pairing is needed. A covariance
-with a nonzero x-p entry is refused.
+Every state the key-rate model builds joins its modes, (tapped, idler,
+return), by 2x2 blocks I or Z = diag(1, -1), so its x-p cross blocks are zero
+and its p block is D V_x D, with V_x its x block and D = diag(1, -1, 1). A
+covariance here is that 3x3 x block, and it stands for the whole state. The
+symplectic eigenvalues are the square roots of the eigenvalues of V_x V_p.
+With V_x = L_x L_x^T (Cholesky), V_p = L_p L_p^T with L_p = D L_x D, and V_x V_p
+is similar to B B^T with B = L_x^T L_p, so the nu_j are the singular values of
+B: no square is taken and no eigenvalue pairing is needed. Every step of the
+Cholesky factorization commutes with the sign flips of D, so D L_x D is the
+factor of D V_x D bit for bit, and no second factorization is needed.
 
 A validated covariance carries its spectrum: `Covariance3Mode` takes the
-symplectic eigenvalues of its whole stack in one LAPACK batch per step (two
-Cholesky factors, one SVD) when it is built, and `unstack` hands each part
+symplectic eigenvalues of its whole stack in one LAPACK batch per step (one
+Cholesky factor, one SVD) when it is built, and `unstack` hands each part
 its own read-only slice, so the entropy routines read spectra and make no
 LAPACK call of their own. LAPACK works matrix by matrix, so a part's
 spectrum is the one-matrix call's bit for bit. `pi_phase_on_mode_3`
@@ -39,8 +42,10 @@ PHYSICALITY_TOL = 1e-9
 _SYMMETRY_RTOL = 1e-12
 
 
-# a phase of pi on the third mode: both of its quadratures change sign
-_MODE_3_FLIP = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+# D: the p block of a covariance is D V_x D
+_P_SIGNS = np.array([1.0, -1.0, 1.0])
+# F: a phase of pi on the third mode changes the sign of its x and its p
+_MODE_3_FLIP = np.array([1.0, 1.0, -1.0])
 
 
 def scalar_or_array(values):
@@ -57,34 +62,35 @@ def elementwise(fun, values):
 
 @dataclass(frozen=True, eq=False)
 class Covariance3Mode:
-    """Validated 6x6 Wigner covariance matrix, or a stack of them, with its
-    symplectic spectrum.
+    """Validated Wigner covariance of a three-mode state with zero x-p cross
+    blocks, or a stack of them, held as its x block, with its symplectic
+    spectrum.
 
     Parameters
     ----------
     entries : array_like
-        Real array of shape (..., 6, 6); each matrix symmetric to within
-        1e-12 relative, with zero x-p cross blocks, and positive definite.
-        Stored read-only.
+        The x block V_x, a real array of shape (..., 3, 3) over the modes
+        (tapped, idler, return); each matrix symmetric to within 1e-12
+        relative and positive definite. It stands for the state whose p
+        block is D V_x D, D = diag(1, -1, 1). Stored read-only.
 
     Attributes
     ----------
     spectrum : np.ndarray
         The symplectic eigenvalues of each matrix, shape (..., 3),
         descending and read-only: the singular values of L_x^T L_p, where
-        L_x and L_p are the Cholesky factors of the x block V[..., ::2, ::2]
-        and the p block V[..., 1::2, 1::2], each taken in one
-        `np.linalg.cholesky` call over the stack and followed by one
-        `np.linalg.svd` call. It is not checked against the vacuum floor:
-        `symplectic_eigenvalues` does that when a part's spectrum is read.
+        L_x is the Cholesky factor of V_x, taken in one `np.linalg.cholesky`
+        call over the stack, and L_p = D L_x D that of the p block, followed
+        by one `np.linalg.svd` call. It is not checked against the vacuum
+        floor: `symplectic_eigenvalues` does that when a part's spectrum is
+        read.
 
     Raises
     ------
     ValidationError
-        If the shape is not (..., 6, 6), an entry is not finite, a matrix is
-        not symmetric, has a nonzero entry joining an x to a p quadrature,
-        or is not positive definite (an x or p block that has no Cholesky
-        factor).
+        If the shape is not (..., 3, 3), an entry is not finite, or a matrix
+        is not symmetric or not positive definite (it has no Cholesky
+        factor, and then neither has its p block).
 
     Two covariances compare equal only if they are the same object, and hash
     by identity: their arrays give no single truth value.
@@ -95,22 +101,20 @@ class Covariance3Mode:
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=float)
-        if arr.ndim < 2 or arr.shape[-2:] != (6, 6):
-            raise ValidationError(f"covariance must be 6x6, got {arr.shape}")
+        if arr.ndim < 2 or arr.shape[-2:] != (3, 3):
+            raise ValidationError(f"covariance x block must be 3x3, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValidationError("covariance has non-finite entries")
         scale = np.maximum(np.abs(arr).max(axis=(-2, -1)), 1.0)
         if (np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
             raise ValidationError("covariance is not symmetric within 1e-12")
-        if arr[..., ::2, 1::2].any() or arr[..., 1::2, ::2].any():
-            raise ValidationError("covariance correlates x with p")
-        # V is positive definite exactly when both blocks are; each factor
-        # reads its block's lower triangle, which the symmetry check bounds
+        # the factor reads the lower triangle, which the symmetry check bounds
         try:
-            l_x = np.linalg.cholesky(arr[..., ::2, ::2])
-            l_p = np.linalg.cholesky(arr[..., 1::2, 1::2])
+            l_x = np.linalg.cholesky(arr)
         except np.linalg.LinAlgError:
             raise ValidationError("covariance is not positive definite") from None
+        # the p block's factor, by exact sign flips
+        l_p = _P_SIGNS[:, None] * l_x * _P_SIGNS
         spectrum = np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
         arr.setflags(write=False)
         spectrum.setflags(write=False)
@@ -121,20 +125,20 @@ class Covariance3Mode:
         """The covariances along the leading axis, validated with the stack;
         each part's entries and spectrum are read-only slices of the stack's."""
         if self.entries.ndim < 3:
-            raise ValidationError("one 6x6 covariance has no leading axis to split")
+            raise ValidationError("one covariance has no leading axis to split")
         return tuple(map(_validated, self.entries, self.spectrum))
 
     def pi_phase_on_mode_3(self) -> Covariance3Mode:
-        """This covariance after a phase of pi on its third mode: S V S^T with
-        S = diag(1, 1, 1, 1, -1, -1).
+        """This covariance after a phase of pi on its third mode: F V_x F
+        with F = diag(1, 1, -1).
 
-        S is orthogonal and symplectic, and its entries are exact sign
-        flips, so S V S^T is exactly as symmetric and as positive definite
-        as V, joins x to p nowhere, and its blocks F V_x F and F V_p F, with
-        F = diag(1, 1, -1), have a product similar to V_x V_p: the result
-        shares this covariance's spectrum, the same read-only array, and no
-        check is skipped. Entries that change sign are negated exactly, and
-        a zero stays 0.0, not -0.0.
+        The map negates the third mode's x and p. It is orthogonal and
+        symplectic, and its entries are exact sign flips, so F V_x F is
+        exactly as symmetric and as positive definite as V_x, its p block is
+        F D V_x D F = D (F V_x F) D, and it shares this covariance's
+        spectrum, the same read-only array: no check is skipped. Entries
+        that change sign are negated exactly, and a zero stays 0.0, not
+        -0.0.
         """
         entries = _MODE_3_FLIP[:, None] * self.entries * _MODE_3_FLIP + 0.0
         entries.setflags(write=False)
@@ -163,9 +167,9 @@ def symplectic_eigenvalues(cov) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If a raw array is not a stack of symmetric positive definite 6x6
-        matrices without x-p correlations (checked when it is validated
-        here), or if any eigenvalue read falls below 1/4 - 1e-9.
+        If a raw array is not a stack of symmetric positive definite 3x3
+        x blocks (checked when it is validated here), or if any eigenvalue
+        read falls below 1/4 - 1e-9.
     """
     if not isinstance(cov, Covariance3Mode):
         cov = Covariance3Mode(cov)
@@ -198,7 +202,7 @@ def thermal_entropy(n: float) -> float:
 def von_neumann_entropy(cov):
     """Entropy in bits of the Gaussian state with the given covariance.
 
-    One 6x6 matrix gives a float; a stack of shape (..., 6, 6) gives an
+    One 3x3 x block gives a float; a stack of shape (..., 3, 3) gives an
     array of shape (...), each element equal to the single-matrix call.
     """
     # eigenvalues within PHYSICALITY_TOL below 1/4 map to N = 0

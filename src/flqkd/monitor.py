@@ -52,9 +52,11 @@ distribution:
   unless the stretch has met the previous one, so such a stretch always
   settles. A round draws all its spans at once, laid end to end, and each
   event keeps the span it was drawn for (one that rounds onto the next
-  span's start moves to that span). The spans do not overlap, so the
-  events of each stretch form one run of the round's events, in time order,
-  led by those before old. One chunked pass over the round's events tests
+  span's start, or one ulp past it where touching spans' length rounds up
+  at a tie, moves to that span, and a re-sort puts such a time back in
+  time order). The spans do not overlap, so, once re-sorted, the events of
+  each stretch form one run of the round's events, in time order, led by
+  those before old. One chunked pass over the round's events tests
   each such event against its successor in the stretch's stream (the next
   event, or the end of the earlier test) and a stream's first event against
   new. The few stretches whose span holds partnered events are tested again

@@ -4,7 +4,8 @@ High-precision reference numbers were frozen from a 60-digit mpmath run;
 tests compare the package's own routines against these constants so the
 suite does not depend on mpmath being importable at collection time.
 The brute-force symplectic solvers below *do* use mpmath and are kept
-deliberately independent of the package's Cholesky-and-SVD route.
+deliberately independent of the package's Cholesky-and-SVD route; they
+assemble the 6x6 covariance of the state a 3x3 x block stands for.
 
 It also holds the inputs that the key-rate and CLI tests share: the M = 2e4
 system the frozen values are computed at, the fast monitor configuration,
@@ -122,79 +123,69 @@ TMS_C_HALF = 0.43301270189221932     # 2*sqrt(N(N+1))/4 at N = 0.5
 
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA6 = np.kron(np.eye(3), _OMEGA_BLOCK)
+# D: the p block of a covariance in flqkd.gaussian is D V_x D
+P_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
+def full_covariance(v_x):
+    """The 6x6 covariance, quadratures (x1, p1, x2, p2, x3, p3), of the state
+    held as the x block v_x (or a stack of them): its p block is D v_x D and
+    its x-p cross blocks are zero."""
+    v_x = np.asarray(v_x, dtype=float)
+    v = np.zeros((*v_x.shape[:-2], 6, 6))
+    v[..., ::2, ::2] = v_x
+    v[..., 1::2, 1::2] = P_SIGNS[:, None] * v_x * P_SIGNS
+    return v
 
 
 def random_physical_covariance(rng, pure=False):
-    """Random 3-mode covariance V = S D S^T with known symplectic spectrum
-    and no x-p correlations.
+    """Random 3-mode x block V_x = S N S^T with known symplectic spectrum.
 
-    S = S_x (+) S_x^-T on the (x, p) blocks, with S_x = expm(A) for a random
-    3x3 A, is symplectic and joins no x to a p, so the x block of V is
-    S_x D S_x^T, its p block S_x^-T D S_x^-1, and the spectrum of V equals
-    the thermal diagonal D by construction.  Returns (V, nus_desc).
+    S = expm(D K), for a random antisymmetric 3x3 K and D = diag(1, -1, 1),
+    satisfies S^T D S = D, so S^-T = D S D: the symplectic map S (+) S^-T on
+    the (x, p) blocks joins no x to a p, the p block of S (N (+) N) S^T is
+    D V_x D, and the spectrum equals the thermal diagonal N by construction.
+    Returns (V_x, nus_desc).
     """
     import mpmath as mp
 
     mp.mp.dps = 40
-    a = rng.uniform(-0.5, 0.5, (3, 3))
-    s_x = mp.expm(mp.matrix(a.tolist()))
-    s_p = mp.expm(-mp.matrix(a.T.tolist()))
+    k = rng.uniform(-0.5, 0.5, (3, 3))
+    s = mp.expm(mp.diag(P_SIGNS.tolist()) * mp.matrix((k - k.T).tolist()))
     ns = np.zeros(3) if pure else rng.uniform(0.0, 2.0, 3)
     nus = (2.0 * ns + 1.0) / 4.0
-    d = mp.diag([mp.mpf(v) for v in nus])
-    vf = np.zeros((6, 6))
-    for start, s in ((0, s_x), (1, s_p)):
-        block = s * d * s.T
-        vf[start::2, start::2] = [[float(block[i, j]) for j in range(3)] for i in range(3)]
+    v = s * mp.diag([mp.mpf(v) for v in nus]) * s.T
+    vf = np.array([[float(v[i, j]) for j in range(3)] for i in range(3)])
     vf = 0.5 * (vf + vf.T)
     return vf, np.sort(nus)[::-1]
 
 
-def random_mixing_covariance(rng):
-    """Random 3-mode covariance V = S D S^T whose symplectic S = expm(Omega A),
-    for a random symmetric 6x6 A, mixes x with p.  Physical, but outside
-    the x-p-decoupled domain of `flqkd.gaussian.Covariance3Mode`.  Returns
-    (V, nus_desc).
-    """
-    import mpmath as mp
+def brute_force_spectrum(v_x, dps=40):
+    """Symplectic eigenvalues of the state held as the x block v_x, via
+    mpmath's QR eigensolver on Omega V of its 6x6 covariance.
 
-    mp.mp.dps = 40
-    a = rng.uniform(-0.5, 0.5, (6, 6))
-    a = 0.5 * (a + a.T)
-    s = mp.expm(mp.matrix(OMEGA6.tolist()) * mp.matrix(a.tolist()))
-    nus = (2.0 * rng.uniform(0.0, 2.0, 3) + 1.0) / 4.0
-    d = mp.diag([mp.mpf(v) for v in np.repeat(nus, 2)])
-    v = s * d * s.T
-    vf = np.array([[float(v[i, j]) for j in range(6)] for i in range(6)])
-    vf = 0.5 * (vf + vf.T)
-    return vf, np.sort(nus)[::-1]
-
-
-def brute_force_spectrum(entries, dps=40):
-    """Symplectic eigenvalues via mpmath's QR eigensolver on Omega V.
-
-    Independent of the package route (Cholesky factors of the x and p
-    blocks and an SVD, in double precision).
+    Independent of the package route (the Cholesky factor of the x block
+    and an SVD, in double precision).
     """
     import mpmath as mp
 
     mp.mp.dps = dps
-    m = mp.matrix(OMEGA6.tolist()) * mp.matrix(np.asarray(entries).tolist())
+    m = mp.matrix(OMEGA6.tolist()) * mp.matrix(full_covariance(v_x).tolist())
     eigs, _ = mp.eig(m)
     nus = sorted((abs(e) for e in eigs if mp.im(e) > 0), reverse=True)
     assert len(nus) == 3
     return np.array([float(x) for x in nus])
 
 
-def block_spectrum(entries, dps=50):
-    """Symplectic eigenvalues of a covariance with zero x-p blocks, as the
-    square roots of the eigenvalues of V_x V_p, in mpmath at dps digits;
-    descending, as mpf values."""
+def block_spectrum(v_x, dps=50):
+    """Symplectic eigenvalues of the state held as the x block v_x, as the
+    square roots of the eigenvalues of V_x V_p, the x and p blocks of its
+    6x6 covariance, in mpmath at dps digits; descending, as mpf values."""
     import mpmath as mp
 
     mp.mp.dps = dps
-    entries = np.asarray(entries)
-    v_x = mp.matrix(entries[::2, ::2].tolist())
-    v_p = mp.matrix(entries[1::2, 1::2].tolist())
+    v = full_covariance(v_x)
+    v_x = mp.matrix(v[::2, ::2].tolist())
+    v_p = mp.matrix(v[1::2, 1::2].tolist())
     eigs = mp.eig(v_x * v_p, left=False, right=False)
     return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)

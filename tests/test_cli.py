@@ -7,6 +7,7 @@ import os
 import shutil
 import stat
 import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -339,11 +340,15 @@ def _in_process(monkeypatch, capsys):
 
 
 def _script(argv, cwd):
-    """A runner through the flqkd script on PATH, as installed by pip."""
+    """A runner in a process of its own: through the flqkd script on PATH,
+    as installed by pip, or else through `python -m flqkd.cli` with src on
+    PYTHONPATH."""
     script = shutil.which("flqkd")
+    command, env = [script], None
     if script is None:
-        pytest.skip("no flqkd script on PATH")
-    proc = subprocess.run([script, *argv], cwd=cwd, capture_output=True, text=True)
+        path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+        command, env = [sys.executable, "-m", "flqkd.cli"], {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([*command, *argv], cwd=cwd, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 

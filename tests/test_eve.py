@@ -25,9 +25,9 @@ from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, thermal_entr
 from flqkd.monitor import _detector_loads
 from oracle_utils import PARAMS
 
-# index pairs carrying the Alice<->Bob and idler<->Bob correlations
-_C_AB_POS = [(0, 4), (4, 0), (1, 5), (5, 1)]
-_C_IB_POS = [(2, 4), (4, 2), (3, 5), (5, 3)]
+# x-block index pairs carrying the Alice<->Bob and idler<->Bob correlations
+_C_AB_POS = [(0, 2), (2, 0)]
+_C_IB_POS = [(1, 2), (2, 1)]
 
 
 def test_injection_brightness_examples():
@@ -63,7 +63,7 @@ def test_bit_values_differ_only_in_signal_correlation_signs():
     st = attack_state(PARAMS, 0.01, 0.0027)
     c0, c1 = st.cov_k0.entries, st.cov_k1.entries
     diff = c1 - c0
-    mask = np.zeros((6, 6), dtype=bool)
+    mask = np.zeros((3, 3), dtype=bool)
     for i, j in _C_AB_POS + _C_IB_POS:
         mask[i, j] = True
     assert np.array_equal(c1[mask], -c0[mask])
@@ -82,18 +82,14 @@ def test_unconditional_state_has_no_signal_correlations():
 
 def test_no_injection_leaves_idler_in_vacuum():
     cov = attack_state(PARAMS, 0.01, 0.0).cov_k0.entries
-    idler = cov[2:4, 2:4]
-    assert np.allclose(idler, 0.25 * np.eye(2), rtol=0, atol=1e-15)
+    assert math.isclose(cov[1, 1], 0.25, rel_tol=0, abs_tol=1e-15)
     # idler decoupled from reference and return modes
-    assert np.all(cov[2:4, 0:2] == 0.0)
-    assert np.all(cov[2:4, 4:6] == 0.0)
+    assert np.all(cov[1, [0, 2]] == 0.0) and np.all(cov[[0, 2], 1] == 0.0)
 
 
 def test_dark_source_state_is_thermal_background():
     cov = attack_state(PARAMS, 0.0, 0.0).cov_k0.entries
-    expected = np.diag(
-        np.repeat([(2 * 0.0 + 1) / 4, (2 * 0.0 + 1) / 4, (2 * PARAMS.N_B + 1) / 4], 2)
-    )
+    expected = np.diag([(2 * 0.0 + 1) / 4, (2 * 0.0 + 1) / 4, (2 * PARAMS.N_B + 1) / 4])
     assert np.allclose(cov, expected, rtol=1e-12)
 
 
@@ -152,7 +148,7 @@ def test_holevo_at_total_injection_is_its_limit():
 def test_array_attack_state_stacks_the_scalar_states():
     grid = np.array([0.0, 1e-4, 0.01, 0.3])
     batch = attack_state(PARAMS, grid, 0.0027)
-    assert batch.cov_uncond.entries.shape == (4, 6, 6)
+    assert batch.cov_uncond.entries.shape == (4, 3, 3)
     for k, n_s in enumerate(grid.tolist()):
         one = attack_state(PARAMS, n_s, 0.0027)
         for name in ("cov_k0", "cov_k1", "cov_uncond"):
@@ -163,8 +159,8 @@ def test_array_attack_state_stacks_the_scalar_states():
 
 @pytest.mark.parametrize("n_s", [0.01, np.array([0.0, 1e-4, 0.01, 0.3])], ids=["scalar", "array"])
 def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
-    # V_0 and the average are one validated stack, whose spectra are taken
-    # by one Cholesky call per block and one SVD call; V_1 shares V_0's, and
+    # V_0 and the average are one validated stack of x blocks, whose spectra
+    # are taken by one Cholesky call and one SVD call; V_1 shares V_0's, and
     # each entropy reads a slice
     lapack_calls, entropy_calls = [], []
     cholesky, svd, entropy = np.linalg.cholesky, np.linalg.svd, eve.von_neumann_entropy
@@ -186,8 +182,8 @@ def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
     monkeypatch.setattr(eve, "von_neumann_entropy", counted_entropy)
     holevo_bound(PARAMS, n_s, 0.0027)
     blocks = (2, *np.shape(n_s), 3, 3)
-    assert lapack_calls == [("cholesky", blocks), ("cholesky", blocks), ("svd", blocks)]
-    assert entropy_calls == 3 * [(*np.shape(n_s), 6, 6)]
+    assert lapack_calls == [("cholesky", blocks), ("svd", blocks)]
+    assert entropy_calls == 3 * [blocks[1:]]
 
 
 def test_attack_state_compares_and_hashes_by_identity():
@@ -215,14 +211,18 @@ def _layout_terms(params, n_s, f_e):
 def _assert_blocks(v, terms, sign):
     # every term joins two modes by I or Z = diag(1, -1), so the x-p cross
     # blocks vanish and the x and p blocks are 3x3 matrices of the terms;
-    # sign multiplies the signal correlations c_ab and c_ib
+    # sign multiplies the signal correlations c_ab and c_ib. v is the x
+    # block, and the p block the state stands for, D v D, must be the
+    # paper's too
     a, e, b, c_ia, c_ab, c_ib = terms
-    assert v.shape == np.shape(a) + (6, 6)
-    assert np.all(v[..., 0::2, 1::2] == 0.0) and np.all(v[..., 1::2, 0::2] == 0.0)
+    assert v.shape == np.shape(a) + (3, 3)
+    # a zero term comes out 0.0, not -0.0
+    assert not np.signbit(v[v == 0.0]).any()
     ab, ib = sign * c_ab, sign * c_ib
     x = [[a, -c_ia, ab], [-c_ia, e, ib], [ab, ib, b]]
     p = [[a, c_ia, ab], [c_ia, e, -ib], [ab, -ib, b]]
-    for block, expected in ((v[..., 0::2, 0::2], x), (v[..., 1::2, 1::2], p)):
+    d = ou.P_SIGNS
+    for block, expected in ((v, x), (d[:, None] * v * d, p)):
         expected = np.moveaxis(np.array(expected), (0, 1), (-2, -1)) / 4.0
         # atol 0: a zero term (c_ia without injection, the average's
         # signal correlations) must come out exactly zero
@@ -291,7 +291,7 @@ def test_holevo_nondecreasing_in_injection():
 def test_no_injection_reduces_to_two_mode_state():
     # with f_E = 0 the idler factors out; entropy must match the 4x4 block
     st = attack_state(PARAMS, 0.01, 0.0)
-    full = st.cov_k0.entries
+    full = ou.full_covariance(st.cov_k0.entries)
     keep = [0, 1, 4, 5]
     sub = full[np.ix_(keep, keep)]
     raw = np.linalg.eigvals(np.kron(np.eye(2), ou.OMEGA6[:2, :2]) @ sub)
@@ -428,9 +428,37 @@ def test_attack_state_spectra_match_a_50_digit_spectrum():
         for cov in (state.cov_k0, state.cov_uncond):
             exact = ou.block_spectrum(cov.entries)
             errors = np.array([float(abs(nu - ref)) for nu, ref in zip(symplectic_eigenvalues(cov).tolist(), exact)])
-            assert errors.max() <= 8.0 * eps * np.linalg.norm(cov.entries, 2), params
+            assert errors.max() <= 8.0 * eps * np.linalg.norm(ou.full_covariance(cov.entries), 2), params
             scaled.extend(errors / (eps * float(exact[0])))
     assert np.percentile(scaled, 99) <= 2.5
+
+
+def test_the_p_block_factor_is_the_x_blocks_with_exact_sign_flips():
+    # Covariance3Mode factors the x block V_x alone and takes the p block's
+    # factor as D L_x D: a Cholesky call on D V_x D gives that factor
+    # exactly, and the spectrum is the two-factor route's bit for bit. On
+    # the oracle draws, on 300 attack states of random systems at the noise
+    # floor, and on the G_B = 2, kappa = 0.9 corner of the strict xfail
+    rng = np.random.default_rng(4111)
+    blocks = [ou.random_physical_covariance(rng)[0] for _ in range(20)]
+    systems = list(_systems_at_the_noise_floor())
+    for _ in range(300):
+        params = systems[rng.integers(len(systems))]
+        floor = params.G_B * (1.0 - params.kappa_B) - 1.0
+        params = replace(params, N_B=floor * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0)))
+        state = attack_state(params, 10.0 ** rng.uniform(-6.0, 0.0, 8), rng.uniform(0.0, 0.999999))
+        blocks += [state.cov_k0.entries, state.cov_uncond.entries]
+    corner = SystemParams(W=1e6, R=1e6, kappa=0.9, eta=0.9, kappa_B=0.0, G_B=2.0, N_B=1.0 + 1e-12, beta=0.94)
+    state = attack_state(corner, np.logspace(-6, 0, 40), 0.999999)
+    blocks += [state.cov_k0.entries, state.cov_uncond.entries]
+    d = ou.P_SIGNS
+    for v_x in blocks:
+        l_x = np.linalg.cholesky(v_x)
+        # the p block as the 6x6 route built it, with 0.0 where D gives -0.0
+        l_p = np.linalg.cholesky(d[:, None] * v_x * d + 0.0)
+        assert np.array_equal(l_p, d[:, None] * l_x * d)
+        two_factor = np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
+        assert two_factor.tobytes() == Covariance3Mode(v_x).spectrum.tobytes()
 
 
 def test_injection_fraction_domain():
