@@ -3,8 +3,8 @@
 Covariance matrices use the Wigner convention in which the vacuum diagonal is
 1/4, quadratures ordered (x1, p1, x2, p2, x3, p3). A thermal mode with mean
 photon number N has diagonal (2N+1)/4, so the entropy of a state with
-symplectic eigenvalues nu_j is sum_j g(2 nu_j - 1/2) with g the usual
-bosonic entropy function in bits.
+symplectic eigenvalues nu_j is sum_j g(2 nu_j - 1/2), with
+g(N) = (N+1) log2(N+1) - N log2 N the entropy of a thermal mode in bits.
 
 Every state the key-rate model builds joins its modes, (tapped, idler,
 return), by 2x2 blocks I or Z = diag(1, -1), so its x-p cross blocks are zero
@@ -187,16 +187,6 @@ def _thermal_entropies(n: np.ndarray) -> np.ndarray:
     g = n1 * np.log2(n1) - n * np.log2(n)
     g[tiny] = 0.0
     return g
-
-
-def thermal_entropy(n: float) -> float:
-    """Entropy g(N) = (N+1) log2(N+1) - N log2 N of a thermal state, in bits.
-
-    g(0) = 0 by continuity; N below 1e-12 is treated as 0 to avoid log(0).
-    """
-    if n < 0:
-        raise ValidationError(f"mean photon number must be >= 0, got {n!r}")
-    return float(_thermal_entropies(np.array([n], dtype=float))[0])
 
 
 def von_neumann_entropy(cov):

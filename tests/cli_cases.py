@@ -1,7 +1,8 @@
 """Every exit case of the command line, as one table.
 
 tests/test_cli.py runs each row twice: in process through `main()`, and
-through the `flqkd` script found on PATH. A row runs in a fresh temporary
+in a process of its own through the `flqkd` script (or `python -m
+flqkd.cli` when no script is on PATH). A row runs in a fresh temporary
 directory that is the working directory, so its paths are relative. Before
 the run the directory holds `cfg.json` (the row's `config` text, when set)
 and the `existing` file (name and bytes, when set). The run must give:
@@ -13,10 +14,11 @@ and the `existing` file (name and bytes, when set). The run must give:
 - the directory listing `files` afterwards (when None, the listing from
   before the run), and the `existing` file's bytes unchanged.
 
-`test` is the id of the in-process test that runs the row, so a case keeps
-the id it had before the table; several rows may share one. Through the
-script a row's id is its `test` id and its index among the rows under it
-(`-0`, `-1`, ...), so a new row renames no other.
+A row's id is its `test` stem and its index among the rows filed under
+that stem (`-0`, `-1`, ...), so several rows may share a stem and a new row
+renames no other. Both runners use that id: the row is one
+`test_exit_case_in_process[<id>]` and one
+`test_exit_case_through_the_script[<id>]`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ High-precision reference numbers were frozen from a 60-digit mpmath run;
 tests compare the package's own routines against these constants so the
 suite does not depend on mpmath being importable at collection time.
 The brute-force symplectic solvers below *do* use mpmath and are kept
-deliberately independent of the package's Cholesky-and-SVD route; they
-assemble the 6x6 covariance of the state a 3x3 x block stands for.
+deliberately independent of the package's Cholesky-and-SVD route; they read
+the state a 3x3 x block stands for through its p block D V_x D, one of them
+on the whole 6x6 covariance. The thermal entropy g(N) is written here with
+`math.log2`, one float at a time, apart from the package's array form.
 
 It also holds the inputs that the key-rate and CLI tests share: the M = 2e4
 system the frozen values are computed at, the fast monitor configuration,
@@ -14,6 +16,7 @@ the repository root, and the benchmark's workload definitions.
 
 from __future__ import annotations
 
+import math
 import runpy
 from pathlib import Path
 
@@ -121,6 +124,15 @@ PIRANDOLA_01 = 0.15200309344504998   # -log2(1 - 0.1)
 DB_AT_055 = 5.585102630465462        # 10*log10(0.55 / PIRANDOLA_01)
 TMS_C_HALF = 0.43301270189221932     # 2*sqrt(N(N+1))/4 at N = 0.5
 
+
+def thermal_entropy(n):
+    """g(N) = (N+1) log2(N+1) - N log2 N, the entropy in bits of a thermal
+    mode of mean photon number N >= 0, one float at a time; g(0) = 0."""
+    if n == 0:
+        return 0.0
+    return (n + 1) * math.log2(n + 1) - n * math.log2(n)
+
+
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA6 = np.kron(np.eye(3), _OMEGA_BLOCK)
 # D: the p block of a covariance in flqkd.gaussian is D V_x D
@@ -179,13 +191,11 @@ def brute_force_spectrum(v_x, dps=40):
 
 def block_spectrum(v_x, dps=50):
     """Symplectic eigenvalues of the state held as the x block v_x, as the
-    square roots of the eigenvalues of V_x V_p, the x and p blocks of its
-    6x6 covariance, in mpmath at dps digits; descending, as mpf values."""
+    square roots of the eigenvalues of V_x V_p, with V_x = v_x and its p
+    block V_p = D v_x D, in mpmath at dps digits; descending, as mpf values."""
     import mpmath as mp
 
     mp.mp.dps = dps
-    v = full_covariance(v_x)
-    v_x = mp.matrix(v[::2, ::2].tolist())
-    v_p = mp.matrix(v[1::2, 1::2].tolist())
-    eigs = mp.eig(v_x * v_p, left=False, right=False)
+    v_p = mp.matrix((P_SIGNS[:, None] * v_x * P_SIGNS).tolist())
+    eigs = mp.eig(mp.matrix(v_x.tolist()) * v_p, left=False, right=False)
     return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)

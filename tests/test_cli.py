@@ -187,14 +187,6 @@ def test_writing_output_files_leaves_the_umask_alone(tmp_path, monkeypatch, caps
     assert out.exists() and svg.exists()
 
 
-def test_repeat_runs_are_byte_identical(tmp_path):
-    path = _cfg(tmp_path, FAST_MONITOR)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["monitor-sim", "--config", path, "--out", str(a)]) == 0
-    assert main(["monitor-sim", "--config", path, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def _with_seed(seed):
     return dict(FAST_MONITOR, monitor=dict(FAST_MONITOR["monitor"], rng_seed=seed))
 
@@ -375,40 +367,17 @@ def test_committed_outputs_regenerate_through_the_script(tmp_path, command):
     _regenerate(command, tmp_path, _script)
 
 
-def _in_process_test(name):
-    """The in-process test `name`, over the rows filed under it, or one case
-    per parameter for rows filed under name[parameter]."""
-    groups = {}
-    for case in CASES:
-        base, _, param = case.test.partition("[")
-        if base == name:
-            groups.setdefault(param[:-1], []).append(case)
-
-    def test(tmp_path, monkeypatch, capsys, rows):
-        run = _in_process(monkeypatch, capsys)
-        for n, case in enumerate(rows):
-            run_case(case, tmp_path / str(n), run)
-
-    def plain(tmp_path, monkeypatch, capsys):
-        test(tmp_path, monkeypatch, capsys, groups[""])
-
-    if list(groups) == [""]:
-        return plain
-    return pytest.mark.parametrize("rows", list(groups.values()), ids=list(groups))(test)
+# a row's id is its `test` stem and its index among the rows under that
+# stem, so appending a row renames none
+_IDS = [f"{case.test}-{sum(c.test == case.test for c in CASES[:n])}" for n, case in enumerate(CASES)]
+assert len(set(_IDS)) == len(_IDS), "exit-case ids must be unique"
 
 
-# each row runs in process under its `test` id, so a case keeps the id it had
-# before the table, and a new case names its own
-for _name in dict.fromkeys(case.test.partition("[")[0] for case in CASES):
-    globals()[_name] = _in_process_test(_name)
+@pytest.mark.parametrize("case", CASES, ids=_IDS)
+def test_exit_case_in_process(tmp_path, monkeypatch, capsys, case):
+    run_case(case, tmp_path, _in_process(monkeypatch, capsys))
 
 
-# through the script a row's id is its `test` id and its index among the
-# rows under that id, so appending a row renames none
-_SCRIPT_IDS = [f"{case.test}-{sum(c.test == case.test for c in CASES[:n])}" for n, case in enumerate(CASES)]
-assert len(set(_SCRIPT_IDS)) == len(_SCRIPT_IDS), "exit-case ids must be unique"
-
-
-@pytest.mark.parametrize("case", CASES, ids=_SCRIPT_IDS)
+@pytest.mark.parametrize("case", CASES, ids=_IDS)
 def test_exit_case_through_the_script(tmp_path, case):
     run_case(case, tmp_path, _script)

@@ -21,7 +21,7 @@ from flqkd.eve import (
     eve_injection_brightness,
     holevo_bound,
 )
-from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, thermal_entropy, von_neumann_entropy
+from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, von_neumann_entropy
 from flqkd.monitor import _detector_loads
 from oracle_utils import PARAMS
 
@@ -296,7 +296,7 @@ def test_no_injection_reduces_to_two_mode_state():
     sub = full[np.ix_(keep, keep)]
     raw = np.linalg.eigvals(np.kron(np.eye(2), ou.OMEGA6[:2, :2]) @ sub)
     nus = np.sort(np.abs(raw.imag[raw.imag > 0]))[::-1]
-    s_two = sum(thermal_entropy(max(2 * nu - 0.5, 0.0)) for nu in nus)
+    s_two = sum(ou.thermal_entropy(max(2 * nu - 0.5, 0.0)) for nu in nus)
     assert math.isclose(von_neumann_entropy(st.cov_k0), s_two, rel_tol=0, abs_tol=1e-9)
 
 
