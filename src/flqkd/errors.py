@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the finiteness rule
-its parameter classes check first.
+"""Exception hierarchy shared across the package, and the finiteness and
+integer rules its parameter classes check.
 
 One class per exit code of the CLI: ConfigError exits 2, ValidationError
 (a refused argument, an unphysical state among them) exits 3, and
@@ -9,6 +9,8 @@ EstimatorUndefinedError (an undefined intrusion estimate) exits 4.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class FlqkdError(Exception):
@@ -38,3 +40,8 @@ def require_finite(obj, names) -> None:
             finite = False
         if not finite:
             raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

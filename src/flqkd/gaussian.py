@@ -9,28 +9,22 @@ g(N) = (N+1) log2(N+1) - N log2 N the entropy of a thermal mode in bits.
 Every state the key-rate model builds joins its modes, (tapped, idler,
 return), by 2x2 blocks I or Z = diag(1, -1), so its x-p cross blocks are zero
 and its p block is D V_x D, with V_x its x block and D = diag(1, -1, 1). A
-covariance here is that 3x3 x block, and it stands for the whole state. The
-symplectic eigenvalues are the square roots of the eigenvalues of V_x V_p.
-With V_x = L_x L_x^T (Cholesky), V_p = L_p L_p^T with L_p = D L_x D, and V_x V_p
-is similar to B B^T with B = L_x^T L_p, so the nu_j are the singular values of
-B: no square is taken and no eigenvalue pairing is needed. Every step of the
-Cholesky factorization commutes with the sign flips of D, so D L_x D is the
-factor of D V_x D bit for bit, and no second factorization is needed.
+covariance here is that 3x3 x block, a plain array, and it stands for the
+whole state. The symplectic eigenvalues are the square roots of the
+eigenvalues of V_x V_p. With V_x = L_x L_x^T (Cholesky), V_p = L_p L_p^T with
+L_p = D L_x D, and V_x V_p is similar to B B^T with B = L_x^T L_p, so the
+nu_j are the singular values of B: no square is taken and no eigenvalue
+pairing is needed. Every step of the Cholesky factorization commutes with the
+sign flips of D, so D L_x D is the factor of D V_x D bit for bit, and no
+second factorization is needed.
 
-A validated covariance carries its spectrum: `Covariance3Mode` takes the
-symplectic eigenvalues of its whole stack in one LAPACK batch per step (one
-Cholesky factor, one SVD) when it is built, and `unstack` hands each part
-its own read-only slice, so the entropy routines read spectra and make no
-LAPACK call of their own. LAPACK works matrix by matrix, so a part's
-spectrum is the one-matrix call's bit for bit. `pi_phase_on_mode_3`
-derives a covariance from a validated one by a phase of pi on its third
-mode, a symplectic map, and hands it the same spectrum, so the derived
-covariance costs no validation and no LAPACK call at all.
+`symplectic_eigenvalues` takes a stack of x blocks in one LAPACK batch per
+step (one Cholesky factor, one SVD); LAPACK works matrix by matrix, so a
+part's spectrum is the one-matrix call's bit for bit. Nothing is cached: a
+spectrum is an array, and `von_neumann_entropy` reads it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,8 +38,6 @@ _SYMMETRY_RTOL = 1e-12
 
 # D: the p block of a covariance is D V_x D
 _P_SIGNS = np.array([1.0, -1.0, 1.0])
-# F: a phase of pi on the third mode changes the sign of its x and its p
-_MODE_3_FLIP = np.array([1.0, 1.0, -1.0])
 
 
 def scalar_or_array(values):
@@ -60,30 +52,24 @@ def elementwise(fun, values):
     return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
 
 
-@dataclass(frozen=True, eq=False)
-class Covariance3Mode:
-    """Validated Wigner covariance of a three-mode state with zero x-p cross
-    blocks, or a stack of them, held as its x block, with its symplectic
-    spectrum.
+def symplectic_eigenvalues(v_x) -> np.ndarray:
+    """Symplectic eigenvalues of a three-mode state with zero x-p cross
+    blocks, given by its x block, shape (3,), or of each matrix in a stack,
+    shape (..., 3); descending.
 
     Parameters
     ----------
-    entries : array_like
+    v_x : array_like
         The x block V_x, a real array of shape (..., 3, 3) over the modes
         (tapped, idler, return); each matrix symmetric to within 1e-12
         relative and positive definite. It stands for the state whose p
-        block is D V_x D, D = diag(1, -1, 1). Stored read-only.
+        block is D V_x D, D = diag(1, -1, 1).
 
-    Attributes
-    ----------
-    spectrum : np.ndarray
-        The symplectic eigenvalues of each matrix, shape (..., 3),
-        descending and read-only: the singular values of L_x^T L_p, where
-        L_x is the Cholesky factor of V_x, taken in one `np.linalg.cholesky`
-        call over the stack, and L_p = D L_x D that of the p block, followed
-        by one `np.linalg.svd` call. It is not checked against the vacuum
-        floor: `symplectic_eigenvalues` does that when a part's spectrum is
-        read.
+    The spectrum is the singular values of L_x^T L_p, where L_x is the
+    Cholesky factor of V_x, taken in one `np.linalg.cholesky` call over the
+    stack, and L_p = D L_x D that of the p block, followed by one
+    `np.linalg.svd` call. It is not checked against the vacuum floor:
+    `von_neumann_entropy` does that when it reads a spectrum.
 
     Raises
     ------
@@ -91,92 +77,23 @@ class Covariance3Mode:
         If the shape is not (..., 3, 3), an entry is not finite, or a matrix
         is not symmetric or not positive definite (it has no Cholesky
         factor, and then neither has its p block).
-
-    Two covariances compare equal only if they are the same object, and hash
-    by identity: their arrays give no single truth value.
     """
-
-    entries: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim < 2 or arr.shape[-2:] != (3, 3):
-            raise ValidationError(f"covariance x block must be 3x3, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValidationError("covariance has non-finite entries")
-        scale = np.maximum(np.abs(arr).max(axis=(-2, -1)), 1.0)
-        if (np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
-            raise ValidationError("covariance is not symmetric within 1e-12")
-        # the factor reads the lower triangle, which the symmetry check bounds
-        try:
-            l_x = np.linalg.cholesky(arr)
-        except np.linalg.LinAlgError:
-            raise ValidationError("covariance is not positive definite") from None
-        # the p block's factor, by exact sign flips
-        l_p = _P_SIGNS[:, None] * l_x * _P_SIGNS
-        spectrum = np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
-        arr.setflags(write=False)
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "spectrum", spectrum)
-
-    def unstack(self) -> tuple[Covariance3Mode, ...]:
-        """The covariances along the leading axis, validated with the stack;
-        each part's entries and spectrum are read-only slices of the stack's."""
-        if self.entries.ndim < 3:
-            raise ValidationError("one covariance has no leading axis to split")
-        return tuple(map(_validated, self.entries, self.spectrum))
-
-    def pi_phase_on_mode_3(self) -> Covariance3Mode:
-        """This covariance after a phase of pi on its third mode: F V_x F
-        with F = diag(1, 1, -1).
-
-        The map negates the third mode's x and p. It is orthogonal and
-        symplectic, and its entries are exact sign flips, so F V_x F is
-        exactly as symmetric and as positive definite as V_x, its p block is
-        F D V_x D F = D (F V_x F) D, and it shares this covariance's
-        spectrum, the same read-only array: no check is skipped. Entries
-        that change sign are negated exactly, and a zero stays 0.0, not
-        -0.0.
-        """
-        entries = _MODE_3_FLIP[:, None] * self.entries * _MODE_3_FLIP + 0.0
-        entries.setflags(write=False)
-        return _validated(entries, self.spectrum)
-
-
-def _validated(entries: np.ndarray, spectrum: np.ndarray) -> Covariance3Mode:
-    # a covariance whose read-only entries and spectrum come from one that
-    # was validated, built without validating them again
-    cov = object.__new__(Covariance3Mode)
-    object.__setattr__(cov, "entries", entries)
-    object.__setattr__(cov, "spectrum", spectrum)
-    return cov
-
-
-def symplectic_eigenvalues(cov) -> np.ndarray:
-    """Symplectic eigenvalues of a validated covariance, shape (3,), or of
-    each matrix in a stack, shape (..., 3); descending and read-only.
-
-    They are the spectrum the covariance took when it was validated: a raw
-    array is validated here, in one LAPACK batch per step, and a
-    `Covariance3Mode` costs no LAPACK call. The vacuum floor is checked
-    here, over the spectrum read, so a part of a stack is refused for its
-    own eigenvalues and names its own minimum.
-
-    Raises
-    ------
-    ValidationError
-        If a raw array is not a stack of symmetric positive definite 3x3
-        x blocks (checked when it is validated here), or if any eigenvalue
-        read falls below 1/4 - 1e-9.
-    """
-    if not isinstance(cov, Covariance3Mode):
-        cov = Covariance3Mode(cov)
-    nus = cov.spectrum
-    if nus.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
-        raise ValidationError(f"symplectic eigenvalue below vacuum floor: {float(nus.min())!r}")
-    return nus
+    arr = np.asarray(v_x, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2:] != (3, 3):
+        raise ValidationError(f"covariance x block must be 3x3, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("covariance has non-finite entries")
+    scale = np.maximum(np.abs(arr).max(axis=(-2, -1)), 1.0)
+    if (np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
+        raise ValidationError("covariance is not symmetric within 1e-12")
+    # the factor reads the lower triangle, which the symmetry check bounds
+    try:
+        l_x = np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance is not positive definite") from None
+    # the p block's factor, by exact sign flips
+    l_p = _P_SIGNS[:, None] * l_x * _P_SIGNS
+    return np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
 
 
 def _thermal_entropies(n: np.ndarray) -> np.ndarray:
@@ -189,13 +106,22 @@ def _thermal_entropies(n: np.ndarray) -> np.ndarray:
     return g
 
 
-def von_neumann_entropy(cov):
-    """Entropy in bits of the Gaussian state with the given covariance.
+def von_neumann_entropy(nus):
+    """Entropy in bits of the Gaussian state with the given symplectic
+    spectrum, as `symplectic_eigenvalues` returns it.
 
-    One 3x3 x block gives a float; a stack of shape (..., 3, 3) gives an
-    array of shape (...), each element equal to the single-matrix call.
+    One spectrum, shape (3,), gives a float; a stack of shape (..., 3) gives
+    an array of shape (...), each element equal to the single-spectrum call.
+
+    Raises
+    ------
+    ValidationError
+        If any eigenvalue falls below 1/4 - 1e-9, naming the least of them.
     """
+    nus = np.asarray(nus)
+    if nus.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
+        raise ValidationError(f"symplectic eigenvalue below vacuum floor: {float(nus.min())!r}")
     # eigenvalues within PHYSICALITY_TOL below 1/4 map to N = 0
-    g = _thermal_entropies(2.0 * symplectic_eigenvalues(cov) - 0.5)
+    g = _thermal_entropies(2.0 * nus - 0.5)
     # summed from the largest eigenvalue down
     return scalar_or_array(g[..., 0] + g[..., 1] + g[..., 2])

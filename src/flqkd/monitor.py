@@ -86,7 +86,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import EstimatorUndefinedError, ValidationError, require_finite
+from .errors import EstimatorUndefinedError, ValidationError, is_integer, require_finite
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class MonitorCounts:
             raise ValidationError(f"duration must be positive, got {self.duration!r}")
         for f in fields(self)[:6]:
             n = getattr(self, f.name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            if not is_integer(n) or n < 0:
                 raise ValidationError(f"{f.name} must be an integer >= 0, got {n!r}")
         if max(self.coinc_a, self.shifted_a) > self.singles_a:
             raise ValidationError("Alice coincidence count exceeds singles count")
@@ -188,7 +188,7 @@ class MonitorSimConfig:
         if self.duration <= 0:
             raise ValidationError(f"duration must be positive, got {self.duration!r}")
         seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        if not is_integer(seed) or not 0 <= seed < 2**64:
             raise ValidationError(f"rng_seed must be an integer in [0, 2**64), got {seed!r}")
         events = sum(_category_rates(self).values()) * self.duration
         if not events <= MAX_RUN_EVENTS:
@@ -612,7 +612,7 @@ def sweep_injection(
     trials' seeds when it starts: the seeds one spawn of them all would give.
     Every row's config is built, and so checked, before the first trial runs.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+    if not is_integer(trials):
         raise ValidationError(f"need an integer number of trials, got {trials!r}")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, is_integer, require_finite
 from .eve import SystemParams, check_brightness, holevo_bound
 from .gaussian import elementwise, scalar_or_array
 
@@ -85,7 +85,7 @@ class ConfidenceSpec:
         if self.sigma < 0:
             raise ValidationError(f"sigma must be >= 0, got {self.sigma!r}")
         n = self.n_sigma
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ValidationError(f"n_sigma must be a positive integer, got {n!r}")
 
 
@@ -132,7 +132,7 @@ def search_grid(n_s_range: tuple[float, float], points: int = 64) -> np.ndarray:
     on a range a few ulps wide its inner points can fall outside it and out
     of order.
     """
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+    if not is_integer(points):
         raise ValidationError(f"need an integer number of grid points, got {points!r}")
     if points < 2:
         raise ValidationError(f"need at least 2 grid points, got {points!r}")

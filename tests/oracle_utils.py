@@ -137,6 +137,9 @@ _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA6 = np.kron(np.eye(3), _OMEGA_BLOCK)
 # D: the p block of a covariance in flqkd.gaussian is D V_x D
 P_SIGNS = np.array([1.0, -1.0, 1.0])
+# F: a phase of pi on the return mode, the third, negates its x and p; the
+# bit-1 attack state, which flqkd.eve never builds, is F V_0 F
+F = np.diag([1.0, 1.0, -1.0])
 
 
 def full_covariance(v_x):

@@ -19,7 +19,7 @@ import numpy as np
 import oracle_utils as ou
 from flqkd.cli import _IMPL, main
 from flqkd.eve import attack_state, holevo_bound
-from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, von_neumann_entropy
+from flqkd.gaussian import symplectic_eigenvalues, von_neumann_entropy
 from flqkd.monitor import sweep_injection
 from flqkd.rates import alice_ber, optimize_brightness, pirandola_limit, q_function
 from monitor_oracle import NOMINAL_POINT
@@ -91,14 +91,14 @@ def test_gaussian_oracle_suite(capsys):
     worst = 0.0
     for _ in range(100):
         v, known = ou.random_physical_covariance(rng)
-        pkg = np.asarray(symplectic_eigenvalues(Covariance3Mode(v)))
+        pkg = np.asarray(symplectic_eigenvalues(v))
         bf = ou.brute_force_spectrum(v)
         worst = max(worst, float(np.max(np.abs(pkg - bf) / bf)))
         worst = max(worst, float(np.max(np.abs(pkg - known) / known)))
     worst_entropy = 0.0
     for _ in range(20):
         v, _ = ou.random_physical_covariance(rng, pure=True)
-        worst_entropy = max(worst_entropy, von_neumann_entropy(Covariance3Mode(v)))
+        worst_entropy = max(worst_entropy, von_neumann_entropy(symplectic_eigenvalues(v)))
     ok = worst < 1e-9 and worst_entropy < 1e-8
     _report(capsys, "gaussian oracle suite (100 spectra @1e-9, 20 pure @1e-8)", ok,
             f"worst spectrum dev={worst:.2e}, worst pure entropy={worst_entropy:.2e}")
@@ -112,10 +112,11 @@ def test_bit_symmetry_and_holevo_range(capsys):
     for _ in range(50):
         n_s = 10.0 ** rng.uniform(-4, 0)
         f_e = 10.0 ** rng.uniform(-5, -0.31)
-        state = attack_state(params, n_s, f_e)
-        nu0 = np.asarray(symplectic_eigenvalues(state.cov_k0))
-        # V_1 shares V_0's spectrum, so V_1 is validated afresh for the check
-        nu1 = np.asarray(symplectic_eigenvalues(np.array(state.cov_k1.entries)))
+        v0 = attack_state(params, n_s, f_e)[0]
+        # the bound reads V_0's spectrum for V_1 too; V_1 = F V_0 F is taken
+        # afresh for the check
+        nu0 = symplectic_eigenvalues(v0)
+        nu1 = symplectic_eigenvalues(ou.F @ v0 @ ou.F)
         worst = max(worst, float(np.max(np.abs(nu0 - nu1) / nu1)))
         chi = holevo_bound(params, n_s, f_e)
         chi_ok = chi_ok and 0.0 <= chi <= 1.0

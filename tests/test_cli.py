@@ -290,9 +290,8 @@ def _listing(directory):
 
 
 def run_case(case, cwd, run):
-    """Run one row of the exit-case table in the fresh directory cwd, with
+    """Run one row of the exit-case table in the empty directory cwd, with
     run(argv, cwd) -> (exit code, stdout, stderr), and check every column."""
-    cwd.mkdir(exist_ok=True)
     if case.config is not None:
         (cwd / "cfg.json").write_text(case.config)
     if case.existing is not None:

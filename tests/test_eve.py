@@ -21,7 +21,7 @@ from flqkd.eve import (
     eve_injection_brightness,
     holevo_bound,
 )
-from flqkd.gaussian import Covariance3Mode, symplectic_eigenvalues, von_neumann_entropy
+from flqkd.gaussian import symplectic_eigenvalues, von_neumann_entropy
 from flqkd.monitor import _detector_loads
 from oracle_utils import PARAMS
 
@@ -60,8 +60,8 @@ def test_bobs_flux_against_f_e_in_both_halves():
 
 
 def test_bit_values_differ_only_in_signal_correlation_signs():
-    st = attack_state(PARAMS, 0.01, 0.0027)
-    c0, c1 = st.cov_k0.entries, st.cov_k1.entries
+    c0 = attack_state(PARAMS, 0.01, 0.0027)[0]
+    c1 = ou.F @ c0 @ ou.F
     diff = c1 - c0
     mask = np.zeros((3, 3), dtype=bool)
     for i, j in _C_AB_POS + _C_IB_POS:
@@ -72,23 +72,21 @@ def test_bit_values_differ_only_in_signal_correlation_signs():
 
 
 def test_unconditional_state_has_no_signal_correlations():
-    st = attack_state(PARAMS, 0.01, 0.0027)
-    assert np.array_equal(
-        st.cov_uncond.entries, 0.5 * (st.cov_k0.entries + st.cov_k1.entries)
-    )
+    v0, v_avg = attack_state(PARAMS, 0.01, 0.0027)
+    assert np.array_equal(v_avg, 0.5 * (v0 + ou.F @ v0 @ ou.F))
     for i, j in _C_AB_POS + _C_IB_POS:
-        assert st.cov_uncond.entries[i, j] == 0.0
+        assert v_avg[i, j] == 0.0
 
 
 def test_no_injection_leaves_idler_in_vacuum():
-    cov = attack_state(PARAMS, 0.01, 0.0).cov_k0.entries
+    cov = attack_state(PARAMS, 0.01, 0.0)[0]
     assert math.isclose(cov[1, 1], 0.25, rel_tol=0, abs_tol=1e-15)
     # idler decoupled from reference and return modes
     assert np.all(cov[1, [0, 2]] == 0.0) and np.all(cov[[0, 2], 1] == 0.0)
 
 
 def test_dark_source_state_is_thermal_background():
-    cov = attack_state(PARAMS, 0.0, 0.0).cov_k0.entries
+    cov = attack_state(PARAMS, 0.0, 0.0)[0]
     expected = np.diag([(2 * 0.0 + 1) / 4, (2 * 0.0 + 1) / 4, (2 * PARAMS.N_B + 1) / 4])
     assert np.allclose(cov, expected, rtol=1e-12)
 
@@ -98,11 +96,11 @@ def test_bit_symmetry_of_spectra():
     for _ in range(12):
         n_s = 10.0 ** rng.uniform(-4, 0)
         f_e = 10.0 ** rng.uniform(-5, -1)
-        st = attack_state(PARAMS, n_s, f_e)
-        a = np.asarray(symplectic_eigenvalues(st.cov_k0))
-        # V_1 shares V_0's spectrum; validating its entries afresh, in a
-        # LAPACK batch of its own, is the independent check
-        b = np.asarray(symplectic_eigenvalues(np.array(st.cov_k1.entries)))
+        v0 = attack_state(PARAMS, n_s, f_e)[0]
+        # the bound reads V_0's spectrum for V_1 too; V_1's own, in a LAPACK
+        # batch of its own, is the independent check
+        a = symplectic_eigenvalues(v0)
+        b = symplectic_eigenvalues(ou.F @ v0 @ ou.F)
         assert np.max(np.abs(a - b) / b) < 1e-10
 
 
@@ -148,20 +146,18 @@ def test_holevo_at_total_injection_is_its_limit():
 def test_array_attack_state_stacks_the_scalar_states():
     grid = np.array([0.0, 1e-4, 0.01, 0.3])
     batch = attack_state(PARAMS, grid, 0.0027)
-    assert batch.cov_uncond.entries.shape == (4, 3, 3)
+    assert batch.shape == (2, 4, 3, 3)
     for k, n_s in enumerate(grid.tolist()):
-        one = attack_state(PARAMS, n_s, 0.0027)
-        for name in ("cov_k0", "cov_k1", "cov_uncond"):
-            assert np.array_equal(getattr(one, name).entries, getattr(batch, name).entries[k])
+        assert np.array_equal(attack_state(PARAMS, n_s, 0.0027), batch[:, k])
     chi = holevo_bound(PARAMS, grid, 0.0027)
     assert chi.tolist() == [holevo_bound(PARAMS, x, 0.0027) for x in grid.tolist()]
 
 
 @pytest.mark.parametrize("n_s", [0.01, np.array([0.0, 1e-4, 0.01, 0.3])], ids=["scalar", "array"])
 def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
-    # V_0 and the average are one validated stack of x blocks, whose spectra
-    # are taken by one Cholesky call and one SVD call; V_1 shares V_0's, and
-    # each entropy reads a slice
+    # V_0 and the average are one stack of x blocks, whose spectra are taken
+    # by one Cholesky call and one SVD call; each entropy reads a spectrum,
+    # V_0's twice, since V_1 has V_0's
     lapack_calls, entropy_calls = [], []
     cholesky, svd, entropy = np.linalg.cholesky, np.linalg.svd, eve.von_neumann_entropy
 
@@ -173,9 +169,9 @@ def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
         lapack_calls.append(("svd", a.shape))
         return svd(a, compute_uv=compute_uv)
 
-    def counted_entropy(cov):
-        entropy_calls.append(cov.entries.shape)
-        return entropy(cov)
+    def counted_entropy(nus):
+        entropy_calls.append(nus.shape)
+        return entropy(nus)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
@@ -183,14 +179,7 @@ def test_holevo_bound_costs_one_lapack_batch(monkeypatch, n_s):
     holevo_bound(PARAMS, n_s, 0.0027)
     blocks = (2, *np.shape(n_s), 3, 3)
     assert lapack_calls == [("cholesky", blocks), ("svd", blocks)]
-    assert entropy_calls == 3 * [blocks[1:]]
-
-
-def test_attack_state_compares_and_hashes_by_identity():
-    state = attack_state(PARAMS, np.array([0.01, 0.02]), 0.0027)
-    again = attack_state(PARAMS, np.array([0.01, 0.02]), 0.0027)
-    assert state == state and state != again
-    assert len({state, again, state}) == 2
+    assert entropy_calls == 3 * [(*np.shape(n_s), 3)]
 
 
 def _layout_terms(params, n_s, f_e):
@@ -244,9 +233,9 @@ def test_covariances_have_the_block_layout(n_s, f_e):
     terms = _layout_terms(PARAMS, n_s, f_e)
     if f_e == 0.95:
         assert np.all(terms[4] < 0.0)  # c_ab
-    st = attack_state(PARAMS, n_s, f_e)
-    for cov, sign in ((st.cov_k0, 1.0), (st.cov_k1, -1.0), (st.cov_uncond, 0.0)):
-        _assert_blocks(cov.entries, terms, sign)
+    v0, v_avg = attack_state(PARAMS, n_s, f_e)
+    for v, sign in ((v0, 1.0), (ou.F @ v0 @ ou.F, -1.0), (v_avg, 0.0)):
+        _assert_blocks(v, terms, sign)
 
 
 @settings(deadline=None)
@@ -260,24 +249,18 @@ def test_covariances_have_the_block_layout(n_s, f_e):
 def test_bit_one_state_is_bit_zero_after_a_return_phase_of_pi(n_s, f_e, kappa):
     params = replace(PARAMS, kappa=kappa)
     n_s = np.array([n_s, 0.5 * n_s])
-    st = attack_state(params, n_s, f_e)
-    v1 = st.cov_k1.entries
+    v0 = attack_state(params, n_s, f_e)[0]
+    v1 = ou.F @ v0 @ ou.F
     # the paper's bit-1 blocks, built from the formulas, not from V_0
     _assert_blocks(v1, _layout_terms(params, n_s, f_e), -1.0)
-    # exact sign flips of V_0: read-only, and no -0.0 where a term is zero
-    assert not v1.flags.writeable and not np.signbit(v1[v1 == 0.0]).any()
-    # a fresh validation passes, so deriving V_1 dropped no refusal
-    Covariance3Mode(v1)
-    # the spectrum is V_0's own read-only slice, taken once
-    assert st.cov_k1.spectrum is st.cov_k0.spectrum
-    assert not st.cov_k1.spectrum.flags.writeable
+    # V_1's own spectrum, taken afresh, is the V_0 spectrum the bound reads
+    nu0, nu1 = symplectic_eigenvalues(v0), symplectic_eigenvalues(v1)
+    assert np.max(np.abs(nu0 - nu1) / nu1) < 1e-10
 
 
 def test_holevo_matches_entropy_difference_before_clamp():
-    st = attack_state(PARAMS, 0.01, 0.0027)
-    per_mode = von_neumann_entropy(st.cov_uncond) - 0.5 * (
-        von_neumann_entropy(st.cov_k0) + von_neumann_entropy(st.cov_k1)
-    )
+    nu0, nu_avg = symplectic_eigenvalues(attack_state(PARAMS, 0.01, 0.0027))
+    per_mode = von_neumann_entropy(nu_avg) - von_neumann_entropy(nu0)
     raw = PARAMS.M * per_mode
     assert math.isclose(holevo_bound(PARAMS, 0.01, 0.0027), min(max(raw, 0.0), 1.0), rel_tol=1e-12)
 
@@ -290,14 +273,14 @@ def test_holevo_nondecreasing_in_injection():
 
 def test_no_injection_reduces_to_two_mode_state():
     # with f_E = 0 the idler factors out; entropy must match the 4x4 block
-    st = attack_state(PARAMS, 0.01, 0.0)
-    full = ou.full_covariance(st.cov_k0.entries)
+    v0 = attack_state(PARAMS, 0.01, 0.0)[0]
+    full = ou.full_covariance(v0)
     keep = [0, 1, 4, 5]
     sub = full[np.ix_(keep, keep)]
     raw = np.linalg.eigvals(np.kron(np.eye(2), ou.OMEGA6[:2, :2]) @ sub)
     nus = np.sort(np.abs(raw.imag[raw.imag > 0]))[::-1]
     s_two = sum(ou.thermal_entropy(max(2 * nu - 0.5, 0.0)) for nu in nus)
-    assert math.isclose(von_neumann_entropy(st.cov_k0), s_two, rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(von_neumann_entropy(symplectic_eigenvalues(v0)), s_two, rel_tol=0, abs_tol=1e-9)
 
 
 def test_chernoff_examples():
@@ -424,17 +407,16 @@ def test_attack_state_spectra_match_a_50_digit_spectrum():
         params = systems[rng.integers(len(systems))]
         floor = params.G_B * (1.0 - params.kappa_B) - 1.0
         params = replace(params, N_B=floor * (1.0 + 10.0 ** rng.uniform(-3.0, 1.0)))
-        state = attack_state(params, 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.0, 0.95))
-        for cov in (state.cov_k0, state.cov_uncond):
-            exact = ou.block_spectrum(cov.entries)
-            errors = np.array([float(abs(nu - ref)) for nu, ref in zip(symplectic_eigenvalues(cov).tolist(), exact)])
-            assert errors.max() <= 8.0 * eps * np.linalg.norm(ou.full_covariance(cov.entries), 2), params
+        for v in attack_state(params, 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.0, 0.95)):
+            exact = ou.block_spectrum(v)
+            errors = np.array([float(abs(nu - ref)) for nu, ref in zip(symplectic_eigenvalues(v).tolist(), exact)])
+            assert errors.max() <= 8.0 * eps * np.linalg.norm(ou.full_covariance(v), 2), params
             scaled.extend(errors / (eps * float(exact[0])))
     assert np.percentile(scaled, 99) <= 2.5
 
 
 def test_the_p_block_factor_is_the_x_blocks_with_exact_sign_flips():
-    # Covariance3Mode factors the x block V_x alone and takes the p block's
+    # symplectic_eigenvalues factors the x block V_x alone and takes the p block's
     # factor as D L_x D: a Cholesky call on D V_x D gives that factor
     # exactly, and the spectrum is the two-factor route's bit for bit. On
     # the oracle draws, on 300 attack states of random systems at the noise
@@ -446,11 +428,9 @@ def test_the_p_block_factor_is_the_x_blocks_with_exact_sign_flips():
         params = systems[rng.integers(len(systems))]
         floor = params.G_B * (1.0 - params.kappa_B) - 1.0
         params = replace(params, N_B=floor * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0)))
-        state = attack_state(params, 10.0 ** rng.uniform(-6.0, 0.0, 8), rng.uniform(0.0, 0.999999))
-        blocks += [state.cov_k0.entries, state.cov_uncond.entries]
+        blocks += list(attack_state(params, 10.0 ** rng.uniform(-6.0, 0.0, 8), rng.uniform(0.0, 0.999999)))
     corner = SystemParams(W=1e6, R=1e6, kappa=0.9, eta=0.9, kappa_B=0.0, G_B=2.0, N_B=1.0 + 1e-12, beta=0.94)
-    state = attack_state(corner, np.logspace(-6, 0, 40), 0.999999)
-    blocks += [state.cov_k0.entries, state.cov_uncond.entries]
+    blocks += list(attack_state(corner, np.logspace(-6, 0, 40), 0.999999))
     d = ou.P_SIGNS
     for v_x in blocks:
         l_x = np.linalg.cholesky(v_x)
@@ -458,7 +438,7 @@ def test_the_p_block_factor_is_the_x_blocks_with_exact_sign_flips():
         l_p = np.linalg.cholesky(d[:, None] * v_x * d + 0.0)
         assert np.array_equal(l_p, d[:, None] * l_x * d)
         two_factor = np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
-        assert two_factor.tobytes() == Covariance3Mode(v_x).spectrum.tobytes()
+        assert two_factor.tobytes() == symplectic_eigenvalues(v_x).tobytes()
 
 
 def test_injection_fraction_domain():

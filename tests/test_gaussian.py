@@ -1,4 +1,4 @@
-"""Covariance container, symplectic spectra, and von Neumann entropy."""
+"""Symplectic spectra of x blocks, and von Neumann entropy."""
 
 from __future__ import annotations
 
@@ -12,29 +12,27 @@ from hypothesis import strategies as st
 
 import oracle_utils as ou
 from flqkd.errors import ValidationError
-from flqkd.gaussian import (
-    Covariance3Mode,
-    symplectic_eigenvalues,
-    von_neumann_entropy,
-)
+from flqkd.gaussian import symplectic_eigenvalues, von_neumann_entropy
 
 
 def _diag_cov(n1, n2, n3):
-    return Covariance3Mode(np.diag([(2.0 * n + 1.0) / 4.0 for n in (n1, n2, n3)]))
+    return np.diag([(2.0 * n + 1.0) / 4.0 for n in (n1, n2, n3)])
+
+
+def _entropy(v):
+    return von_neumann_entropy(symplectic_eigenvalues(v))
 
 
 def test_vacuum_spectrum_and_entropy():
-    cov = _diag_cov(0.0, 0.0, 0.0)
-    nus = symplectic_eigenvalues(cov)
+    nus = symplectic_eigenvalues(_diag_cov(0.0, 0.0, 0.0))
     assert np.allclose(nus, 0.25, rtol=0, atol=1e-14)
-    assert von_neumann_entropy(cov) == 0.0
+    assert von_neumann_entropy(nus) == 0.0
 
 
 def test_single_thermal_mode_spectrum():
-    cov = _diag_cov(1.0, 0.0, 0.0)
-    nus = symplectic_eigenvalues(cov)
+    nus = symplectic_eigenvalues(_diag_cov(1.0, 0.0, 0.0))
     assert np.allclose(nus, [0.75, 0.25, 0.25], rtol=1e-13)
-    assert math.isclose(von_neumann_entropy(cov), 2.0, rel_tol=1e-12)
+    assert math.isclose(von_neumann_entropy(nus), 2.0, rel_tol=1e-12)
 
 
 def test_two_mode_squeezed_plus_vacuum_is_pure():
@@ -43,15 +41,14 @@ def test_two_mode_squeezed_plus_vacuum_is_pure():
     c = ou.TMS_C_HALF
     v = np.diag([0.5, 0.5, 0.25])
     v[0, 1] = v[1, 0] = c
-    cov = Covariance3Mode(v)
-    nus = symplectic_eigenvalues(cov)
+    nus = symplectic_eigenvalues(v)
     assert np.allclose(nus, 0.25, rtol=0, atol=1e-12)
-    assert von_neumann_entropy(cov) < 1e-10
+    assert von_neumann_entropy(nus) < 1e-10
 
 
 def _thermal_entropy(n):
     # the entropy of one thermal mode of mean photon number n, the others vacuum
-    return von_neumann_entropy(_diag_cov(n, 0.0, 0.0))
+    return _entropy(_diag_cov(n, 0.0, 0.0))
 
 
 def test_thermal_entropy_values():
@@ -67,16 +64,15 @@ def test_thermal_entropy_monotone(n, factor):
 
 def test_entropy_matches_thermal_sum_for_diagonal():
     ns = (0.3, 1.7, 0.001)
-    cov = _diag_cov(*ns)
     expected = sum(ou.thermal_entropy(n) for n in ns)
-    assert math.isclose(von_neumann_entropy(cov), expected, rel_tol=1e-10)
+    assert math.isclose(_entropy(_diag_cov(*ns)), expected, rel_tol=1e-10)
 
 
 def test_spectrum_matches_brute_force_sample():
     rng = np.random.default_rng(23)
     for _ in range(8):
         v, known = ou.random_physical_covariance(rng)
-        pkg = np.asarray(symplectic_eigenvalues(Covariance3Mode(v)))
+        pkg = np.asarray(symplectic_eigenvalues(v))
         bf = ou.brute_force_spectrum(v)
         assert np.max(np.abs(pkg - bf) / bf) < 1e-9
         assert np.max(np.abs(pkg - known) / known) < 1e-9
@@ -86,16 +82,16 @@ def test_pure_states_have_negligible_entropy():
     rng = np.random.default_rng(29)
     for _ in range(5):
         v, _ = ou.random_physical_covariance(rng, pure=True)
-        assert von_neumann_entropy(Covariance3Mode(v)) < 1e-8
+        assert _entropy(v) < 1e-8
 
 
 def test_stacked_entropies_equal_single_matrix_calls():
     rng = np.random.default_rng(31)
     stack = np.array([ou.random_physical_covariance(rng)[0] for _ in range(6)]).reshape(2, 3, 3, 3)
-    entropies = von_neumann_entropy(stack)
+    entropies = _entropy(stack)
     assert entropies.shape == (2, 3)
     for idx in np.ndindex(2, 3):
-        single = von_neumann_entropy(stack[idx])
+        single = _entropy(stack[idx])
         assert type(single) is float
         assert single == entropies[idx]
 
@@ -106,7 +102,7 @@ def test_stacked_spectra_equal_single_matrix_calls():
     spectra = symplectic_eigenvalues(stack)
     assert spectra.shape == (2, 3, 3)
     for idx in np.ndindex(2, 3):
-        single = symplectic_eigenvalues(Covariance3Mode(stack[idx]))
+        single = symplectic_eigenvalues(stack[idx])
         assert single.shape == (3,)
         assert single[0] >= single[1] >= single[2]
         assert single.tobytes() == spectra[idx].tobytes()
@@ -121,41 +117,20 @@ def test_stack_is_rejected_when_one_matrix_is_bad():
     nonfinite[2, 2] = np.inf
     for bad in (asymmetric, indefinite, nonfinite):
         with pytest.raises(ValidationError):
-            Covariance3Mode(np.array([good, bad, good]))
+            symplectic_eigenvalues(np.array([good, bad, good]))
     with pytest.raises(ValidationError, match="^symplectic eigenvalue below vacuum floor"):
-        von_neumann_entropy(np.array([good, np.diag(np.full(3, 0.1))]))
-
-
-def test_unstack_splits_the_leading_axis():
-    stack = Covariance3Mode(np.array([np.diag(np.full(3, 0.5 + k)) for k in range(3)]))
-    parts = stack.unstack()
-    assert [p.entries[0, 0] for p in parts] == [0.5, 1.5, 2.5]
-    with pytest.raises(ValidationError):
-        parts[0].unstack()
-
-
-def test_unstacked_parts_carry_read_only_single_matrix_spectra():
-    rng = np.random.default_rng(41)
-    stack = Covariance3Mode(np.array([ou.random_physical_covariance(rng)[0] for _ in range(4)]))
-    for part in stack.unstack():
-        fresh = symplectic_eigenvalues(np.array(part.entries))
-        assert part.spectrum.shape == (3,)
-        assert part.spectrum.tobytes() == fresh.tobytes()
-        assert symplectic_eigenvalues(part) is part.spectrum
-        for array in (part.entries, part.spectrum):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 9.0
+        _entropy(np.array([good, np.diag(np.full(3, 0.1))]))
 
 
 def test_each_part_is_refused_for_its_own_spectrum():
     # parts 1 and 2 lie below the vacuum floor at different depths; the floor
-    # is checked when a part is read, so each names its own minimum
+    # is checked when an entropy reads a part, so each names its own minimum
     good = np.diag(np.full(3, 0.5))
     shallow, deep = np.diag(np.full(3, 0.125)), np.diag(np.full(3, 0.0625))
-    parts = Covariance3Mode(np.array([good, shallow, deep])).unstack()
+    parts = symplectic_eigenvalues(np.array([good, shallow, deep]))
     assert von_neumann_entropy(parts[0]) > 0.0
     for part, alone in ((parts[1], shallow), (parts[2], deep)):
-        depth = re.escape(repr(float(Covariance3Mode(alone).spectrum.min())))
+        depth = re.escape(repr(float(symplectic_eigenvalues(alone).min())))
         with pytest.raises(ValidationError, match=f"^symplectic eigenvalue below vacuum floor: {depth}$"):
             von_neumann_entropy(part)
 
@@ -182,73 +157,38 @@ def test_a_raw_array_costs_one_lapack_batch(monkeypatch):
         ("cholesky", (2, 3, 3, 3)), ("svd", (2, 3, 3, 3)),
         ("cholesky", (3, 3)), ("svd", (3, 3)),
     ]
-    # a validated covariance's spectrum is read, not recomputed
-    cov = Covariance3Mode(stack)
-    calls.clear()
-    symplectic_eigenvalues(cov)
-    von_neumann_entropy(cov)
-    for part in cov.unstack():
-        von_neumann_entropy(part)
-    assert calls == []
-
-
-def test_a_phase_of_pi_keeps_the_spectrum():
-    # on a random stack: S V S exactly, the same spectrum object, and a
-    # fresh validation agreeing with it
-    rng = np.random.default_rng(47)
-    cov = Covariance3Mode(np.array([ou.random_physical_covariance(rng)[0] for _ in range(4)]))
-    s = np.diag([1.0, 1.0, -1.0])
-    flipped = cov.pi_phase_on_mode_3()
-    assert np.array_equal(flipped.entries, s @ cov.entries @ s)
-    assert flipped.spectrum is cov.spectrum
-    with pytest.raises(ValueError, match="read-only"):
-        flipped.entries[0, 0, 0] = 9.0
-    fresh = symplectic_eigenvalues(np.array(flipped.entries))
-    assert np.max(np.abs(fresh - cov.spectrum) / fresh) < 1e-10
-
-
-def test_covariances_compare_and_hash_by_identity():
-    v = np.diag(np.full(3, 0.5))
-    cov, again = Covariance3Mode(v), Covariance3Mode(v)
-    assert cov == cov and cov != again
-    assert len({cov, again, cov}) == 2
 
 
 def test_rejects_wrong_shape():
     # a covariance is its 3x3 x block; the full 6x6 matrix is refused too
     for shape in (4, 6):
         with pytest.raises(ValidationError, match=r"^covariance x block must be 3x3"):
-            Covariance3Mode(np.eye(shape))
+            symplectic_eigenvalues(np.eye(shape))
 
 
 def test_rejects_asymmetric():
     v = np.diag(np.full(3, 0.5))
     v[0, 1] = 1e-3
     with pytest.raises(ValidationError):
-        Covariance3Mode(v)
+        symplectic_eigenvalues(v)
 
 
 def test_rejects_non_positive_definite():
     v = np.diag([0.5, 0.5, -0.1])
     with pytest.raises(ValidationError):
-        Covariance3Mode(v)
+        symplectic_eigenvalues(v)
 
 
 def test_rejects_nonfinite():
     v = np.diag(np.full(3, 0.5))
     v[2, 2] = np.nan
     with pytest.raises(ValidationError):
-        Covariance3Mode(v)
+        symplectic_eigenvalues(v)
 
 
 def test_unphysical_spectrum_raises():
     # positive definite but nu < 1/4 violates the uncertainty bound
-    cov = Covariance3Mode(np.diag(np.full(3, 0.1)))
+    nus = symplectic_eigenvalues(np.diag(np.full(3, 0.1)))
     with pytest.raises(ValidationError, match=r"^symplectic eigenvalue below vacuum floor: 0\.1"):
-        symplectic_eigenvalues(cov)
+        von_neumann_entropy(nus)
 
-
-def test_entries_are_read_only():
-    cov = _diag_cov(0.5, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        cov.entries[0, 0] = 9.0
