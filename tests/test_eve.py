@@ -416,8 +416,8 @@ def test_attack_state_spectra_match_a_50_digit_spectrum():
 
 
 def test_the_p_block_factor_is_the_x_blocks_with_exact_sign_flips():
-    # symplectic_eigenvalues factors the x block V_x alone and takes the p block's
-    # factor as D L_x D: a Cholesky call on D V_x D gives that factor
+    # symplectic_eigenvalues factors the x block V_x alone and takes the p
+    # block's factor as D L_x D: a Cholesky call on D V_x D gives that factor
     # exactly, and the spectrum is the two-factor route's bit for bit. On
     # the oracle draws, on 300 attack states of random systems at the noise
     # floor, and on the G_B = 2, kappa = 0.9 corner of the strict xfail
