@@ -159,6 +159,26 @@ def test_a_raw_array_costs_one_lapack_batch(monkeypatch):
     ]
 
 
+def test_the_callers_array_is_left_writeable_and_unchanged():
+    # a covariance is the caller's array: it is neither copied into an
+    # object nor frozen, and the spectrum is a fresh writeable array
+    rng = np.random.default_rng(47)
+    v = ou.random_physical_covariance(rng)[0]
+    before = v.copy()
+    nus = symplectic_eigenvalues(v)
+    assert v.flags.writeable and nus.flags.writeable
+    assert v.tobytes() == before.tobytes()
+    nus[0] = 0.0
+    assert symplectic_eigenvalues(v)[0] > 0.25
+
+
+def test_entropy_forgives_eigenvalues_within_the_tolerance_below_the_floor():
+    # 1/4 - 1e-9 is the least eigenvalue that is read as vacuum
+    assert von_neumann_entropy(np.full(3, 0.25 - 0.5e-9)) == 0.0
+    with pytest.raises(ValidationError, match="^symplectic eigenvalue below vacuum floor"):
+        von_neumann_entropy(np.array([0.5, 0.25, 0.25 - 2e-9]))
+
+
 def test_rejects_wrong_shape():
     # a covariance is its 3x3 x block; the full 6x6 matrix is refused too
     for shape in (4, 6):
