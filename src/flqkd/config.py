@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, is_integer
 from .eve import SystemParams
 from .monitor import MonitorSimConfig
 from .rates import ConfidenceSpec
@@ -95,7 +95,7 @@ def _typed(name: str, value, default):
         if not isinstance(value, bool):
             raise ConfigError(f"{name} must be true/false, got {value!r}")
     elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     else:
         if isinstance(value, bool) or not isinstance(value, (int, float)):

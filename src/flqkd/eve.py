@@ -1,22 +1,39 @@
-"""Eavesdropper attack states and information bounds.
+"""Eavesdropper attack states, their entropies, and information bounds.
 
 The collective attack injects light from one arm of an entangled-pair source
 into the channel toward Bob and holds the other arm (the idler) in a quantum
 memory. Conditioned on Bob's bit k, the eavesdropper's per-mode state is a
 zero-mean three-mode Gaussian state over (tapped Alice-to-Bob light, idler,
-amplified Bob-to-Alice return); its covariance is built here and fed to the
-entropy routines to bound the Holevo information per channel use.
+amplified Bob-to-Alice return); its covariance is built here, and the
+entropies of its symplectic spectra bound the Holevo information per use.
+
+Covariances use the Wigner convention in which the vacuum diagonal is 1/4,
+quadratures ordered (x1, p1, x2, p2, x3, p3). A thermal mode with mean photon
+number N has diagonal (2N+1)/4, so a state with symplectic eigenvalues nu_j
+has entropy sum_j g(2 nu_j - 1/2), in bits, with g(N) the thermal entropy
+(N+1) log2(N+1) - N log2 N.
 
 The covariance is six terms (a, e, b, c_ia, c_ab, c_ib), each joining two
 modes, or one mode with itself, by a 2x2 block I or Z = diag(1, -1); so x
-never meets p (the x-p cross blocks are zero) and the p block is the x block
-with the tapped-idler and idler-return entries negated. A covariance is held
-as its 3x3 x block, a plain array, and `gaussian.symplectic_eigenvalues`
-relies on that. Bob encodes his bit as a phase of 0 or pi on the return
-light, so the bit-1 state is the bit-0 state with the return mode's x and p
-negated: a symplectic map, under which both conditional states have one
-symplectic spectrum (Williamson's theorem). So the bit-1 state is never
-built; its entropy is the bit-0 state's.
+never meets p (the x-p cross blocks are zero) and the p block is D V_x D,
+with V_x the x block and D = diag(1, -1, 1). A covariance is held as that
+3x3 x block, a plain array, and it stands for the whole state. Bob encodes
+his bit as a phase of 0 or pi on the return light, so the bit-1 state is the
+bit-0 state with the return mode's x and p negated: a symplectic map, under
+which both conditional states have one symplectic spectrum (Williamson's
+theorem). So the bit-1 state is never built; its entropy is the bit-0
+state's.
+
+The symplectic eigenvalues are the square roots of the eigenvalues of
+V_x V_p. With V_x = L_x L_x^T (Cholesky), V_p = L_p L_p^T with
+L_p = D L_x D, and V_x V_p is similar to B B^T with B = L_x^T L_p, so the
+nu_j are the singular values of B: no square is taken and no eigenvalue
+pairing is needed. Every step of the Cholesky factorization commutes with the
+sign flips of D, so D L_x D is the factor of D V_x D bit for bit, and no
+second factorization is needed. `symplectic_eigenvalues` takes a stack of
+x blocks in one LAPACK batch per step (one Cholesky factor, one SVD); LAPACK
+works matrix by matrix, so a part's spectrum is the one-matrix call's bit for
+bit.
 """
 
 from __future__ import annotations
@@ -27,7 +44,25 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError, require_finite
-from .gaussian import elementwise, scalar_or_array, symplectic_eigenvalues, von_neumann_entropy
+
+VACUUM_EIGENVALUE = 0.25
+# tolerance below the vacuum floor before a state is declared unphysical
+PHYSICALITY_TOL = 1e-9
+_SYMMETRY_RTOL = 1e-12
+# D: the p block of a covariance is D V_x D
+_P_SIGNS = np.array([1.0, -1.0, 1.0])
+
+
+def scalar_or_array(values):
+    """A 0-d result as a Python float; any other shape as the array itself."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def elementwise(fun, values):
+    """A scalar function mapped over an array; a 0-d input gives a float."""
+    values = np.asarray(values)
+    out = [fun(v) for v in values.ravel().tolist()]
+    return out[0] if values.ndim == 0 else np.array(out).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -122,10 +157,9 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> np.ndarray:
     average over Bob's bit, as one stack [V_0, V_avg] of shape
     (2, *np.shape(n_s), 3, 3) over (tapped, idler, return).
 
-    n_s may be an array. The bit-1 covariance V_1 is V_0 after a pi phase on
-    the return mode, F V_0 F with F = diag(1, 1, -1), and is not built: it
-    has V_0's symplectic spectrum. The entries are not checked here;
-    `symplectic_eigenvalues` checks them.
+    n_s may be an array. The bit-1 covariance V_1 = F V_0 F, with
+    F = diag(1, 1, -1), is not built (see above), and the entries are not
+    checked here: `symplectic_eigenvalues` checks them.
     """
     n_s = np.asarray(n_s, dtype=float)
     n_e = eve_injection_brightness(f_e, n_s, params.kappa)
@@ -154,6 +188,81 @@ def attack_state(params: SystemParams, n_s, f_e: float) -> np.ndarray:
     return entries
 
 
+def symplectic_eigenvalues(v_x) -> np.ndarray:
+    """Symplectic eigenvalues of a three-mode state with zero x-p cross
+    blocks, given by its x block, shape (3,), or of each matrix in a stack,
+    shape (..., 3); descending.
+
+    Parameters
+    ----------
+    v_x : array_like
+        The x block V_x, a real array of shape (..., 3, 3) over the modes
+        (tapped, idler, return); each matrix symmetric to within 1e-12
+        relative and positive definite. It stands for the state whose p
+        block is D V_x D, D = diag(1, -1, 1).
+
+    The spectrum is the singular values of L_x^T L_p, where L_x is the
+    Cholesky factor of V_x, taken in one `np.linalg.cholesky` call over the
+    stack, and L_p = D L_x D that of the p block, followed by one
+    `np.linalg.svd` call. It is not checked against the vacuum floor:
+    `von_neumann_entropy` does that when it reads a spectrum.
+
+    Raises
+    ------
+    ValidationError
+        If the shape is not (..., 3, 3), an entry is not finite, or a matrix
+        is not symmetric or not positive definite (it has no Cholesky
+        factor, and then neither has its p block).
+    """
+    arr = np.asarray(v_x, dtype=float)
+    if arr.ndim < 2 or arr.shape[-2:] != (3, 3):
+        raise ValidationError(f"covariance x block must be 3x3, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("covariance has non-finite entries")
+    scale = np.maximum(np.abs(arr).max(axis=(-2, -1)), 1.0)
+    if (np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1)) > _SYMMETRY_RTOL * scale).any():
+        raise ValidationError("covariance is not symmetric within 1e-12")
+    # the factor reads the lower triangle, which the symmetry check bounds
+    try:
+        l_x = np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance is not positive definite") from None
+    # the p block's factor, by exact sign flips
+    l_p = _P_SIGNS[:, None] * l_x * _P_SIGNS
+    return np.linalg.svd(l_x.swapaxes(-1, -2) @ l_p, compute_uv=False)
+
+
+def _thermal_entropies(n: np.ndarray) -> np.ndarray:
+    # g(N) elementwise; N below 1e-12, negative N included, gives 0
+    tiny = n < 1e-12
+    n = np.maximum(n, 1e-12)
+    n1 = n + 1
+    g = n1 * np.log2(n1) - n * np.log2(n)
+    g[tiny] = 0.0
+    return g
+
+
+def von_neumann_entropy(nus):
+    """Entropy in bits of the Gaussian state with the given symplectic
+    spectrum, as `symplectic_eigenvalues` returns it.
+
+    One spectrum, shape (3,), gives a float; a stack of shape (..., 3) gives
+    an array of shape (...), each element equal to the single-spectrum call.
+
+    Raises
+    ------
+    ValidationError
+        If any eigenvalue falls below 1/4 - 1e-9, naming the least of them.
+    """
+    nus = np.asarray(nus)
+    if nus.min(initial=np.inf) < VACUUM_EIGENVALUE - PHYSICALITY_TOL:
+        raise ValidationError(f"symplectic eigenvalue below vacuum floor: {float(nus.min())!r}")
+    # eigenvalues within PHYSICALITY_TOL below 1/4 map to N = 0
+    g = _thermal_entropies(2.0 * nus - 0.5)
+    # summed from the largest eigenvalue down
+    return scalar_or_array(g[..., 0] + g[..., 1] + g[..., 2])
+
+
 def holevo_bound(params: SystemParams, n_s, f_e: float):
     """Upper bound on the eavesdropper's Holevo information, bits per use.
 
@@ -168,8 +277,7 @@ def holevo_bound(params: SystemParams, n_s, f_e: float):
         return scalar_or_array(np.where(np.asarray(n_s) > 0.0, 1.0, 0.0))
     nu_k0, nu_uncond = symplectic_eigenvalues(attack_state(params, n_s, f_e))
     s_uncond = von_neumann_entropy(nu_uncond)
-    # bit 1's state is V_0 after a pi phase on the return mode; that map is
-    # symplectic, so V_1 has V_0's spectrum. Its entropy is still a call of
+    # bit 1's state has V_0's spectrum, but its entropy is still a call of
     # its own: the benchmark's tracer counts three per bound
     s_cond = 0.5 * (von_neumann_entropy(nu_k0) + von_neumann_entropy(nu_k0))
     chi = params.M * (s_uncond - s_cond)

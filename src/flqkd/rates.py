@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError, is_integer, require_finite
-from .eve import SystemParams, check_brightness, holevo_bound
-from .gaussian import elementwise, scalar_or_array
+from .eve import SystemParams, check_brightness, elementwise, holevo_bound, scalar_or_array
 
 _SQRT_2 = math.sqrt(2.0)
 # relative width at which the optimizer's zoom stops
@@ -91,12 +90,18 @@ class ConfidenceSpec:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Brightness maximizing the key rate; positive_key is False when the
-    whole search range yields no positive rate."""
+    """Brightness maximizing the key rate, as its best point: n_s_opt is its
+    n_s, and positive_key is False when no point of the range yields key."""
 
-    n_s_opt: float
     point: RatePoint
-    positive_key: bool
+
+    @property
+    def n_s_opt(self) -> float:
+        return self.point.n_s
+
+    @property
+    def positive_key(self) -> bool:
+        return self.point.skr > 0.0
 
 
 def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
@@ -197,7 +202,7 @@ def optimize_brightness(
     """
     batch, k = _zoom_max(lambda xs: skr_lower_bound(xs, f_e, params), search_grid(n_s_range))
     point = RatePoint(**{f.name: getattr(batch, f.name)[k].item() for f in fields(batch)})
-    return OptimizeResult(n_s_opt=point.n_s, point=point, positive_key=point.skr > 0.0)
+    return OptimizeResult(point)
 
 
 def pirandola_limit(kappa: float) -> float:

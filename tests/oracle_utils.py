@@ -6,8 +6,10 @@ suite does not depend on mpmath being importable at collection time.
 The brute-force symplectic solvers below *do* use mpmath and are kept
 deliberately independent of the package's Cholesky-and-SVD route; they read
 the state a 3x3 x block stands for through its p block D V_x D, one of them
-on the whole 6x6 covariance. The thermal entropy g(N) is written here with
-`math.log2`, one float at a time, apart from the package's array form.
+on the whole 6x6 covariance. `holevo_chi` builds the attack state itself, in
+mpmath from the float parameters, so no float rounding of the package's
+enters it. The thermal entropy g(N) is written here with `math.log2`, one
+float at a time, apart from the package's array form.
 
 It also holds the inputs that the key-rate and CLI tests share: the M = 2e4
 system the frozen values are computed at, the fast monitor configuration,
@@ -135,7 +137,7 @@ def thermal_entropy(n):
 
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA6 = np.kron(np.eye(3), _OMEGA_BLOCK)
-# D: the p block of a covariance in flqkd.gaussian is D V_x D
+# D: the p block of a covariance in flqkd.eve is D V_x D
 P_SIGNS = np.array([1.0, -1.0, 1.0])
 # F: a phase of pi on the return mode, the third, negates its x and p; the
 # bit-1 attack state, which flqkd.eve never builds, is F V_0 F
@@ -193,12 +195,55 @@ def brute_force_spectrum(v_x, dps=40):
 
 
 def block_spectrum(v_x, dps=50):
-    """Symplectic eigenvalues of the state held as the x block v_x, as the
-    square roots of the eigenvalues of V_x V_p, with V_x = v_x and its p
-    block V_p = D v_x D, in mpmath at dps digits; descending, as mpf values."""
+    """Symplectic eigenvalues of the state held as the x block v_x, a float
+    array or an mpmath matrix, as the square roots of the eigenvalues of
+    V_x V_p, with V_x = v_x and its p block V_p = D v_x D, in mpmath at dps
+    digits; descending, as mpf values."""
     import mpmath as mp
 
     mp.mp.dps = dps
-    v_p = mp.matrix((P_SIGNS[:, None] * v_x * P_SIGNS).tolist())
-    eigs = mp.eig(mp.matrix(v_x.tolist()) * v_p, left=False, right=False)
+    v_x = mp.matrix(v_x.tolist())
+    d = mp.diag(P_SIGNS.tolist())
+    eigs = mp.eig(v_x * (d * v_x * d), left=False, right=False)
     return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)
+
+
+def spectrum_entropy(nus):
+    """sum_j g(2 nu_j - 1/2), the entropy in bits of the state with the
+    symplectic spectrum nus, in mpmath at its working precision; an
+    eigenvalue at or below the vacuum's 1/4 adds 0."""
+    import mpmath as mp
+
+    total = mp.mpf(0)
+    for nu in nus:
+        n = 2 * nu - mp.mpf(0.5)
+        if n > 0:
+            total += (n + 1) * mp.log(n + 1, 2) - n * mp.log(n, 2)
+    return total
+
+
+def holevo_chi(params, n_s, f_e, dps=60):
+    """The Holevo bound M [S(V_avg) - S(V_0)] at one brightness, unclamped,
+    with the six terms of flqkd.eve.attack_state recomputed in mpmath at dps
+    digits from the float parameters (M = W/R exactly), and each spectrum
+    from block_spectrum."""
+    import mpmath as mp
+
+    mp.mp.dps = dps
+    kap, n_s, f_e = mp.mpf(params.kappa), mp.mpf(n_s), mp.mpf(f_e)
+    gb_loss = mp.mpf(params.G_B) * (1 - mp.mpf(params.kappa_B))
+    n_e = kap * n_s * f_e / ((1 - kap) * (1 - f_e))
+    a = 2 * ((1 - kap) * n_s + kap * n_e) + 1
+    e = 2 * n_e + 1
+    b = 2 * (gb_loss * (kap * n_s + (1 - kap) * n_e) + mp.mpf(params.N_B)) + 1
+    c_ia = 2 * mp.sqrt(kap * n_e * (n_e + 1))
+    c_ab = 2 * mp.sqrt(gb_loss * kap * (1 - kap)) * (n_s - n_e)
+    c_ib = 2 * mp.sqrt(gb_loss * (1 - kap) * n_e * (n_e + 1))
+
+    def entropy(c_ab, c_ib):
+        v_x = mp.matrix([[a, -c_ia, c_ab], [-c_ia, e, c_ib], [c_ab, c_ib, b]]) / 4
+        return spectrum_entropy(block_spectrum(v_x, dps))
+
+    # the average over Bob's bit drops the signal correlations c_ab and c_ib
+    m = mp.mpf(params.W) / mp.mpf(params.R)
+    return float(m * (entropy(0, 0) - entropy(c_ab, c_ib)))

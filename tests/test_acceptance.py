@@ -18,8 +18,7 @@ import numpy as np
 
 import oracle_utils as ou
 from flqkd.cli import _IMPL, main
-from flqkd.eve import attack_state, holevo_bound
-from flqkd.gaussian import symplectic_eigenvalues, von_neumann_entropy
+from flqkd.eve import attack_state, holevo_bound, symplectic_eigenvalues, von_neumann_entropy
 from flqkd.monitor import sweep_injection
 from flqkd.rates import alice_ber, optimize_brightness, pirandola_limit, q_function
 from monitor_oracle import NOMINAL_POINT

@@ -20,9 +20,11 @@ from flqkd.eve import (
     chernoff_ber_passive,
     eve_injection_brightness,
     holevo_bound,
+    symplectic_eigenvalues,
+    von_neumann_entropy,
 )
-from flqkd.gaussian import symplectic_eigenvalues, von_neumann_entropy
 from flqkd.monitor import _detector_loads
+from flqkd.rates import optimize_brightness
 from oracle_utils import PARAMS
 
 # x-block index pairs carrying the Alice<->Bob and idler<->Bob correlations
@@ -263,6 +265,26 @@ def test_holevo_matches_entropy_difference_before_clamp():
     per_mode = von_neumann_entropy(nu_avg) - von_neumann_entropy(nu0)
     raw = PARAMS.M * per_mode
     assert math.isclose(holevo_bound(PARAMS, 0.01, 0.0027), min(max(raw, 0.0), 1.0), rel_tol=1e-12)
+
+
+def test_the_60_digit_chi_oracle_at_the_default_optimum():
+    # the oracle's chi from its own six terms against the 50-digit spectra
+    # of the float attack state, and against the library's float chi
+    params, n_s = load_run_config().system, ou.OPT_N_S_AT_N_SIGMA_1
+    chi = ou.holevo_chi(params, n_s, 0.0027)
+    s0, s_avg = (ou.spectrum_entropy(ou.block_spectrum(v)) for v in attack_state(params, n_s, 0.0027))
+    assert params.M * float(s_avg - s0) == pytest.approx(chi, rel=1e-9)
+    assert holevo_bound(params, n_s, 0.0027) == pytest.approx(chi, rel=1e-5)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="float chi lies below the true chi there, so SKE overstates the key (ROADMAP item 18)")
+def test_holevo_bound_is_at_least_the_60_digit_chi():
+    # rate_curve.csv row 1 (3.7e-4 below) and the optimize.csv n_sigma = 1
+    # optimum (2.3e-6 below)
+    params = load_run_config().system
+    for n_s in (1e-4, optimize_brightness(0.0027, params).n_s_opt):
+        assert holevo_bound(params, n_s, 0.0027) >= ou.holevo_chi(params, n_s, 0.0027)
 
 
 def test_holevo_nondecreasing_in_injection():

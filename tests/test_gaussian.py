@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle_utils as ou
 from flqkd.errors import ValidationError
-from flqkd.gaussian import symplectic_eigenvalues, von_neumann_entropy
+from flqkd.eve import symplectic_eigenvalues, von_neumann_entropy
 
 
 def _diag_cov(n1, n2, n3):

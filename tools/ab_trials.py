@@ -11,12 +11,12 @@ side. The trials are the benchmark's own operations on the inputs that
 perfbench/workloads.py makes for --workload and --seed: a simulate_monitor
 + estimate_fe trial for the monitor workloads, one optimize_brightness call
 for keyrate-grid. Each pair runs the same input on both trees, alternating
-which tree goes first, and the two results must be equal: for a monitor
-trial, the simulator's six rates, duration and warnings, by name, so that
-trees that store MonitorCounts differently still compare; for keyrate-grid,
-the repr of the result. The estimate is timed but not compared, since its
-last digit may move with its arithmetic; the Tier-1 suite checks it against
-exact rationals. The report gives each side's
+which tree goes first, and the two results must be equal, by name, so that
+trees that store a result differently still compare: for a monitor trial,
+the simulator's six rates, duration and warnings; for keyrate-grid, n_s_opt,
+positive_key and each RatePoint field. The estimate is timed but not
+compared, since its last digit may move with its arithmetic; the Tier-1
+suite checks it against exact rationals. The report gives each side's
 median time, the median paired ratio (this tree over the base) with its
 quartiles, and how many pairs this tree won.
 
@@ -42,7 +42,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,7 +81,8 @@ def _trial(pkg, wl):
 
     def run(item):
         f_e, kappa = item
-        return rates.optimize_brightness(f_e, replace(system, kappa=kappa), n_s_range=workloads.N_S_RANGE)
+        out = rates.optimize_brightness(f_e, replace(system, kappa=kappa), n_s_range=workloads.N_S_RANGE)
+        return {"n_s_opt": out.n_s_opt, "positive_key": out.positive_key, **asdict(out.point)}
 
     return run
 
