@@ -244,6 +244,6 @@ def holevo_chi(params, n_s, f_e, dps=60):
         v_x = mp.matrix([[a, -c_ia, c_ab], [-c_ia, e, c_ib], [c_ab, c_ib, b]]) / 4
         return spectrum_entropy(block_spectrum(v_x, dps))
 
-    # the average over Bob's bit drops the signal correlations c_ab and c_ib
     m = mp.mpf(params.W) / mp.mpf(params.R)
+    # the average over Bob's bit drops the signal correlations c_ab and c_ib
     return float(m * (entropy(0, 0) - entropy(c_ab, c_ib)))
