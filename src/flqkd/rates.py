@@ -4,7 +4,8 @@ The receiver-side chain: Alice's homodyne BER through the Gaussian-noise
 Q-function, Shannon information of the resulting binary symmetric channel,
 secret-key efficiency SKE = beta * I_AB - chi against the collective-attack
 Holevo bound, and a maximizer over the source brightness N_S that zooms in
-on the best point by rounds of one rate call each over an even grid.
+on the best point by rounds of one rate call each over an even grid, and
+stops where chi's float noise leaves the rate nothing finer to resolve.
 """
 
 from __future__ import annotations
@@ -18,8 +19,12 @@ from .errors import ValidationError, is_integer, require_finite
 from .eve import SystemParams, check_brightness, elementwise, holevo_bound, scalar_or_array
 
 _SQRT_2 = math.sqrt(2.0)
-# relative width at which the optimizer's zoom stops
-_TOL = 1e-6
+# relative width at which the optimizer's zoom stops: the n_s resolution that
+# chi's float noise allows. Near an optimum that noise moves the rate by ~2e-6
+# relative, enough to put the best point 3.6e-4 in n_s from the exact optimum,
+# so narrower rounds only pick out the noise. Set it again once chi is exact
+# (ROADMAP items 2 and 3).
+_TOL = 3e-4
 # evenly spaced points of each zoom round after the first
 _ROUND_POINTS = 32
 
@@ -162,11 +167,12 @@ def _zoom_max(rates_at, xs: np.ndarray) -> tuple[RatePoint, int]:
     rates_at takes an array of points and returns a RatePoint of arrays.
     Each round after the first evaluates _ROUND_POINTS points evenly spaced
     across the neighbours of the last round's best point, until that bracket
-    is a relative _TOL wide or no longer narrows in float. A round after the
-    first whose best point is an end of xs also ends the zoom: the rate falls
-    from that end across the round's spacing, and narrower rounds there would
-    only pick out the rate's float noise, so an optimum at an end of the
-    range comes back as that end exactly.
+    is a relative _TOL wide (the n_s resolution chi's float noise allows) or
+    no longer narrows in float. A round after the first whose best point is
+    an end of xs also ends the zoom: the rate falls from that end across the
+    round's spacing, and narrower rounds there would only pick out the rate's
+    float noise, so an optimum at an end of the range comes back as that end
+    exactly.
     """
     ends = (xs[0], xs[-1])
     best, best_k = None, 0
@@ -195,7 +201,8 @@ def optimize_brightness(
 
     A log-spaced coarse grid locates the optimum (the rate is unimodal in
     N_S: BER improvement against Holevo growth); rounds of evenly spaced
-    points then zoom in on it to a relative 1e-6, one rate call a round.
+    points then zoom in on it to a relative 3e-4, one rate call a round:
+    four calls, 64 + 3 x 32 points, on the default system.
     The result is the best point any round evaluated, read from its round's
     arrays, which equal the scalar call bit for bit. An everywhere-negative
     range is not an error; the best point is returned flagged.

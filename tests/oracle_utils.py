@@ -8,8 +8,10 @@ deliberately independent of the package's Cholesky-and-SVD route; they read
 the state a 3x3 x block stands for through its p block D V_x D, one of them
 on the whole 6x6 covariance. `holevo_chi` builds the attack state itself, in
 mpmath from the float parameters, so no float rounding of the package's
-enters it. The thermal entropy g(N) is written here with `math.log2`, one
-float at a time, apart from the package's array form.
+enters it. Every mpmath oracle here works at its own precision under
+`mp.workdps` and leaves mpmath's process-wide precision as it found it.
+The thermal entropy g(N) is written here with `math.log2`, one float at a
+time, apart from the package's array form.
 
 It also holds the inputs that the key-rate and CLI tests share: the M = 2e4
 system the frozen values are computed at, the fast monitor configuration,
@@ -77,12 +79,15 @@ Q_ORACLE = {
     8.0: 6.2209605742717841e-16,
 }
 
-# The key-rate optimum at configs/default.json with n_sigma = 1 (f_E =
-# 0.0007 + 0.002), from a 50-digit mpmath model fed the float parameters
-# exactly: Q by erfc, chi from sqrt(eig(V_x V_p)) of both covariances, and a
-# golden-section search on SKE to 1e-22 in N_S.
+# The key-rate optima at configs/default.json with n_sigma = 1 and 5 (f_E =
+# 0.0007 + n_sigma * 0.002, 0.0027 and 0.0107 as floats), from a 50-digit
+# mpmath model fed the float parameters exactly: Q by erfc, chi from
+# sqrt(eig(V_x V_p)) of both covariances, and a golden-section search on SKE
+# over N_S in [0.004, 0.012] to 1e-22.
 OPT_N_S_AT_N_SIGMA_1 = 0.0082437464927250538
 OPT_SKE_AT_N_SIGMA_1 = 0.55767829528622481
+OPT_N_S_AT_N_SIGMA_5 = 0.0056450769027949543
+OPT_SKE_AT_N_SIGMA_5 = 0.32865631913068673
 
 ERFC_ORACLE = {
     0.0: 1.0,
@@ -166,13 +171,13 @@ def random_physical_covariance(rng, pure=False):
     """
     import mpmath as mp
 
-    mp.mp.dps = 40
     k = rng.uniform(-0.5, 0.5, (3, 3))
-    s = mp.expm(mp.diag(P_SIGNS.tolist()) * mp.matrix((k - k.T).tolist()))
     ns = np.zeros(3) if pure else rng.uniform(0.0, 2.0, 3)
     nus = (2.0 * ns + 1.0) / 4.0
-    v = s * mp.diag([mp.mpf(v) for v in nus]) * s.T
-    vf = np.array([[float(v[i, j]) for j in range(3)] for i in range(3)])
+    with mp.workdps(40):
+        s = mp.expm(mp.diag(P_SIGNS.tolist()) * mp.matrix((k - k.T).tolist()))
+        v = s * mp.diag([mp.mpf(v) for v in nus]) * s.T
+        vf = np.array([[float(v[i, j]) for j in range(3)] for i in range(3)])
     vf = 0.5 * (vf + vf.T)
     return vf, np.sort(nus)[::-1]
 
@@ -186,10 +191,10 @@ def brute_force_spectrum(v_x, dps=40):
     """
     import mpmath as mp
 
-    mp.mp.dps = dps
-    m = mp.matrix(OMEGA6.tolist()) * mp.matrix(full_covariance(v_x).tolist())
-    eigs, _ = mp.eig(m)
-    nus = sorted((abs(e) for e in eigs if mp.im(e) > 0), reverse=True)
+    with mp.workdps(dps):
+        m = mp.matrix(OMEGA6.tolist()) * mp.matrix(full_covariance(v_x).tolist())
+        eigs, _ = mp.eig(m)
+        nus = sorted((abs(e) for e in eigs if mp.im(e) > 0), reverse=True)
     assert len(nus) == 3
     return np.array([float(x) for x in nus])
 
@@ -198,28 +203,30 @@ def block_spectrum(v_x, dps=50):
     """Symplectic eigenvalues of the state held as the x block v_x, a float
     array or an mpmath matrix, as the square roots of the eigenvalues of
     V_x V_p, with V_x = v_x and its p block V_p = D v_x D, in mpmath at dps
-    digits; descending, as mpf values."""
+    digits; descending, as mpf values. mpmath's arithmetic reads an mpf
+    operand exactly, so these keep their digits at any later precision."""
     import mpmath as mp
 
-    mp.mp.dps = dps
-    v_x = mp.matrix(v_x.tolist())
-    d = mp.diag(P_SIGNS.tolist())
-    eigs = mp.eig(v_x * (d * v_x * d), left=False, right=False)
-    return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)
+    with mp.workdps(dps):
+        v_x = mp.matrix(v_x.tolist())
+        d = mp.diag(P_SIGNS.tolist())
+        eigs = mp.eig(v_x * (d * v_x * d), left=False, right=False)
+        return sorted((mp.sqrt(mp.re(e)) for e in eigs), reverse=True)
 
 
-def spectrum_entropy(nus):
+def spectrum_entropy(nus, dps=50):
     """sum_j g(2 nu_j - 1/2), the entropy in bits of the state with the
-    symplectic spectrum nus, in mpmath at its working precision; an
+    symplectic spectrum nus, in mpmath at dps digits, as an mpf; an
     eigenvalue at or below the vacuum's 1/4 adds 0."""
     import mpmath as mp
 
-    total = mp.mpf(0)
-    for nu in nus:
-        n = 2 * nu - mp.mpf(0.5)
-        if n > 0:
-            total += (n + 1) * mp.log(n + 1, 2) - n * mp.log(n, 2)
-    return total
+    with mp.workdps(dps):
+        total = mp.mpf(0)
+        for nu in nus:
+            n = 2 * nu - mp.mpf(0.5)
+            if n > 0:
+                total += (n + 1) * mp.log(n + 1, 2) - n * mp.log(n, 2)
+        return total
 
 
 def holevo_chi(params, n_s, f_e, dps=60):
@@ -229,21 +236,21 @@ def holevo_chi(params, n_s, f_e, dps=60):
     from block_spectrum."""
     import mpmath as mp
 
-    mp.mp.dps = dps
-    kap, n_s, f_e = mp.mpf(params.kappa), mp.mpf(n_s), mp.mpf(f_e)
-    gb_loss = mp.mpf(params.G_B) * (1 - mp.mpf(params.kappa_B))
-    n_e = kap * n_s * f_e / ((1 - kap) * (1 - f_e))
-    a = 2 * ((1 - kap) * n_s + kap * n_e) + 1
-    e = 2 * n_e + 1
-    b = 2 * (gb_loss * (kap * n_s + (1 - kap) * n_e) + mp.mpf(params.N_B)) + 1
-    c_ia = 2 * mp.sqrt(kap * n_e * (n_e + 1))
-    c_ab = 2 * mp.sqrt(gb_loss * kap * (1 - kap)) * (n_s - n_e)
-    c_ib = 2 * mp.sqrt(gb_loss * (1 - kap) * n_e * (n_e + 1))
+    with mp.workdps(dps):
+        kap, n_s, f_e = mp.mpf(params.kappa), mp.mpf(n_s), mp.mpf(f_e)
+        gb_loss = mp.mpf(params.G_B) * (1 - mp.mpf(params.kappa_B))
+        n_e = kap * n_s * f_e / ((1 - kap) * (1 - f_e))
+        a = 2 * ((1 - kap) * n_s + kap * n_e) + 1
+        e = 2 * n_e + 1
+        b = 2 * (gb_loss * (kap * n_s + (1 - kap) * n_e) + mp.mpf(params.N_B)) + 1
+        c_ia = 2 * mp.sqrt(kap * n_e * (n_e + 1))
+        c_ab = 2 * mp.sqrt(gb_loss * kap * (1 - kap)) * (n_s - n_e)
+        c_ib = 2 * mp.sqrt(gb_loss * (1 - kap) * n_e * (n_e + 1))
 
-    def entropy(c_ab, c_ib):
-        v_x = mp.matrix([[a, -c_ia, c_ab], [-c_ia, e, c_ib], [c_ab, c_ib, b]]) / 4
-        return spectrum_entropy(block_spectrum(v_x, dps))
+        def entropy(c_ab, c_ib):
+            v_x = mp.matrix([[a, -c_ia, c_ab], [-c_ia, e, c_ib], [c_ab, c_ib, b]]) / 4
+            return spectrum_entropy(block_spectrum(v_x, dps), dps)
 
-    m = mp.mpf(params.W) / mp.mpf(params.R)
-    # the average over Bob's bit drops the signal correlations c_ab and c_ib
-    return float(m * (entropy(0, 0) - entropy(c_ab, c_ib)))
+        m = mp.mpf(params.W) / mp.mpf(params.R)
+        # the average over Bob's bit drops the signal correlations c_ab and c_ib
+        return float(m * (entropy(0, 0) - entropy(c_ab, c_ib)))

@@ -277,11 +277,39 @@ def test_the_60_digit_chi_oracle_at_the_default_optimum():
     assert holevo_bound(params, n_s, 0.0027) == pytest.approx(chi, rel=1e-5)
 
 
+def test_mpmath_oracles_leave_the_working_precision_as_they_found_it():
+    # each oracle works at its own precision, so none reads or sets the one
+    # another left behind
+    import mpmath as mp
+
+    params, rng = load_run_config().system, np.random.default_rng(5)
+    v = attack_state(params, 0.01, 0.0027)[1]
+    oracles = {
+        "random_physical_covariance": lambda: ou.random_physical_covariance(rng),
+        "brute_force_spectrum": lambda: ou.brute_force_spectrum(v),
+        "block_spectrum": lambda: ou.block_spectrum(v),
+        "spectrum_entropy": lambda: ou.spectrum_entropy([mp.mpf(0.3), mp.mpf(0.25)]),
+        "holevo_chi": lambda: ou.holevo_chi(params, 0.01, 0.0027),
+    }
+    with mp.workdps(23):
+        for name, call in oracles.items():
+            call()
+            assert mp.mp.dps == 23, name
+    # the entropy's digits come from its own dps, not from the caller's
+    nus = ou.block_spectrum(v)
+    entropies = []
+    for dps in (15, 80):
+        with mp.workdps(dps):
+            entropies.append(ou.spectrum_entropy(nus))
+    assert entropies[0] == entropies[1]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="float chi lies below the true chi there, so SKE overstates the key (ROADMAP item 18)")
 def test_holevo_bound_is_at_least_the_60_digit_chi():
-    # rate_curve.csv row 1 (3.7e-4 below) and the optimize.csv n_sigma = 1
-    # optimum (2.3e-6 below)
+    # rate_curve.csv row 1 (3.7e-4 below) and the float n_s the zoom returns
+    # at n_sigma = 1 (2.25e-6 below; 1e-11 away, at its 9-digit optimize.csv
+    # value 0.00824047006, float chi lies 7.5e-7 above)
     params = load_run_config().system
     for n_s in (1e-4, optimize_brightness(0.0027, params).n_s_opt):
         assert holevo_bound(params, n_s, 0.0027) >= ou.holevo_chi(params, n_s, 0.0027)

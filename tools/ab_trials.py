@@ -11,14 +11,18 @@ side. The trials are the benchmark's own operations on the inputs that
 perfbench/workloads.py makes for --workload and --seed: a simulate_monitor
 + estimate_fe trial for the monitor workloads, one optimize_brightness call
 for keyrate-grid. Each pair runs the same input on both trees, alternating
-which tree goes first, and the two results must be equal, by name, so that
-trees that store a result differently still compare: for a monitor trial,
-the simulator's six rates, duration and warnings; for keyrate-grid, n_s_opt,
+which tree goes first, and compares the two results by name, so that trees
+that store a result differently still compare: for a monitor trial, the
+simulator's six rates, duration and warnings; for keyrate-grid, n_s_opt,
 positive_key and each RatePoint field. The estimate is timed but not
 compared, since its last digit may move with its arithmetic; the Tier-1
 suite checks it against exact rationals. The report gives each side's
 median time, the median paired ratio (this tree over the base) with its
-quartiles, and how many pairs this tree won.
+quartiles, and how many pairs this tree won. Every pair runs and is timed
+even when results differ, so a change that moves results on purpose still
+gets its paired ratio: the report then says on how many pairs they differ,
+the first difference goes to stderr, and the exit status is 1; it is 0 only
+when every pair gave equal results.
 
 It also gives each side's traced peak: the most memory one untimed
 operation on the first input had allocated at once, as tracemalloc counts
@@ -127,6 +131,7 @@ def main(argv=None) -> int:
             run(wl.inputs[0])
         peaks = {side: _traced_peak(run, wl.inputs[0]) for side, run in runs.items()}
         times = {"base": [], "head": []}
+        differ = 0
         for k in range(args.trials):
             item = wl.inputs[k % len(wl.inputs)]
             order = ("base", "head") if k % 2 == 0 else ("head", "base")
@@ -135,12 +140,14 @@ def main(argv=None) -> int:
                 elapsed, outs[side] = _timed(runs[side], item)
                 times[side].append(elapsed)
             if outs["base"] != outs["head"]:
-                print(f"results differ on {item!r}:\n  base {outs['base']}\n  head {outs['head']}", file=sys.stderr)
-                return 1
+                if not differ:
+                    print(f"first difference, on {item!r}:\n  base {outs['base']}\n  head {outs['head']}", file=sys.stderr)
+                differ += 1
 
     ratios = [h / b for b, h in zip(times["base"], times["head"])]
     quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"{args.workload}, seed {args.seed}: {args.trials} pairs, results equal")
+    verdict = f"results differ on {differ} of {args.trials} pairs" if differ else "results equal"
+    print(f"{args.workload}, seed {args.seed}: {args.trials} pairs, {verdict}")
     print(f"traced peak MB: base {peaks['base'] / 1e6:.3f}, head {peaks['head'] / 1e6:.3f}")
     print(
         f"median s: base {statistics.median(times['base']):.5f}, "
@@ -151,7 +158,7 @@ def main(argv=None) -> int:
         f"quartiles [{quartiles[0]:.3f}, {quartiles[2]:.3f}], "
         f"head faster in {sum(r < 1.0 for r in ratios)} of {len(ratios)}"
     )
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
