@@ -98,8 +98,10 @@ class SystemParams:
         require_finite(self, (f.name for f in fields(self)))
         if self.W <= 0 or self.R <= 0:
             raise ValidationError("W and R must be positive")
-        if self.M < 1:
-            raise ValidationError("M = W/R must be >= 1")
+        # an R small enough for W/R to overflow would make every M-scaled
+        # quantity inf or nan
+        if not 1.0 <= self.M < math.inf:
+            raise ValidationError(f"M = W/R must be finite and >= 1, got {self.M!r}")
         if not 0.0 < self.kappa < 1.0:
             raise ValidationError(f"kappa must be in (0,1), got {self.kappa!r}")
         if not 0.0 < self.eta <= 1.0:

@@ -263,7 +263,9 @@ def _saturation_warnings(cfg: MonitorSimConfig) -> tuple[str, ...]:
 
 def _category_rates(cfg: MonitorSimConfig) -> dict[str, float]:
     """Rates of the independent Poisson categories the detector streams are
-    built from (Poisson marking of the pair and noise processes)."""
+    built from (Poisson marking of the pair and noise processes). Their order
+    is the draw order: _tap_streams draws every category but i_only in it,
+    so that a seed fixes the run."""
     eff_i = cfg.det_eff_idler
     p_alice = cfg.tap_alice * cfg.det_eff_alice
     # an intruder replaces a fraction f_e_true of the flux entering Bob's
@@ -291,10 +293,6 @@ _DETECTOR_CATEGORIES = {
     "alice_tap": ("i_alice", "a_only", "ase_a"),
     "bob_tap": ("i_bob", "b_only", "ase_b", "eve"),
 }
-
-# the categories drawn in full, in draw order; the rest of the idler stream
-# (i_only) is drawn only around the coincidence windows
-_TAP_CATEGORIES = ("i_alice", "i_bob", "a_only", "b_only", "ase_a", "ase_b", "eve")
 
 
 def _poisson_times(rng: np.random.Generator, rate: float, length: float) -> np.ndarray:
@@ -352,16 +350,13 @@ def _rank(edges: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _merge_sorted(bulk: np.ndarray, add: np.ndarray) -> np.ndarray:
-    """The sorted merge of two sorted streams, as np.insert(bulk,
-    np.searchsorted(bulk, add), add): add[j] lands before the bulk events at
-    or after it, at searchsorted(bulk, add[j]) + j, and bulk fills the rest."""
-    at = np.searchsorted(bulk, add)
-    at += np.arange(add.size)
-    merged = np.empty(bulk.size + add.size)
-    merged[at] = add
-    rest = np.ones(merged.size, bool)
-    rest[at] = False
-    merged[rest] = bulk
+    """The sorted union of bulk, sorted runs laid end to end, and the sorted
+    add, in a new array: one stable sort (a timsort, which merges the runs
+    in linear time). add goes first, so a tied add event lands before the
+    bulk events it ties, where np.insert(bulk, np.searchsorted(bulk, add),
+    add) puts it when bulk is sorted."""
+    merged = np.concatenate((add, bulk))
+    merged.sort(kind="stable")
     return merged
 
 
@@ -447,12 +442,13 @@ def _simulate(cfg: MonitorSimConfig, rng: np.random.Generator) -> MonitorCounts:
 def _tap_streams(rng, rates, dead_time, duration):
     """Both taps' live streams and the idler's events drawn so far (those
     whose partner was detected too), from the tap-side categories drawn in
-    full. The categories' draws are freed on return."""
-    # fixed draw order keeps runs reproducible for a given seed
-    drawn = {k: _poisson_times(rng, rates[k], duration) for k in _TAP_CATEGORIES}
+    full, in the order of rates; the rest of the idler stream (i_only) is
+    drawn only around the coincidence windows. The categories' draws are
+    freed on return."""
+    drawn = {k: _poisson_times(rng, rate, duration) for k, rate in rates.items() if k != "i_only"}
 
     def stream(detector):
-        return np.sort(np.concatenate([drawn.get(k, ()) for k in _DETECTOR_CATEGORIES[detector]]))
+        return np.sort(np.concatenate([drawn[k] for k in _DETECTOR_CATEGORIES[detector] if k != "i_only"]))
 
     alice_live, _ = dead_time_filter(stream("alice_tap"), dead_time)
     bob_live, _ = dead_time_filter(stream("bob_tap"), dead_time)
@@ -497,7 +493,9 @@ def _window_hulls(arms, half_window, shift, duration):
 
 
 def _draw_idler(rng, rate, lo, hi, paired, dead_time):
-    """Sorted idler-only events on stretches around the window hulls [lo, hi].
+    """Idler-only events on stretches around the window hulls [lo, hi]: each
+    round's sorted draw, laid end to end in round order, for _merge_sorted to
+    put in time order.
 
     Each stretch reaches back from its window, twice as far each round,
     until the stream it holds shows a gap of at least dead_time before its
@@ -557,9 +555,7 @@ def _draw_idler(rng, rate, lo, hi, paired, dead_time):
         lo, bound, after = lo[rest], bound[rest[1:] - 1], first[rest]
         old = top = new[rest]
         reach *= 2.0
-    bulk = np.concatenate(drawn) if drawn else np.empty(0, np.float64)
-    bulk.sort()
-    return bulk
+    return np.concatenate(drawn) if drawn else np.empty(0, np.float64)
 
 
 def _gap_tests(times, label, new, old, after, dead_time):

@@ -121,9 +121,12 @@ def skr_lower_bound(n_s, f_e: float, params: SystemParams) -> RatePoint:
     i_ab = elementwise(shannon_info, ber)
     chi = holevo_bound(params, n_s, f_e)
     ske = params.beta * i_ab - chi
+    # a ppb too large for floats is inf, as in the BER table
+    with np.errstate(over="ignore"):
+        ppb = params.M * n_s
     return RatePoint(
         n_s=n_s,
-        ppb=params.M * n_s,
+        ppb=ppb,
         ber=ber,
         i_ab=i_ab,
         chi_ub=chi,

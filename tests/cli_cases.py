@@ -105,6 +105,10 @@ CASES = (
     *(Case("test_noiseless_receiver_is_a_config_error", f"{command} --config cfg.json", 2,
            '{"system": {"N_B": 0}}', stderr=_config_error("system: N_B must be > 0, got 0.0"))
       for command in ("optimize", "rate-curve", "limit")),
+    # an R small enough for M = W/R to overflow
+    *(Case("test_modes_per_bit_past_the_float_range_is_a_config_error", f"{command} --config cfg.json", 2,
+           '{"system": {"R": 1e-300}}', stderr=_config_error("system: M = W/R must be finite and >= 1, got inf"))
+      for command in ("optimize", "limit", "ber-curve")),
     # an amplifier adds at least G_B*(1-kappa_B) - 1 photons of noise, 1101 at the defaults
     Case("test_amplifier_below_its_noise_floor_is_a_config_error", "optimize --config cfg.json", 2,
          '{"system": {"N_B": 1100.9}}', stderr=_config_error(
@@ -116,6 +120,11 @@ CASES = (
     *(Case("test_overflow_prints_only_the_error_line", RATE, 3, config,
            stderr="numerical error: covariance has non-finite entries\n")
       for config in (OVERFLOW, OVERFLOW_ALL)),
+    # at f_e = 1 the bound needs no covariance, so the overflowing ppb is
+    # made, and left inf with no warning, before the passive curve fails
+    Case("test_overflow_prints_only_the_error_line", RATE, 3,
+         '{"attack": {"f_e_hat": 1.0}, "sweep": {"n_s_max": 1e305}}',
+         stderr="numerical error: covariance is not positive definite\n"),
     *(Case("test_ber_curve_overflow_is_silent", "ber-curve --config cfg.json", 0, config,
            stdout_empty=False, stderr="")
       for config in (OVERFLOW, OVERFLOW_ALL)),

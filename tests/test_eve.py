@@ -376,6 +376,8 @@ def test_parameter_range_checks():
                      ("G_B", 0.0), ("N_B", -1.0), ("beta", 1.01), ("W", 0.0), ("R", 0.0),
                      # gamma = N_B/G_B divides Alice's BER argument
                      ("N_B", 0.0), ("N_B", math.nan),
+                     # M = W/R overflows to inf, which M >= 1 alone would pass
+                     ("R", 1e-300),
                      # below the amplifier's noise floor G_B*(1-kappa_B) - 1 = 1101
                      ("N_B", 1100.9)]:
         with pytest.raises(ValidationError):

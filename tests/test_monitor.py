@@ -432,6 +432,23 @@ def test_merge_sorted_places_events_as_np_insert_does(bulk, add):
     assert _hex(merged) == _hex(np.insert(bulk, np.searchsorted(bulk, add), add))
 
 
+# ties within and across the runs, but no signed zero: tied times then
+# share their bits, so the union's sorted order is one list of bits
+_RUN = st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=12).map(sorted)
+
+
+@given(st.lists(_RUN, max_size=5), _RUN)
+@example([[2.0], [1.0]], [])
+@example([[1.0, 3.0], [0.0, 2.0]], [1.5])
+def test_merge_sorted_orders_sorted_runs_laid_end_to_end(runs, add):
+    # _draw_idler returns its rounds' sorted draws end to end, unsorted as a
+    # whole; the merge puts the union of those runs and add in time order
+    bulk = read_only(np.array([t for run in runs for t in run], np.float64))
+    add = read_only(np.array(add, np.float64))
+    merged = monitor._merge_sorted(bulk, add)
+    assert _hex(merged) == _hex(np.sort(np.concatenate((bulk, add))))
+
+
 @st.composite
 def trigger_arms(draw):
     """Two sorted trigger arms in a run, a half window and a shift. Some

@@ -83,6 +83,8 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     the same streams filtered and counted in one piece. Also checks that no
     stretch of the idler-only stream is drawn twice, and that the one merge
     into the drawn stream takes every partnered idler event."""
+    # the tap categories are drawn in _category_rates' order, i_only aside
+    tap_order = [name for name in monitor._category_rates(cfg) if name != "i_only"]
     taps = []
     stretches = []
     merged = []
@@ -96,7 +98,7 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
         return events[inside], k[inside]
 
     def tap(rng, rate, length):  # a tap-side category over the whole run
-        name = monitor._TAP_CATEGORIES[len(taps)]
+        name = tap_order[len(taps)]
         taps.append(name)
         return cut(name, 0.0, length)[0]
 
@@ -117,8 +119,9 @@ def _counts_on_given_streams(cfg, streams, monkeypatch):
     monkeypatch.setattr(monitor, "_merge_sorted", merge)
     counts = simulate_monitor(cfg)
     monkeypatch.undo()
-    lo = np.concatenate([s[0] for s in stretches])
-    hi = np.concatenate([s[1] for s in stretches])
+    # a run with no live trigger opens no stretch
+    lo = np.concatenate([np.empty(0)] + [s[0] for s in stretches])
+    hi = np.concatenate([np.empty(0)] + [s[1] for s in stretches])
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     assert np.all(hi >= lo) and np.all(lo[1:] >= hi[:-1])
@@ -327,6 +330,10 @@ DEAD_TIME_PLACED = {
         {"a_only": [L + 0.5 * W2], "i_only": [L - 2.125 * TAU, L - 1.25 * TAU, L - 0.5 * TAU, L + 0.5 * W2]},
         [1, 0, 0, 0, 0, 0],
     ),
+    # no tap event: no trigger opens a stretch, so the idler is not drawn,
+    # and the one merge takes the run's partnered events, none
+    "no-event": ({}, [0, 0, 0, 0, 0, 0]),
+    "idler-only-events": ({"i_only": [L - TAU, L, L + 0.5 * W2]}, [0, 0, 0, 0, 0, 0]),
 }
 
 

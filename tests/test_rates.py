@@ -187,6 +187,17 @@ def test_array_with_one_bad_brightness_raises_like_the_scalar_call(bad):
         skr_lower_bound(grid, 0.0027, PARAMS)
 
 
+def test_a_ppb_past_the_float_range_is_inf_with_no_warning():
+    # M n_s overflows here; at f_e = 1 the bound is 1 with no covariance
+    # built, so the rate point is complete
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = skr_lower_bound(np.array([1e305]), 1.0, PARAMS)
+    assert batch.ppb.tolist() == [math.inf]
+    assert batch.chi_ub.tolist() == [1.0]
+    assert batch.ppb[0] == skr_lower_bound(1e305, 1.0, PARAMS).ppb
+
+
 @pytest.mark.parametrize("n_s_range", [(0.013, 1.0), (0.017, 1.0)])
 def test_optimizer_stays_inside_its_range(n_s_range):
     # the optimum sits below these ranges, so the search ends at lo
